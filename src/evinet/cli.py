@@ -15,8 +15,8 @@ import click
 
 from . import dsl
 from .engine import MassVector, ignorance_mass, step
-from .errors import EvinetError, ParseError
-from .net import PetriNet, check_receptivity, detect_conflicts, validate_net
+from .errors import ConflictError, EvinetError, ParseError
+from .net import PetriNet, detect_conflicts, validate_net
 from .table import (
     DEFAULT_SIZE_CAP,
     build_transfer_table,
@@ -195,19 +195,19 @@ def _run_stream(config: RunConfig) -> None:
                 _fail(str(exc))
             if bits is None:
                 continue
-            violations = check_receptivity(net, bits)
-            if violations:
+            try:
+                mass = step(net, mass, bits)
+            except ConflictError as exc:
                 details = "; ".join(
                     f"{net.places[v.place]} with "
                     + ", ".join(net.transitions[t] for t in sorted(v.true_transitions))
-                    for v in violations
+                    for v in exc.conflicts
                 )
                 _fail(
                     f"line {line_no}: receptivity {''.join(map(str, bits))} enables"
                     f" conflicting transitions at {details}"
                 )
             index += 1
-            mass = step(net, mass, bits)
             print(_record(config, index, bits, mass), flush=True)
     finally:
         if close:

@@ -230,6 +230,7 @@ def coerce_receptivity(net: PetriNet, r: Sequence[int]) -> Receptivity:
     return bits
 
 
+@functools.lru_cache(maxsize=1024)
 def detect_conflicts(net: PetriNet) -> tuple[ConflictSet, ...]:
     """All places whose token is contested by two or more output transitions."""
     s = _structure(net)
@@ -240,13 +241,18 @@ def detect_conflicts(net: PetriNet) -> tuple[ConflictSet, ...]:
     )
 
 
+def _is_normalized(net: PetriNet, r) -> bool:
+    return type(r) is tuple and len(r) == net.transition_count and set(r) <= {0, 1}
+
+
 def check_receptivity(net: PetriNet, r: Sequence[int]) -> tuple[ReceptivityConflict, ...]:
     """Report every conflict set with two or more simultaneously true members.
 
     The constraint is global: a vector is rejected even when no token sits at
-    the conflict place, matching the classic-net firing rule.
+    the conflict place, matching the classic-net firing rule. A tuple of 0/1
+    bits of the right length is checked as it is, without a coerced copy.
     """
-    bits = coerce_receptivity(net, r)
+    bits = r if _is_normalized(net, r) else coerce_receptivity(net, r)
     violations = []
     for cs in detect_conflicts(net):
         true = frozenset(t for t in cs.transitions if bits[t])
@@ -256,7 +262,7 @@ def check_receptivity(net: PetriNet, r: Sequence[int]) -> tuple[ReceptivityConfl
 
 
 def require_admissible(net: PetriNet, r: Sequence[int]) -> Receptivity:
-    """Coerce ``r`` and raise :class:`ConflictError` unless it passes the conflict check."""
+    """Coerce ``r`` once and raise :class:`ConflictError` unless it passes the conflict check."""
     bits = coerce_receptivity(net, r)
     violations = check_receptivity(net, bits)
     if violations:

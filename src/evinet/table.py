@@ -7,14 +7,20 @@ coefficient per (target, source) pair, printable raw (as minterms) or
 minimized to a two-level sum of products.
 
 Cell count is (2**n - 1) * 2**m before conflict filtering, so construction is
-capped and the inner loop lives in a kernel (compiled when available).
+capped. Filling the masks is the cheap part; the cost is in turning cells into
+text. The output stage therefore works per mask, not per cell: each set's
+label, frozenset and sort rank is built once, cells are grouped with one
+``np.lexsort``, and CSV rows are written one subset's block at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +39,9 @@ from .net import (
 
 DEFAULT_SIZE_CAP = 16
 
+# The kernel stores subset masks as uint32, one bit per place.
+MASK_PLACE_LIMIT = 32
+
 EQUATION_FORMAT_VERSION = "evinet equations v1"
 
 
@@ -43,8 +52,12 @@ def _mask_of(places: Iterable[int]) -> int:
     return mask
 
 
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
 def _set_of(mask: int) -> PlaceSet:
-    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+    return frozenset(_members(mask))
 
 
 def _bits_to_mask(bits: Receptivity) -> int:
@@ -119,6 +132,12 @@ def build_transfer_table(
             f" {max_places} places and {max_transitions} transitions;"
             f" the full table would need {required} cells",
             required_cells=required,
+        )
+    if n > MASK_PLACE_LIMIT:
+        raise TableCapError(
+            f"net has {n} places; tables are limited to {MASK_PLACE_LIMIT} places,"
+            f" one bit per place in a 32-bit mask",
+            required_cells=((1 << n) - 1) * (1 << m),
         )
     structure = _structure(net)
     admissible: list[Receptivity] = []
@@ -204,35 +223,65 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     equivalent sum of products; equality with the raw form holds on every one
     of the 2**m assignments because rejected combinations stay off in both.
     """
-    m = table.net.transition_count
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, bits in enumerate(table.admissible):
-        rmask = _bits_to_mask(bits)
-        row = table.rows[k]
-        for xmask, ymask in enumerate(row.tolist()):
-            if xmask:
-                groups.setdefault((int(ymask), xmask), []).append(rmask)
+    n, m = table.net.place_count, table.net.transition_count
+    rmasks = [_bits_to_mask(bits) for bits in table.admissible]
+    # cells as flat (k, x, y) with x = 0 dropped, sorted by target rank, then
+    # source rank, then minterm: each (y, x) run is one coefficient's minterms
+    rank = _canonical_rank(n)
+    width = (1 << n) - 1
+    ks = np.repeat(np.arange(len(rmasks), dtype=np.uint32), width)
+    xs = np.tile(np.arange(1, 1 << n, dtype=np.uint32), len(rmasks))
+    ys = table.rows[:, 1:].ravel()
+    order = np.lexsort((np.asarray(rmasks, dtype=np.int64)[ks], rank[xs], rank[ys]))
+    ks, xs, ys = ks[order], xs[order], ys[order]
+    bounds = np.flatnonzero((ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1])) + 1
+    starts = [0, *bounds.tolist()]
+    stops = [*starts[1:], len(ks)]
+    group_y = ys[starts].tolist()
+    group_x = xs[starts].tolist()
+    cell_k = ks.tolist()
 
-    by_target: dict[PlaceSet, dict[PlaceSet, list[int]]] = {}
-    for (ymask, xmask), minterms in groups.items():
-        by_target.setdefault(_set_of(ymask), {})[_set_of(xmask)] = minterms
-
+    sets = _Memo(_set_of)
+    full_cubes = [_to_full_cube(rmask, m) for rmask in rmasks]
     equations = []
-    for target in sorted(by_target, key=place_set_key):
+    groups = zip(group_y, group_x, starts, stops)
+    for ymask, target_groups in groupby(groups, key=itemgetter(0)):
         terms: list[tuple[Cube, PlaceSet]] = []
-        for source in sorted(by_target[target], key=place_set_key):
-            minterms = by_target[target][source]
+        for _, xmask, start, stop in target_groups:
+            source = sets[xmask]
             if minimize:
-                cubes = minimize_minterms(minterms, m)
+                minterms = [rmasks[k] for k in cell_k[start:stop]]
+                terms.extend([(cube, source) for cube in minimize_minterms(minterms, m)])
             else:
-                cubes = tuple(
-                    _to_full_cube(minterm, m) for minterm in sorted(minterms)
-                )
-            terms.extend((cube, source) for cube in cubes)
+                terms.extend([(full_cubes[k], source) for k in cell_k[start:stop]])
         equations.append(
-            MassEquation(target=target, transition_count=m, terms=tuple(terms))
+            MassEquation(target=sets[ymask], transition_count=m, terms=tuple(terms))
         )
     return tuple(equations)
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, computed on first use."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _canonical_masks(n: int) -> list[int]:
+    """Nonempty subset masks of n places in canonical order."""
+    return [_mask_of(x) for x in place_sets(n)]
+
+
+def _canonical_rank(n: int) -> np.ndarray:
+    """``rank[mask]`` is the mask's position in canonical order; mask 0 ranks 0."""
+    rank = np.zeros(1 << n, dtype=np.uint32)
+    rank[_canonical_masks(n)] = np.arange(1, 1 << n, dtype=np.uint32)
+    return rank
 
 
 def _to_full_cube(minterm: int, width: int) -> Cube:
@@ -293,39 +342,75 @@ def _cube_label(cube: Cube) -> str:
     return "*".join(literals) if literals else "1"
 
 
+class _Labels:
+    """Labels and sort keys of cubes and sets, built once per render call."""
+
+    def __init__(self):
+        self.cube = _Memo(_cube_label)
+        self.cube_key = _Memo(cube_sort_key)
+        self.set = _Memo(_set_label)
+        self.set_key = _Memo(place_set_key)
+
+    def render(self, eq: MassEquation) -> str:
+        by_source: dict[PlaceSet, list[Cube]] = {}
+        for cube, src in eq.terms:
+            by_source.setdefault(src, []).append(cube)
+        parts = []
+        for source in sorted(by_source, key=self.set_key.__getitem__):
+            cubes = sorted(by_source[source], key=self.cube_key.__getitem__)
+            coeff = " + ".join([self.cube[cube] for cube in cubes])
+            if len(cubes) > 1:
+                coeff = f"({coeff})"
+            parts.append(f"{coeff}*M{self.set[source]}")
+        rhs = " + ".join(parts) if parts else "0"
+        return f"M{self.set[eq.target]}(k+1) = {rhs}"
+
+
 def render_equation(eq: MassEquation) -> str:
     """One-line text form, e.g. ``M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}``."""
-    parts = []
-    for source in eq.sources():
-        cubes = sorted(
-            (cube for cube, src in eq.terms if src == source), key=cube_sort_key
-        )
-        coeff = " + ".join(_cube_label(cube) for cube in cubes)
-        if len(cubes) > 1:
-            coeff = f"({coeff})"
-        parts.append(f"{coeff}*M{_set_label(source)}")
-    rhs = " + ".join(parts) if parts else "0"
-    return f"M{_set_label(eq.target)}(k+1) = {rhs}"
+    return _Labels().render(eq)
 
 
 def render_equations(equations: Iterable[MassEquation]) -> str:
     """All equations under the versioned format header, one per line."""
+    labels = _Labels()
     lines = [f"# {EQUATION_FORMAT_VERSION}"]
-    lines.extend(render_equation(eq) for eq in equations)
+    lines.extend(labels.render(eq) for eq in equations)
     return "\n".join(lines) + "\n"
 
 
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each text as one CSV field, quoted by the ``csv`` module as in a row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    fields = []
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([text])
+        fields.append(buffer.getvalue()[:-1])
+    return fields
+
+
 def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
-    """Write the defined cells as CSV and return the row count (header excluded)."""
+    """Write the defined cells as CSV and return the row count (header excluded).
+
+    Rows run over subsets in canonical order and, within a subset, over the
+    admissible combinations in binary order, as :meth:`TransferTable.cells`.
+    """
     names = table.net.places
-
-    def bracket(s: PlaceSet) -> str:
-        return "{" + ",".join(names[i] for i in sorted(s)) + "}"
-
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["subset", "receptivity_bits", "result_subset"])
-    count = 0
-    for x, bits, y in table.cells():
-        writer.writerow([bracket(x), "".join(map(str, bits)), bracket(y)])
-        count += 1
-    return count
+    size = 1 << table.net.place_count
+    labels = _csv_fields(
+        "{" + ",".join(names[i] for i in _members(mask)) + "}" for mask in range(size)
+    )
+    bits_fields = _csv_fields("".join(map(str, bits)) for bits in table.admissible)
+    middles = [f",{field}," for field in bits_fields]
+    images = [f"{label}\n" for label in labels]
+    handle.write("subset,receptivity_bits,result_subset\n")
+    for xmask in _canonical_masks(table.net.place_count):
+        subset = labels[xmask]
+        column = table.rows[:, xmask].tolist()
+        handle.write(
+            "".join([subset + middle + images[y] for middle, y in zip(middles, column)])
+        )
+    return len(table.admissible) * (size - 1)

@@ -5,9 +5,18 @@ arithmetic: marks of 1 are placed on each hypothesis place, every true
 transition whose pre-place is marked fires through the incidence update, and
 the image is the set of places left with a nonzero mark. Expected values in
 the test suite were computed with these functions and then frozen.
+
+The per-cell output stage at the end is the exception: it is the package's
+first CSV writer, equation emitter and renderer, kept verbatim so that the
+mask-based versions can be diffed against it byte for byte.
 """
 
 from __future__ import annotations
+
+import csv
+
+from evinet import MassEquation, place_set_key
+from evinet.minimize import cube_sort_key, minimize_minterms
 
 
 def dims(pre):
@@ -63,3 +72,91 @@ def classic_step_brute(pre, post, marks, r):
         + sum(post[i][t] * fired[t] for t in range(m))
         for i in range(n)
     ]
+
+
+# --- per-cell output stage ---------------------------------------------------
+# One Python object per cell, and one rescan of all terms per source.
+
+
+def write_table_csv_per_cell(table, handle):
+    names = table.net.places
+
+    def bracket(s):
+        return "{" + ",".join(names[i] for i in sorted(s)) + "}"
+
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["subset", "receptivity_bits", "result_subset"])
+    count = 0
+    for x, bits, y in table.cells():
+        writer.writerow([bracket(x), "".join(map(str, bits)), bracket(y)])
+        count += 1
+    return count
+
+
+def _set_of(mask):
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def _bits_to_mask(bits):
+    return sum(bit << j for j, bit in enumerate(bits))
+
+
+def _to_full_cube(minterm, width):
+    return tuple((minterm >> j) & 1 for j in range(width))
+
+
+def emit_equations_per_cell(table, minimize=False):
+    m = table.net.transition_count
+    groups = {}
+    for k, bits in enumerate(table.admissible):
+        rmask = _bits_to_mask(bits)
+        row = table.rows[k]
+        for xmask, ymask in enumerate(row.tolist()):
+            if xmask:
+                groups.setdefault((int(ymask), xmask), []).append(rmask)
+
+    by_target = {}
+    for (ymask, xmask), minterms in groups.items():
+        by_target.setdefault(_set_of(ymask), {})[_set_of(xmask)] = minterms
+
+    equations = []
+    for target in sorted(by_target, key=place_set_key):
+        terms = []
+        for source in sorted(by_target[target], key=place_set_key):
+            minterms = by_target[target][source]
+            if minimize:
+                cubes = minimize_minterms(minterms, m)
+            else:
+                cubes = tuple(_to_full_cube(minterm, m) for minterm in sorted(minterms))
+            terms.extend((cube, source) for cube in cubes)
+        equations.append(
+            MassEquation(target=target, transition_count=m, terms=tuple(terms))
+        )
+    return tuple(equations)
+
+
+def _set_label(places):
+    return "{" + ",".join(str(i + 1) for i in sorted(places)) + "}"
+
+
+def _cube_label(cube):
+    literals = [
+        f"r{j + 1}" if bit else f"!r{j + 1}"
+        for j, bit in enumerate(cube)
+        if bit is not None
+    ]
+    return "*".join(literals) if literals else "1"
+
+
+def render_equation_per_cell(eq):
+    parts = []
+    for source in eq.sources():
+        cubes = sorted(
+            (cube for cube, src in eq.terms if src == source), key=cube_sort_key
+        )
+        coeff = " + ".join(_cube_label(cube) for cube in cubes)
+        if len(cubes) > 1:
+            coeff = f"({coeff})"
+        parts.append(f"{coeff}*M{_set_label(source)}")
+    rhs = " + ".join(parts) if parts else "0"
+    return f"M{_set_label(eq.target)}(k+1) = {rhs}"

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from evinet.cli import main
 from evinet import serialize_net
-from _nets import cycle_net
+from _nets import cycle_net, net_from_transitions
 
 
 @pytest.fixture()
@@ -114,6 +114,42 @@ class TestRun:
         assert "line 2" in err
         assert "P1" in err and "t1" in err and "t2" in err
 
+    def test_conflict_diagnostic_and_prior_records_are_pinned(self, runner, data_dir):
+        result = invoke(
+            runner,
+            ["run", "--net", str(data_dir / "fig2.evinet"), "--format", "log"],
+            input="0 1 0 0\n# note\n\n1 0 0 0\n1 1 0 0\n0 0 0 0\n",
+        )
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "step=0 r=- mass={P1,P2,P3}:1 dense=[0,0,0,0,0,0,1]\n"
+            "step=1 r=0100 mass={P2,P3}:1 dense=[0,0,0,0,0,1,0]\n"
+            "step=2 r=1000 mass={P2,P3}:1 dense=[0,0,0,0,0,1,0]\n"
+        )
+        assert result.stderr == (
+            "error: line 5: receptivity 1100 enables conflicting transitions"
+            " at P1 with t1, t2\n"
+        )
+
+    def test_every_violated_conflict_set_is_named(self, runner, tmp_path):
+        # P1 and P3 are both conflict places
+        net = net_from_transitions(4, [(0, 1), (0, 2), (2, 3), (2, 0), (1, 2), (3, 0)])
+        path = tmp_path / "two.evinet"
+        path.write_text(serialize_net(net))
+        result = invoke(
+            runner,
+            ["run", "--net", str(path)],
+            input="0 0 0 0 1 0\n1 1 1 1 0 0\n",
+        )
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "step=0 r=- mass={P1,P2,P3,P4}:1\nstep=1 r=000010 mass={P1,P3,P4}:1\n"
+        )
+        assert result.stderr == (
+            "error: line 2: receptivity 111100 enables conflicting transitions"
+            " at P1 with t1, t2; P3 with t3, t4\n"
+        )
+
     def test_malformed_line_reports_number(self, runner, data_dir):
         result = invoke(
             runner,
@@ -203,6 +239,20 @@ class TestTable:
         )
         assert result.exit_code == 1
         assert str(((1 << 17) - 1) * (1 << 17)) in combined_output(result)
+
+    def test_more_places_than_mask_bits(self, runner, tmp_path):
+        path = tmp_path / "wide.evinet"
+        path.write_text(serialize_net(cycle_net(33)))
+        result = invoke(
+            runner,
+            ["table", "--net", str(path), "--output", str(tmp_path / "t.csv"),
+             "--max-places", "40"],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: net has 33 places;")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
     def test_env_var_cap(self, runner, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("EVINET_MAX_PLACES", "2")

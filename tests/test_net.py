@@ -148,6 +148,29 @@ class TestCheckReceptivity:
         with pytest.raises(DimensionError):
             check_receptivity(fig1, (1, 0))
 
+    def test_any_bit_sequence_is_coerced_first(self, fig2):
+        for r in ([1, 1, 0, 0], (True, True, False, False), "1100", (1.0, 1, 0, 0)):
+            assert check_receptivity(fig2, r) == check_receptivity(fig2, (1, 1, 0, 0))
+        assert check_receptivity(fig2, "0100") == ()
+        with pytest.raises(ValueError):
+            check_receptivity(fig2, (2, 0, 0, 0))
+
+    def test_step_checks_and_coerces_once(self, fig2, monkeypatch):
+        import evinet.net as net_module
+        from evinet import ignorance_mass, step
+
+        calls = []
+        for name in ("check_receptivity", "coerce_receptivity"):
+            original = getattr(net_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(net_module, name, counted)
+        step(fig2, ignorance_mass(fig2), (0, 1, 0, 0))
+        assert sorted(calls) == ["check_receptivity", "coerce_receptivity"]
+
 
 class TestEnabledTransitions:
     def test_single_output(self, fig1):

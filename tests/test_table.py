@@ -89,6 +89,12 @@ class TestBuild:
             build_transfer_table(net, max_places=4)
         assert build_transfer_table(net, max_places=5).defined_cell_count == 31 * 32
 
+    def test_more_places_than_mask_bits_is_rejected(self):
+        # checked before the 2**33 receptivity combinations are enumerated
+        with pytest.raises(TableCapError, match="33 places") as err:
+            build_transfer_table(cycle_net(33), max_places=40)
+        assert err.value.required_cells == ((1 << 33) - 1) * (1 << 33)
+
     def test_entries_match_fresh_transform(self, fig1, fig2):
         for net in (fig1, fig2, cycle_net(2), cycle_net(4)):
             table = build_transfer_table(net)
