@@ -214,90 +214,3 @@ def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
             raise TrajectoryError(index, exc) from exc
         steps.append((bits, current))
     return Trajectory(initial=trajectory_initial, steps=tuple(steps))
-
-
-def _cycle_order(net: PetriNet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(successor place, output transition) per place, or raise if not a single cycle.
-
-    Derived by scanning the raw matrices so this stays an independent route
-    from the structure cache used by :func:`transform`.
-    """
-    n, m = net.place_count, net.transition_count
-    if m != n:
-        raise ValueError(f"not a single cycle: {n} places but {m} transitions")
-    succ = [-1] * n
-    out_t = [-1] * n
-    for j in range(m):
-        sources = [i for i in range(n) if net.pre[i][j] == 1]
-        targets = [i for i in range(n) if net.post[i][j] == 1]
-        if len(sources) != 1 or len(targets) != 1:
-            raise ValueError(f"not a single cycle: transition {j} is not place-to-place")
-        (src,), (dst,) = sources, targets
-        if succ[src] != -1:
-            raise ValueError(f"not a single cycle: place {src} has two output transitions")
-        succ[src] = dst
-        out_t[src] = j
-    if -1 in succ:
-        raise ValueError("not a single cycle: some place has no output transition")
-    seen, i = 0, 0
-    for _ in range(n):
-        i = succ[i]
-        seen += 1
-        if i == 0:
-            break
-    if not (i == 0 and seen == n):
-        raise ValueError("not a single cycle: places split into several loops")
-    return tuple(succ), tuple(out_t)
-
-
-def sequential_step_check(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
-    """Closed-form stepping for cycle nets, used to cross-check :func:`step`.
-
-    On a cycle each place has one way out, so the per-place update collapses
-    to index arithmetic: a singleton rests or advances with its output bit,
-    an adjacent pair splits into the four combinations of its two bits, and
-    the full set keeps each resting place and adds each mover's successor.
-    Focal elements of any other shape are outside this shortcut and rejected.
-    """
-    mass = _as_mass_vector(mass)
-    succ, out_t = _cycle_order(net)
-    bits = coerce_receptivity(net, r)
-    n = net.place_count
-
-    out: dict[PlaceSet, float] = {}
-
-    def put(places: Iterable[int], value: float) -> None:
-        key = frozenset(places)
-        out[key] = out.get(key, 0.0) + value
-
-    full = frozenset(range(n))
-    for x in mass.focal_sets():
-        value = mass[x]
-        if len(x) == 1:
-            (i,) = x
-            put({succ[i] if bits[out_t[i]] else i}, value)
-        elif x == full:
-            put({succ[i] if bits[out_t[i]] else i for i in range(n)}, value)
-        elif len(x) == 2:
-            a, b = sorted(x)
-            if succ[a] == b:
-                prev, cur = a, b
-            elif succ[b] == a:
-                prev, cur = b, a
-            else:
-                raise ValueError(f"focal pair {sorted(x)} is not adjacent on the cycle")
-            moved_prev, moved_cur = bits[out_t[prev]], bits[out_t[cur]]
-            if moved_prev and moved_cur:
-                put({cur, succ[cur]}, value)
-            elif moved_prev:
-                put({cur}, value)
-            elif moved_cur:
-                put({prev, succ[cur]}, value)
-            else:
-                put({prev, cur}, value)
-        else:
-            raise ValueError(
-                f"focal element {sorted(x)} is neither a singleton, an adjacent pair,"
-                " nor the full set"
-            )
-    return MassVector(out)

@@ -219,14 +219,21 @@ def _structure(net: PetriNet) -> _Structure:
 
 
 def coerce_receptivity(net: PetriNet, r: Sequence[int]) -> Receptivity:
-    """Normalize a receptivity to a 0/1 tuple of the net's transition count."""
-    bits = tuple(int(b) for b in r)
+    """Normalize a receptivity to a 0/1 tuple of the net's transition count.
+
+    Bits may be ints, bools, numpy integers, integral floats or the strings
+    ``"0"`` and ``"1"``; a fractional bit such as 0.5 is rejected, not truncated.
+    """
+    raw = tuple(r)
+    bits = tuple(int(b) for b in raw)
     if len(bits) != net.transition_count:
         raise DimensionError(
             f"receptivity has {len(bits)} bits, net has {net.transition_count} transitions"
         )
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"receptivity bits must be 0 or 1, got {bits}")
+    if any(b not in (0, 1) for b in bits) or (
+        bits != raw and any(type(b) is not str and b != c for b, c in zip(raw, bits))
+    ):
+        raise ValueError(f"receptivity bits must be 0 or 1, got {raw}")
     return bits
 
 

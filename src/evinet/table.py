@@ -7,8 +7,9 @@ coefficient per (target, source) pair, printable raw (as minterms) or
 minimized to a two-level sum of products.
 
 Cell count is (2**n - 1) * 2**m before conflict filtering, so construction is
-capped. Filling the masks is the cheap part; the cost is in turning cells into
-text. The output stage therefore works per mask, not per cell: each set's
+capped, and the mask array the kernel fills is bounded before it is
+allocated. Filling the masks is the cheap part; the cost is in turning cells
+into text. The output stage therefore works per mask, not per cell: each set's
 label, frozenset and sort rank is built once, cells are grouped with one
 ``np.lexsort``, and CSV rows are written one subset's block at a time.
 """
@@ -41,6 +42,10 @@ DEFAULT_SIZE_CAP = 16
 
 # The kernel stores subset masks as uint32, one bit per place.
 MASK_PLACE_LIMIT = 32
+
+# The kernel allocates one uint32 per (admissible combination, subset mask)
+# pair, the empty mask included; 2**28 of them take 1 GiB.
+ROWS_CELL_LIMIT = 1 << 28
 
 EQUATION_FORMAT_VERSION = "evinet equations v1"
 
@@ -117,7 +122,8 @@ def build_transfer_table(
 ) -> TransferTable:
     """Evaluate the transformation of every subset under every admissible combination.
 
-    Work and memory grow as (2**n - 1) * 2**m; builds beyond the caps raise
+    Work and memory grow as (2**n - 1) * 2**m; builds beyond the caps, or
+    whose mask array would exceed ``ROWS_CELL_LIMIT`` cells, raise
     :class:`~evinet.errors.TableCapError` carrying the cell count that would
     be required.
     """
@@ -146,6 +152,14 @@ def build_transfer_table(
     for value in range(1 << m):
         bits = tuple(int(c) for c in format(value, f"0{m}b"))
         (admissible if not check_receptivity(net, bits) else rejected).append(bits)
+    allocated = len(admissible) << n
+    if allocated > ROWS_CELL_LIMIT:
+        raise TableCapError(
+            f"net has {n} places and {len(admissible)} admissible combinations;"
+            f" the table would allocate {allocated} cells, over the limit of"
+            f" {ROWS_CELL_LIMIT}",
+            required_cells=allocated,
+        )
     rmasks = [_bits_to_mask(bits) for bits in admissible]
     rows = _backend.fill_rows(n, structure.pre_place, structure.post_place, rmasks)
     return TransferTable(

@@ -4,7 +4,9 @@ Everything here works directly on raw pre/post matrices with explicit token
 arithmetic: marks of 1 are placed on each hypothesis place, every true
 transition whose pre-place is marked fires through the incidence update, and
 the image is the set of places left with a nonzero mark. Expected values in
-the test suite were computed with these functions and then frozen.
+the test suite were computed with these functions and then frozen. The
+closed-form cycle stepper reads the raw matrices too, to cross-check ``step``
+on cycle nets by index arithmetic.
 
 The per-cell output stage at the end is the exception: it is the package's
 first CSV writer, equation emitter and renderer, kept verbatim so that the
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import csv
 
-from evinet import MassEquation, place_set_key
+from evinet import MassEquation, MassVector, place_set_key
+from evinet.net import coerce_receptivity
 from evinet.minimize import cube_sort_key, minimize_minterms
 
 
@@ -72,6 +75,92 @@ def classic_step_brute(pre, post, marks, r):
         + sum(post[i][t] * fired[t] for t in range(m))
         for i in range(n)
     ]
+
+
+def _cycle_order(net):
+    """(successor place, output transition) per place, or raise if not a single cycle.
+
+    Derived by scanning the raw matrices so this stays an independent route
+    from the structure cache used by ``evinet.transform``.
+    """
+    n, m = net.place_count, net.transition_count
+    if m != n:
+        raise ValueError(f"not a single cycle: {n} places but {m} transitions")
+    succ = [-1] * n
+    out_t = [-1] * n
+    for j in range(m):
+        sources = [i for i in range(n) if net.pre[i][j] == 1]
+        targets = [i for i in range(n) if net.post[i][j] == 1]
+        if len(sources) != 1 or len(targets) != 1:
+            raise ValueError(f"not a single cycle: transition {j} is not place-to-place")
+        (src,), (dst,) = sources, targets
+        if succ[src] != -1:
+            raise ValueError(f"not a single cycle: place {src} has two output transitions")
+        succ[src] = dst
+        out_t[src] = j
+    if -1 in succ:
+        raise ValueError("not a single cycle: some place has no output transition")
+    seen, i = 0, 0
+    for _ in range(n):
+        i = succ[i]
+        seen += 1
+        if i == 0:
+            break
+    if not (i == 0 and seen == n):
+        raise ValueError("not a single cycle: places split into several loops")
+    return tuple(succ), tuple(out_t)
+
+
+def sequential_step_check(net, mass, r):
+    """Closed-form stepping for cycle nets, used to cross-check ``evinet.step``.
+
+    On a cycle each place has one way out, so the per-place update collapses
+    to index arithmetic: a singleton rests or advances with its output bit,
+    an adjacent pair splits into the four combinations of its two bits, and
+    the full set keeps each resting place and adds each mover's successor.
+    Focal elements of any other shape are outside this shortcut and rejected.
+    """
+    succ, out_t = _cycle_order(net)
+    bits = coerce_receptivity(net, r)
+    n = net.place_count
+
+    out = {}
+
+    def put(places, value):
+        key = frozenset(places)
+        out[key] = out.get(key, 0.0) + value
+
+    full = frozenset(range(n))
+    for x in mass.focal_sets():
+        value = mass[x]
+        if len(x) == 1:
+            (i,) = x
+            put({succ[i] if bits[out_t[i]] else i}, value)
+        elif x == full:
+            put({succ[i] if bits[out_t[i]] else i for i in range(n)}, value)
+        elif len(x) == 2:
+            a, b = sorted(x)
+            if succ[a] == b:
+                prev, cur = a, b
+            elif succ[b] == a:
+                prev, cur = b, a
+            else:
+                raise ValueError(f"focal pair {sorted(x)} is not adjacent on the cycle")
+            moved_prev, moved_cur = bits[out_t[prev]], bits[out_t[cur]]
+            if moved_prev and moved_cur:
+                put({cur, succ[cur]}, value)
+            elif moved_prev:
+                put({cur}, value)
+            elif moved_cur:
+                put({prev, succ[cur]}, value)
+            else:
+                put({prev, cur}, value)
+        else:
+            raise ValueError(
+                f"focal element {sorted(x)} is neither a singleton, an adjacent pair,"
+                " nor the full set"
+            )
+    return MassVector(out)
 
 
 # --- per-cell output stage ---------------------------------------------------

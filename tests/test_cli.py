@@ -254,6 +254,18 @@ class TestTable:
         assert result.stderr.count("\n") == 1
         assert not (tmp_path / "t.csv").exists()
 
+    def test_mask_array_over_the_cell_limit(self, runner, tmp_path):
+        path = tmp_path / "ring.evinet"
+        path.write_text(serialize_net(cycle_net(16)))
+        result = invoke(
+            runner, ["table", "--net", str(path), "--output", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: net has 16 places and 65536 admissible")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
     def test_env_var_cap(self, runner, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("EVINET_MAX_PLACES", "2")
         result = invoke(

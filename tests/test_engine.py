@@ -16,7 +16,6 @@ from evinet import (
     ignorance_mass,
     place_sets,
     run,
-    sequential_step_check,
     step,
     transform,
 )
@@ -29,7 +28,7 @@ from _nets import (
     random_mass,
     random_net,
 )
-from _oracle import step_brute, transform_brute
+from _oracle import sequential_step_check, step_brute, transform_brute
 
 
 class TestMassVector:

@@ -155,6 +155,19 @@ class TestCheckReceptivity:
         with pytest.raises(ValueError):
             check_receptivity(fig2, (2, 0, 0, 0))
 
+    def test_fractional_bits_are_rejected_not_truncated(self, fig1):
+        import numpy as np
+        from evinet import ignorance_mass, step
+        from evinet.net import coerce_receptivity
+
+        with pytest.raises(ValueError, match="0.5, 0.9, 1.7"):
+            coerce_receptivity(fig1, (0.5, 0.9, 1.7))
+        with pytest.raises(ValueError):
+            step(fig1, ignorance_mass(fig1), (0.5, 0, 0))
+        for r in ((1, 0, 0), (True, False, False), (1.0, 0.0, 0.0),
+                  np.array([1, 0, 0]), np.array([True, False, False])):
+            assert coerce_receptivity(fig1, r) == (1, 0, 0)
+
     def test_step_checks_and_coerces_once(self, fig2, monkeypatch):
         import evinet.net as net_module
         from evinet import ignorance_mass, step

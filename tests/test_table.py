@@ -29,10 +29,12 @@ from evinet.minimize import minimize_minterms
 from _nets import (
     all_admissible_receptivities,
     cycle_net,
+    net_from_transitions,
     random_admissible_receptivity,
     random_mass,
     random_net,
 )
+from _oracle import transform_brute
 
 S = frozenset
 
@@ -89,6 +91,12 @@ class TestBuild:
             build_transfer_table(net, max_places=4)
         assert build_transfer_table(net, max_places=5).defined_cell_count == 31 * 32
 
+    def test_mask_array_over_the_cell_limit_is_rejected(self):
+        # passes the default cap, but its rows would take 2**32 uint32 cells
+        with pytest.raises(TableCapError, match="allocate 4294967296 cells") as err:
+            build_transfer_table(cycle_net(16))
+        assert err.value.required_cells == (1 << 16) << 16
+
     def test_more_places_than_mask_bits_is_rejected(self):
         # checked before the 2**33 receptivity combinations are enumerated
         with pytest.raises(TableCapError, match="33 places") as err:
@@ -96,10 +104,15 @@ class TestBuild:
         assert err.value.required_cells == ((1 << 33) - 1) * (1 << 33)
 
     def test_entries_match_fresh_transform(self, fig1, fig2):
-        for net in (fig1, fig2, cycle_net(2), cycle_net(4)):
+        rng = random.Random(41)
+        nets = [fig1, fig2, cycle_net(2), cycle_net(4)]
+        nets += [random_net(rng, max_places=6, max_transitions=8) for _ in range(12)]
+        nets.append(net_from_transitions(3, [(0, 1)]))  # P2 and P3 are sinks
+        for net in nets:
             table = build_transfer_table(net)
             for x, bits, y in table.cells():
                 assert y == transform(net, x, bits)
+                assert y == transform_brute(net.pre, net.post, x, bits)
 
 
 class TestInvert:
@@ -285,8 +298,6 @@ class TestEquations:
         assert render_equation(eq) == "M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}"
 
     def test_sink_place_renders_constant_coefficient(self):
-        from _nets import net_from_transitions
-
         chain = net_from_transitions(3, [(0, 1), (1, 2)], name="chain")
         eqs = emit_equations(build_transfer_table(chain), minimize=True)
         rendered = {render_equation(eq) for eq in eqs}
