@@ -45,14 +45,19 @@ def _read_net(path: str) -> PetriNet:
 
 def _size_cap(option_value: int | None) -> int:
     if option_value is not None:
+        if option_value < 0:
+            _fail(f"--max-places must be a non-negative integer, got {option_value}")
         return option_value
     raw = os.environ.get(ENV_MAX_PLACES)
     if raw is None:
         return DEFAULT_SIZE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         _fail(f"{ENV_MAX_PLACES} must be an integer, got {raw!r}")
+    if cap < 0:
+        _fail(f"{ENV_MAX_PLACES} must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 @dataclass

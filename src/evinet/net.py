@@ -218,23 +218,28 @@ def _structure(net: PetriNet) -> _Structure:
     return _Structure(pre_place, post_place, outputs)
 
 
-def coerce_receptivity(net: PetriNet, r: Sequence[int]) -> Receptivity:
-    """Normalize a receptivity to a 0/1 tuple of the net's transition count.
+def _coerce_bits(r: Sequence[int], width: int, spans: str) -> Receptivity:
+    """Normalize a receptivity to a tuple of ``width`` 0/1 bits.
 
     Bits may be ints, bools, numpy integers, integral floats or the strings
     ``"0"`` and ``"1"``; a fractional bit such as 0.5 is rejected, not truncated.
+    ``spans`` completes the length error with ``width`` in place of ``{}``, as
+    in ``"net has {} transitions"``.
     """
     raw = tuple(r)
     bits = tuple(int(b) for b in raw)
-    if len(bits) != net.transition_count:
-        raise DimensionError(
-            f"receptivity has {len(bits)} bits, net has {net.transition_count} transitions"
-        )
+    if len(bits) != width:
+        raise DimensionError(f"receptivity has {len(bits)} bits, {spans.format(width)}")
     if any(b not in (0, 1) for b in bits) or (
         bits != raw and any(type(b) is not str and b != c for b, c in zip(raw, bits))
     ):
         raise ValueError(f"receptivity bits must be 0 or 1, got {raw}")
     return bits
+
+
+def coerce_receptivity(net: PetriNet, r: Sequence[int]) -> Receptivity:
+    """Normalize a receptivity to a 0/1 tuple of the net's transition count."""
+    return _coerce_bits(r, net.transition_count, "net has {} transitions")
 
 
 @functools.lru_cache(maxsize=1024)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -28,10 +29,11 @@ import numpy as np
 from . import _backend
 from .errors import ConflictError, DimensionError, TableCapError
 from .engine import PlaceSet, MassVector, _as_mass_vector, _coerce_place_set, place_set_key, place_sets
-from .minimize import Cube, cube_matches, cube_sort_key, minimize_minterms
+from .minimize import Cube, _members, cube_matches, cube_sort_key, minimize_minterms
 from .net import (
     PetriNet,
     Receptivity,
+    _coerce_bits,
     _require_valid,
     _structure,
     check_receptivity,
@@ -55,10 +57,6 @@ def _mask_of(places: Iterable[int]) -> int:
     for i in places:
         mask |= 1 << i
     return mask
-
-
-def _members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def _set_of(mask: int) -> PlaceSet:
@@ -146,20 +144,29 @@ def build_transfer_table(
             required_cells=((1 << n) - 1) * (1 << m),
         )
     structure = _structure(net)
-    admissible: list[Receptivity] = []
-    rejected: list[Receptivity] = []
-    # ascending order of the bit string r1..rm read as a binary number
-    for value in range(1 << m):
-        bits = tuple(int(c) for c in format(value, f"0{m}b"))
-        (admissible if not check_receptivity(net, bits) else rejected).append(bits)
-    allocated = len(admissible) << n
+    # a combination is admissible when each place has at most one true output
+    # transition, so a place with k outputs allows k + 1 of its bit patterns
+    count = math.prod(len(outputs) + 1 for outputs in structure.outputs)
+    allocated = count << n
     if allocated > ROWS_CELL_LIMIT:
         raise TableCapError(
-            f"net has {n} places and {len(admissible)} admissible combinations;"
+            f"net has {n} places and {count} admissible combinations;"
             f" the table would allocate {allocated} cells, over the limit of"
             f" {ROWS_CELL_LIMIT}",
             required_cells=allocated,
         )
+    # combinations in ascending order of the bit string r1..rm read as a
+    # binary number, so r1 is the counter's most significant bit
+    conflicts = [
+        sum(1 << (m - 1 - t) for t in outputs)
+        for outputs in structure.outputs
+        if len(outputs) > 1
+    ]
+    admissible: list[Receptivity] = []
+    rejected: list[Receptivity] = []
+    for value, bits in enumerate(product((0, 1), repeat=m)):
+        fired = [value & outputs for outputs in conflicts]
+        (rejected if any(f & (f - 1) for f in fired) else admissible).append(bits)
     rmasks = [_bits_to_mask(bits) for bits in admissible]
     rows = _backend.fill_rows(n, structure.pre_place, structure.post_place, rmasks)
     return TransferTable(
@@ -224,7 +231,7 @@ class MassEquation:
 
     def coefficient(self, source: Iterable[int], r: Sequence[int]) -> bool:
         src = frozenset(source)
-        minterm = _bits_to_mask(tuple(int(b) for b in r))
+        minterm = _bits_to_mask(_coerce_bits(r, self.transition_count, "equation spans {}"))
         return any(
             cube_matches(cube, minterm) for cube, s in self.terms if s == src
         )
@@ -335,11 +342,7 @@ def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
 def evaluate_equation(eq: MassEquation, mass, r: Sequence[int]) -> float:
     """The target's next mass under the equation, given the current masses."""
     mass = _as_mass_vector(mass)
-    bits = tuple(int(b) for b in r)
-    if len(bits) != eq.transition_count:
-        raise DimensionError(
-            f"receptivity has {len(bits)} bits, equation spans {eq.transition_count}"
-        )
+    bits = _coerce_bits(r, eq.transition_count, "equation spans {}")
     return sum(mass.mass(src) for src in eq.sources() if eq.coefficient(src, bits))
 
 

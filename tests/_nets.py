@@ -75,6 +75,20 @@ def random_net(rng: random.Random, max_places: int = 8, max_transitions: int = 1
     )
 
 
+def ring_with_chords(rng: random.Random, n: int, chords: int) -> PetriNet:
+    """A ring P1 -> ... -> Pn -> P1 plus chords from distinct places, in shuffled
+    transition order.
+
+    A chord skips at least one place, so it never duplicates a ring arc, and
+    each chord source is a conflict place with two output transitions.
+    """
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    for src in rng.sample(range(n), chords):
+        pairs.append((src, (src + rng.randint(2, n - 1)) % n))
+    rng.shuffle(pairs)
+    return net_from_transitions(n, pairs, name="ring")
+
+
 def random_cycle(rng: random.Random, max_places: int = 8) -> PetriNet:
     n = rng.randint(2, max_places)
     order = list(range(n))

@@ -9,17 +9,19 @@ closed-form cycle stepper reads the raw matrices too, to cross-check ``step``
 on cycle nets by index arithmetic.
 
 The per-cell output stage at the end is the exception: it is the package's
-first CSV writer, equation emitter and renderer, kept verbatim so that the
-mask-based versions can be diffed against it byte for byte.
+first CSV writer, equation emitter and renderer, and its first, tabular
+Quine-McCluskey, kept verbatim so that the mask-based and bitset versions can
+be diffed against them byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 
 from evinet import MassEquation, MassVector, place_set_key
 from evinet.net import coerce_receptivity
-from evinet.minimize import cube_sort_key, minimize_minterms
+from evinet.minimize import cube_sort_key
 
 
 def dims(pre):
@@ -163,6 +165,72 @@ def sequential_step_check(net, mass, r):
     return MassVector(out)
 
 
+# --- tabular Quine-McCluskey -------------------------------------------------
+# Cubes as (value, dash-mask), compared pairwise between neighbouring groups of
+# one popcount apart; the package's bitset search must return the same primes
+# and the same cover.
+
+
+def _to_cube(value, dashes, width):
+    return tuple(
+        None if (dashes >> j) & 1 else (value >> j) & 1 for j in range(width)
+    )
+
+
+def prime_implicants_tabular(on, width):
+    # cubes as (value, dash-mask); merge pairs differing in exactly one fixed bit
+    level = {(v, 0) for v in on}
+    primes = set()
+    while level:
+        groups = defaultdict(list)
+        for value, dashes in level:
+            groups[(bin(value).count("1"), dashes)].append((value, dashes))
+        merged = set()
+        next_level = set()
+        for (ones, dashes), cubes in groups.items():
+            partners = groups.get((ones + 1, dashes), [])
+            for value, _ in cubes:
+                for other, _ in partners:
+                    diff = value ^ other
+                    if diff & (diff - 1) == 0:  # single-bit difference
+                        next_level.add((value & ~diff, dashes | diff))
+                        merged.add((value, dashes))
+                        merged.add((other, dashes))
+        primes |= level - merged
+        level = next_level
+    return sorted(primes)
+
+
+def minimize_minterms_tabular(minterms, width):
+    on = sorted(set(minterms))
+    if not on:
+        return ()
+    if any(m < 0 or m >> width for m in on):
+        raise ValueError(f"minterm out of range for {width} variables")
+    primes = prime_implicants_tabular(on, width)
+    covers = {
+        prime: frozenset(m for m in on if m & ~prime[1] == prime[0]) for prime in primes
+    }
+
+    chosen = []
+    uncovered = set(on)
+    for m in on:
+        holders = [p for p in primes if m in covers[p]]
+        if len(holders) == 1 and holders[0] not in chosen:
+            chosen.append(holders[0])
+            uncovered -= covers[holders[0]]
+    while uncovered:
+        best = max(
+            (p for p in primes if p not in chosen),
+            key=lambda p: (len(covers[p] & uncovered), -p[0], p[1]),
+        )
+        chosen.append(best)
+        uncovered -= covers[best]
+
+    cubes = [_to_cube(value, dashes, width) for value, dashes in chosen]
+    return tuple(sorted(cubes, key=cube_sort_key))
+
+
 # --- per-cell output stage ---------------------------------------------------
 # One Python object per cell, and one rescan of all terms per source.
 
@@ -214,7 +282,7 @@ def emit_equations_per_cell(table, minimize=False):
         for source in sorted(by_target[target], key=place_set_key):
             minterms = by_target[target][source]
             if minimize:
-                cubes = minimize_minterms(minterms, m)
+                cubes = minimize_minterms_tabular(minterms, m)
             else:
                 cubes = tuple(_to_full_cube(minterm, m) for minterm in sorted(minterms))
             terms.extend((cube, source) for cube in cubes)

@@ -275,6 +275,44 @@ class TestTable:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("command", ["table", "equations"])
+    def test_negative_flag_cap_is_rejected(self, runner, data_dir, tmp_path, command):
+        out = tmp_path / "t.csv"
+        args = [command, "--net", str(data_dir / "fig1.evinet"), "--max-places", "-1"]
+        if command == "table":
+            args += ["--output", str(out)]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: --max-places must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["table", "equations"])
+    def test_negative_env_cap_is_rejected(
+        self, runner, data_dir, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.setenv("EVINET_MAX_PLACES", "-3")
+        out = tmp_path / "t.csv"
+        args = [command, "--net", str(data_dir / "fig1.evinet")]
+        if command == "table":
+            args += ["--output", str(out)]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: EVINET_MAX_PLACES must be a non-negative integer, got '-3'\n"
+        )
+        assert not out.exists()
+
+    def test_zero_cap_is_a_cap_not_an_error_of_its_own(self, runner, data_dir, tmp_path):
+        result = invoke(
+            runner,
+            ["table", "--net", str(data_dir / "fig1.evinet"),
+             "--output", str(tmp_path / "t.csv"), "--max-places", "0"],
+        )
+        assert result.exit_code == 1
+        assert "over the cap of 0 places" in result.stderr
+
     def test_flag_overrides_env(self, runner, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("EVINET_MAX_PLACES", "2")
         result = invoke(

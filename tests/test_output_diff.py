@@ -1,7 +1,8 @@
 """The mask-based output stage against the per-cell reference in ``_oracle``.
 
 CSV text, emitted equations and rendered text, raw and minimized, must match
-the first implementation byte for byte.
+the first implementation byte for byte; minimized equations come from the
+tabular Quine-McCluskey kept there.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from evinet import (
     write_table_csv,
 )
 from evinet.table import EQUATION_FORMAT_VERSION
-from _nets import cycle_net, fig1_net, fig2_net, net_from_transitions, random_net
+from _nets import (
+    cycle_net,
+    fig1_net,
+    fig2_net,
+    net_from_transitions,
+    random_net,
+    ring_with_chords,
+)
 from _oracle import (
     emit_equations_per_cell,
     render_equation_per_cell,
@@ -41,10 +49,18 @@ def _random_nets():
     return nets
 
 
-NETS = [fig1_net(), fig2_net(), *(cycle_net(n) for n in range(2, 7)), *_random_nets()]
+def _rings():
+    # 7 places, 2 chords: 9 transitions and two conflict places
+    rng = random.Random(19560101)
+    return [ring_with_chords(rng, 7, 2) for _ in range(2)]
+
+
+NETS = [
+    fig1_net(), fig2_net(), *(cycle_net(n) for n in range(2, 7)), *_random_nets(), *_rings()
+]
 NET_IDS = ["fig1", "fig2", *(f"cycle{n}" for n in range(2, 7)), *(
     f"random{k}" for k in range(12)
-)]
+), "ring7a", "ring7b"]
 
 
 def assert_same_text(got: str, want: str) -> None:

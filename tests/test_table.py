@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 
+import numpy as np
 import pytest
 
 from evinet import (
@@ -12,6 +13,7 @@ from evinet import (
     MassVector,
     TableCapError,
     build_transfer_table,
+    check_receptivity,
     emit_equations,
     equations_semantically_equal,
     evaluate_equation,
@@ -25,7 +27,7 @@ from evinet import (
     transform,
     write_table_csv,
 )
-from evinet.minimize import minimize_minterms
+from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
 from _nets import (
     all_admissible_receptivities,
     cycle_net,
@@ -33,8 +35,9 @@ from _nets import (
     random_admissible_receptivity,
     random_mass,
     random_net,
+    ring_with_chords,
 )
-from _oracle import transform_brute
+from _oracle import minimize_minterms_tabular, prime_implicants_tabular, transform_brute
 
 S = frozenset
 
@@ -96,6 +99,27 @@ class TestBuild:
         with pytest.raises(TableCapError, match="allocate 4294967296 cells") as err:
             build_transfer_table(cycle_net(16))
         assert err.value.required_cells == (1 << 16) << 16
+
+    def test_cell_limit_is_checked_before_enumerating(self):
+        # 2**24 admissible combinations: enumerating them first takes minutes
+        with pytest.raises(TableCapError, match="16777216 admissible") as err:
+            build_transfer_table(cycle_net(24), max_places=24)
+        assert err.value.required_cells == (1 << 24) << 24
+
+    def test_admissible_and_rejected_follow_the_conflict_check(self, fig2):
+        rng = random.Random(43)
+        nets = [fig2, ring_with_chords(rng, 7, 2)]
+        nets += [random_net(rng, max_places=5, max_transitions=9) for _ in range(12)]
+        for net in nets:
+            table = build_transfer_table(net)
+            m = net.transition_count
+            combos = [tuple(int(c) for c in format(v, f"0{m}b")) for v in range(1 << m)]
+            assert table.admissible == tuple(
+                bits for bits in combos if not check_receptivity(net, bits)
+            )
+            assert table.rejected == tuple(
+                bits for bits in combos if check_receptivity(net, bits)
+            )
 
     def test_more_places_than_mask_bits_is_rejected(self):
         # checked before the 2**33 receptivity combinations are enumerated
@@ -278,6 +302,24 @@ class TestEquations:
                 for eq in raw:
                     assert evaluate_equation(eq, mass, r) == after.mass(eq.target)
 
+    def test_fractional_bits_are_rejected_not_truncated(self, fig1, fig1_table):
+        full = S({0, 1, 2})
+        eq = next(e for e in emit_equations(fig1_table) if e.target == full)
+        # (0.5, 0.5, 0.5) and (0.9, 0.9, 0.9) used to read as (0, 0, 0)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            evaluate_equation(eq, ignorance_mass(fig1), (0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            eq.coefficient(full, (0.9, 0.9, 0.9))
+        assert eq.coefficient(full, (0.0, False, np.int64(0)))
+        assert evaluate_equation(eq, ignorance_mass(fig1), ("1", 1, 1.0)) == 1.0
+
+    def test_coefficient_checks_the_width(self, fig1_table):
+        eq = emit_equations(fig1_table)[0]
+        with pytest.raises(DimensionError, match="receptivity has 2 bits, equation spans 3"):
+            eq.coefficient({0}, (0, 0))
+        with pytest.raises(DimensionError, match="equation spans 3"):
+            evaluate_equation(eq, MassVector.categorical({0}), (0, 0, 0, 0))
+
     def test_two_place_cycle_equation_shapes(self):
         eqs = emit_equations(build_transfer_table(cycle_net(2)), minimize=True)
         targets = [eq.target for eq in eqs]
@@ -334,6 +376,41 @@ class TestMinimize:
                     for cube in cubes
                 )
                 assert covered == (v in on)
+
+    @pytest.mark.parametrize("density", [0.1, 0.5], ids=["sparse", "dense"])
+    def test_same_primes_and_cover_as_the_tabular_oracle(self, density):
+        rng = random.Random(1956 + int(density * 10))
+        for width in range(11):
+            for _ in range(3 if width < 10 else 1):
+                on = [v for v in range(1 << width) if rng.random() < density]
+                assert minimize_minterms(on, width) == minimize_minterms_tabular(on, width)
+                bits = sum(1 << v for v in on)
+                assert _prime_implicants(bits, width) == prime_implicants_tabular(on, width)
+
+    def test_numpy_integer_minterms(self):
+        # bit 6 set, all else free: 1 << np.int64(100) would overflow
+        on = np.arange(64, 128, dtype=np.int64)
+        assert minimize_minterms(on, 7) == ((None,) * 6 + (1,),)
+        assert minimize_minterms(np.array([3, 9], dtype=np.uint8), 4) == minimize_minterms(
+            [3, 9], 4
+        )
+
+    def test_minterm_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range for 3 variables"):
+            minimize_minterms([8], 3)
+        with pytest.raises(ValueError, match="out of range"):
+            minimize_minterms([-1], 3)
+
+    def test_width_over_the_limit_is_rejected(self):
+        assert WIDTH_LIMIT == 24
+        with pytest.raises(ValueError, match="the limit is 24"):
+            minimize_minterms([0], WIDTH_LIMIT + 1)
+        with pytest.raises(ValueError, match="the limit is 24"):
+            minimize_minterms([], -1)
+
+    def test_sparse_set_at_the_width_limit(self):
+        top = (1 << WIDTH_LIMIT) - 1
+        assert minimize_minterms([0, top], WIDTH_LIMIT) == ((0,) * 24, (1,) * 24)
 
 
 class TestCsv:
