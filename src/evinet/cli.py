@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -60,19 +59,20 @@ def _size_cap(option_value: int | None) -> int:
     return cap
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one estimation run."""
-
-    net: PetriNet
-    initial: MassVector
-    input_path: str  # "-" selects standard input
-    form: str  # sparse | dense | log
-
-
 def _net_option(func):
     return click.option(
         "--net", "net_path", required=True, metavar="PATH", help="Net document to load."
+    )(func)
+
+
+def _max_places_option(func):
+    return click.option(
+        "--max-places",
+        type=int,
+        default=None,
+        metavar="K",
+        help=f"Size cap on places and transitions (default {DEFAULT_SIZE_CAP},"
+        f" or {ENV_MAX_PLACES}).",
     )(func)
 
 
@@ -157,36 +157,34 @@ def run(net_path: str, initial: str, input_path: str, form: str):
             f"dense output needs at most {dsl.DENSE_PLACE_LIMIT} places,"
             f" net has {net.place_count}"
         )
-    config = RunConfig(net=net, initial=mass, input_path=input_path, form=form)
-    _run_stream(config)
+    _run_stream(net, mass, input_path, form)
 
 
-def _record(config: RunConfig, index: int, bits, mass: MassVector) -> str:
+def _record(net: PetriNet, form: str, index: int, bits, mass: MassVector) -> str:
     r_text = "".join(map(str, bits)) if bits is not None else "-"
-    net = config.net
-    if config.form == "dense":
+    if form == "dense":
         body = dsl.serialize_mass(mass, net.places, form="dense")
         return f"step={index} r={r_text} mass={body}"
     body = dsl.serialize_mass(mass, net.places, form="sparse")
     line = f"step={index} r={r_text} mass={body}"
-    if config.form == "log" and net.place_count <= dsl.DENSE_PLACE_LIMIT:
+    if form == "log" and net.place_count <= dsl.DENSE_PLACE_LIMIT:
         line += f" dense={dsl.serialize_mass(mass, net.places, form='dense')}"
     return line
 
 
-def _run_stream(config: RunConfig) -> None:
-    net, mass = config.net, config.initial
-    if config.input_path == "-":
+def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> None:
+    """Print one record per receptivity line of ``input_path`` ("-" is stdin)."""
+    if input_path == "-":
         handle = sys.stdin
         close = False
     else:
         try:
-            handle = open(config.input_path, "r", encoding="utf-8")
+            handle = open(input_path, "r", encoding="utf-8")
         except OSError as exc:
-            _fail(f"cannot read {config.input_path}: {exc.strerror or exc}")
+            _fail(f"cannot read {input_path}: {exc.strerror or exc}")
         close = True
     try:
-        print(_record(config, 0, None, mass), flush=True)
+        print(_record(net, form, 0, None, mass), flush=True)
         index = 0
         line_no = 0
         while True:
@@ -213,7 +211,7 @@ def _run_stream(config: RunConfig) -> None:
                     f" conflicting transitions at {details}"
                 )
             index += 1
-            print(_record(config, index, bits, mass), flush=True)
+            print(_record(net, form, index, bits, mass), flush=True)
     finally:
         if close:
             handle.close()
@@ -224,14 +222,7 @@ def _run_stream(config: RunConfig) -> None:
 @click.option(
     "--output", "output_path", required=True, metavar="PATH", help="CSV file to write."
 )
-@click.option(
-    "--max-places",
-    type=int,
-    default=None,
-    metavar="K",
-    help=f"Size cap on places and transitions (default {DEFAULT_SIZE_CAP},"
-    f" or {ENV_MAX_PLACES}).",
-)
+@_max_places_option
 def table(net_path: str, output_path: str, max_places: int | None):
     """Write the full transformation table as CSV."""
     net = _read_net(net_path)
@@ -251,14 +242,7 @@ def table(net_path: str, output_path: str, max_places: int | None):
 @main.command()
 @_net_option
 @click.option("--minimize", is_flag=True, help="Reduce coefficients to minimal products.")
-@click.option(
-    "--max-places",
-    type=int,
-    default=None,
-    metavar="K",
-    help=f"Size cap on places and transitions (default {DEFAULT_SIZE_CAP},"
-    f" or {ENV_MAX_PLACES}).",
-)
+@_max_places_option
 def equations(net_path: str, minimize: bool, max_places: int | None):
     """Print the boolean mass-update equations of a net."""
     net = _read_net(net_path)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
 from .net import (
     PetriNet,
     Receptivity,
-    _structure,
+    _successors,
     coerce_receptivity,
     require_admissible,
 )
@@ -153,18 +153,6 @@ def ignorance_mass(net: PetriNet) -> MassVector:
     return MassVector.categorical(range(net.place_count))
 
 
-def _successor(structure, place: int, bits: Receptivity) -> int:
-    # After the conflict check at most one output transition of a place is true.
-    for t in structure.outputs[place]:
-        if bits[t]:
-            return structure.post_place[t]
-    return place
-
-
-def _transform(structure, x: PlaceSet, bits: Receptivity) -> PlaceSet:
-    return frozenset(_successor(structure, i, bits) for i in x)
-
-
 def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
     """Image of a hypothesis set under one observation.
 
@@ -175,7 +163,22 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
     """
     bits = require_admissible(net, r)
     members = _coerce_place_set(x, net.place_count)
-    return _transform(_structure(net), members, bits)
+    return frozenset(map(_successors(net, bits).__getitem__, members))
+
+
+def _advance(mass: MassVector, image: Callable[[PlaceSet], PlaceSet], n: int) -> MassVector:
+    """Transfer each focal set's mass to its image; the one loop behind every step.
+
+    Sources are walked in canonical order, so masses sharing an image add up
+    in the same order, and bit for bit the same floats, whatever computes the
+    image. Each source is range-checked against ``n`` places first.
+    """
+    masses = mass._masses
+    out: dict[PlaceSet, float] = {}
+    for x in mass.focal_sets():
+        y = image(_coerce_place_set(x, n))
+        out[y] = out.get(y, 0.0) + masses[x]
+    return MassVector(out)
 
 
 def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
@@ -186,15 +189,8 @@ def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
     each source set has exactly one image.
     """
     mass = _as_mass_vector(mass)
-    bits = require_admissible(net, r)
-    structure = _structure(net)
-    n = net.place_count
-    out: dict[PlaceSet, float] = {}
-    for x in mass.focal_sets():
-        members = _coerce_place_set(x, n)
-        y = _transform(structure, members, bits)
-        out[y] = out.get(y, 0.0) + mass[x]
-    return MassVector(out)
+    successor = _successors(net, require_admissible(net, r)).__getitem__
+    return _advance(mass, lambda x: frozenset(map(successor, x)), net.place_count)
 
 
 def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:

@@ -23,7 +23,6 @@ variables (2 MiB per int).
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Iterable
 
@@ -49,10 +48,17 @@ def _to_cube(value: int, dashes: int, width: int) -> Cube:
     )
 
 
-@functools.lru_cache(maxsize=8)
+# Merge masks are kept for widths up to this, 16 ints of 8 KiB at width 16;
+# wider ones, up to 2 MiB each, are built per call and not kept.
+_CACHED_WIDTH = 16
+_merge_cache: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
 def _merge_steps(width: int) -> tuple[tuple[int, int], ...]:
     """``(2**j, low[j])`` per variable j; ``low[j]`` has bit v set for each
     v < 2**width whose bit j is clear."""
+    if width in _merge_cache:
+        return _merge_cache[width]
     size = 1 << width
     steps = []
     for j in range(width):
@@ -62,6 +68,8 @@ def _merge_steps(width: int) -> tuple[tuple[int, int], ...]:
             low |= low << span
             span <<= 1
         steps.append((1 << j, low))
+    if width <= _CACHED_WIDTH:
+        _merge_cache[width] = tuple(steps)
     return tuple(steps)
 
 

@@ -218,6 +218,23 @@ def _structure(net: PetriNet) -> _Structure:
     return _Structure(pre_place, post_place, outputs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _successors(net: PetriNet, bits: Receptivity) -> tuple[int, ...]:
+    """Each place's successor under an admissible receptivity.
+
+    A place moves through its true output transition, of which the conflict
+    check leaves at most one, and stays put when it has none. Memoized: a
+    stream repeats a few receptivities, and on a small net building the list
+    costs as much as the step's own loop.
+    """
+    s = _structure(net)
+    succ = list(range(net.place_count))
+    for t, place in enumerate(s.pre_place):
+        if bits[t]:
+            succ[place] = s.post_place[t]
+    return tuple(succ)
+
+
 def _coerce_bits(r: Sequence[int], width: int, spans: str) -> Receptivity:
     """Normalize a receptivity to a tuple of ``width`` 0/1 bits.
 
@@ -312,13 +329,6 @@ def classic_step(net: PetriNet, marks: Sequence[int], r: Sequence[int]) -> Class
     """
     vec = _coerce_marking(net, marks)
     bits = require_admissible(net, r)
-    s = _structure(net)
-    token = vec.index(1)
-    enabled = [t for t in s.outputs[token] if bits[t]]
-    if not enabled:
-        return vec
-    # at most one after the conflict check
-    target = s.post_place[enabled[0]]
     out = [0] * net.place_count
-    out[target] = 1
+    out[_successors(net, bits)[vec.index(1)]] = 1
     return tuple(out)

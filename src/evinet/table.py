@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _backend
 from .errors import ConflictError, DimensionError, TableCapError
-from .engine import PlaceSet, MassVector, _as_mass_vector, _coerce_place_set, place_set_key, place_sets
-from .minimize import Cube, _members, cube_matches, cube_sort_key, minimize_minterms
+from .engine import PlaceSet, MassVector, _advance, _as_mass_vector, _coerce_place_set, place_set_key, place_sets
+from .minimize import Cube, _cover, _members, cube_matches, cube_sort_key, minimize_minterms
 from .net import (
     PetriNet,
     Receptivity,
@@ -95,13 +95,18 @@ class TransferTable:
             object.__setattr__(self, "_row_index_cache", index)
         return index
 
-    def lookup(self, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
-        """The image set of ``x`` under ``r``; raises for rejected combinations."""
+    def _row(self, r: Sequence[int]) -> int:
+        """The row of ``r``; raises :class:`ConflictError` for rejected combinations."""
         bits = coerce_receptivity(self.net, r)
-        members = _coerce_place_set(x, self.net.place_count)
         row = self._row_index().get(bits)
         if row is None:
             raise ConflictError(check_receptivity(self.net, bits))
+        return row
+
+    def lookup(self, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
+        """The image set of ``x`` under ``r``; raises for rejected combinations."""
+        row = self._row(r)
+        members = _coerce_place_set(x, self.net.place_count)
         return _set_of(int(self.rows[row, _mask_of(members)]))
 
     def cells(self) -> Iterator[tuple[PlaceSet, Receptivity, PlaceSet]]:
@@ -112,28 +117,21 @@ class TransferTable:
                 yield x, bits, _set_of(int(self.rows[k, xmask]))
 
 
-def build_transfer_table(
-    net: PetriNet,
-    *,
-    max_places: int = DEFAULT_SIZE_CAP,
-    max_transitions: int | None = None,
-) -> TransferTable:
+def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -> TransferTable:
     """Evaluate the transformation of every subset under every admissible combination.
 
-    Work and memory grow as (2**n - 1) * 2**m; builds beyond the caps, or
-    whose mask array would exceed ``ROWS_CELL_LIMIT`` cells, raise
-    :class:`~evinet.errors.TableCapError` carrying the cell count that would
-    be required.
+    Work and memory grow as (2**n - 1) * 2**m; builds with more than
+    ``max_places`` places or transitions, or whose mask array would exceed
+    ``ROWS_CELL_LIMIT`` cells, raise :class:`~evinet.errors.TableCapError`
+    carrying the cell count that would be required.
     """
     _require_valid(net)
-    if max_transitions is None:
-        max_transitions = max_places
     n, m = net.place_count, net.transition_count
-    if n > max_places or m > max_transitions:
+    if n > max_places or m > max_places:
         required = ((1 << n) - 1) * (1 << m)
         raise TableCapError(
             f"net has {n} places and {m} transitions, over the cap of"
-            f" {max_places} places and {max_transitions} transitions;"
+            f" {max_places} places and {max_places} transitions;"
             f" the full table would need {required} cells",
             required_cells=required,
         )
@@ -200,17 +198,8 @@ def invert_table(
 def table_step(table: TransferTable, mass, r: Sequence[int]) -> MassVector:
     """Advance a mass distribution by table lookup; equals the direct step."""
     mass = _as_mass_vector(mass)
-    bits = coerce_receptivity(table.net, r)
-    row = table._row_index().get(bits)
-    if row is None:
-        raise ConflictError(check_receptivity(table.net, bits))
-    n = table.net.place_count
-    out: dict[PlaceSet, float] = {}
-    for x in mass.focal_sets():
-        members = _coerce_place_set(x, n)
-        y = _set_of(int(table.rows[row, _mask_of(members)]))
-        out[y] = out.get(y, 0.0) + mass[x]
-    return MassVector(out)
+    images = table.rows[table._row(r)]
+    return _advance(mass, lambda x: _set_of(int(images[_mask_of(x)])), table.net.place_count)
 
 
 @dataclass(frozen=True)
@@ -312,31 +301,31 @@ def _to_full_cube(minterm: int, width: int) -> Cube:
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
     """True when both equations compute the same coefficients everywhere.
 
-    Compared per source over all 2**m receptivity assignments, so factorized,
-    minimized, and raw forms of the same update rule all compare equal.
-    Differing targets compare unequal; differing widths are an error.
+    Each source's coefficient is compared as its on-set over all 2**m
+    receptivity assignments, one int with bit v set when minterm v is true,
+    so factorized, minimized, and raw forms of the same update rule all
+    compare equal. Differing targets compare unequal; differing widths, of
+    the equations or of a cube, are an error.
     """
     if a.transition_count != b.transition_count:
         raise DimensionError(
             f"equations span {a.transition_count} and {b.transition_count} transitions"
         )
-    if a.target != b.target:
-        return False
-    width = a.transition_count
-    sources = set(a.sources()) | set(b.sources())
-    a_by_src: dict[PlaceSet, list[Cube]] = {}
-    b_by_src: dict[PlaceSet, list[Cube]] = {}
-    for cube, src in a.terms:
-        a_by_src.setdefault(src, []).append(cube)
-    for cube, src in b.terms:
-        b_by_src.setdefault(src, []).append(cube)
-    for minterm in range(1 << width):
-        for src in sources:
-            hit_a = any(cube_matches(c, minterm) for c in a_by_src.get(src, ()))
-            hit_b = any(cube_matches(c, minterm) for c in b_by_src.get(src, ()))
-            if hit_a != hit_b:
-                return False
-    return True
+    return a.target == b.target and _on_sets(a) == _on_sets(b)
+
+
+def _on_sets(eq: MassEquation) -> dict[PlaceSet, int]:
+    """Each source's on-set, the union of its cubes' minterms, as one int."""
+    on: dict[PlaceSet, int] = {}
+    for cube, src in eq.terms:
+        if len(cube) != eq.transition_count:
+            raise DimensionError(
+                f"cube {cube} has {len(cube)} slots, equation spans {eq.transition_count}"
+            )
+        value = sum(1 << j for j, bit in enumerate(cube) if bit)
+        dashes = sum(1 << j for j, bit in enumerate(cube) if bit is None)
+        on[src] = on.get(src, 0) | _cover(value, dashes)
+    return on
 
 
 def evaluate_equation(eq: MassEquation, mass, r: Sequence[int]) -> float:

@@ -198,6 +198,23 @@ class TestRun:
         assert result.exit_code == 1
         assert "dense" in combined_output(result)
 
+    def test_cycle_wider_than_a_machine_word(self, runner, tmp_path):
+        path = tmp_path / "cycle34.evinet"
+        path.write_text(serialize_net(cycle_net(34)))
+        last_only = " ".join(["0"] * 33 + ["1"])
+        result = invoke(
+            runner,
+            ["run", "--net", str(path), "--initial", "{P33,P34}:0.5 {P34}:0.5",
+             "--format", "sparse", "--input", "-"],
+            input=f"{last_only}\n{' '.join(['1'] * 34)}\n",
+        )
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "step=0 r=- mass={P34}:0.5 {P33,P34}:0.5",
+            f"step=1 r={'0' * 33}1 mass={{P1}}:0.5 {{P1,P33}}:0.5",
+            f"step=2 r={'1' * 34} mass={{P2}}:0.5 {{P2,P34}}:0.5",
+        ]
+
     def test_bad_initial_record(self, runner, data_dir):
         result = invoke(
             runner,

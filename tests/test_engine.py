@@ -175,6 +175,10 @@ class TestStep:
         after = step(fig1, {frozenset({0}): 1.0}, (1, 0, 0))
         assert after.mass({1}) == 1.0
 
+    def test_focal_set_beyond_the_places_rejected(self, fig1):
+        with pytest.raises(ValueError, match="out of range for 3 places"):
+            step(fig1, MassVector.categorical({3}), (0, 0, 0))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_mass_conservation(self, seed):
@@ -230,6 +234,18 @@ class TestRun:
             run(fig2, ignorance_mass(fig2), [(0, 0, 0, 0), (1, 1, 0, 0)])
         assert err.value.index == 1
         assert isinstance(err.value.cause, ConflictError)
+
+    def test_cycle_wider_than_a_machine_word(self):
+        net = cycle_net(34)
+        mass = MassVector({frozenset({32, 33}): 0.5, frozenset({33}): 0.5})
+        last_only = (0,) * 33 + (1,)
+        after = step(net, mass, last_only)
+        assert after == MassVector({frozenset({0, 32}): 0.5, frozenset({0}): 0.5})
+        trajectory = run(net, mass, [last_only, (1,) * 34, (0,) * 34])
+        assert trajectory.steps[0][1] == after
+        assert trajectory.final == MassVector(
+            {frozenset({1, 33}): 0.5, frozenset({1}): 0.5}
+        )
 
     def test_steps_recorded_in_order(self, fig1):
         inputs = [(0, 1, 0), (0, 0, 0), (1, 0, 0)]

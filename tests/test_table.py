@@ -27,6 +27,7 @@ from evinet import (
     transform,
     write_table_csv,
 )
+from evinet import minimize
 from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
 from _nets import (
     all_admissible_receptivities,
@@ -196,6 +197,10 @@ class TestTableStep:
         with pytest.raises(DimensionError):
             table_step(fig1_table, MassVector.categorical({0}), (1, 1))
 
+    def test_focal_set_beyond_the_places_rejected(self, fig1_table):
+        with pytest.raises(ValueError, match="out of range for 3 places"):
+            table_step(fig1_table, MassVector.categorical({3}), (0, 0, 0))
+
     def test_equals_step_exactly_everywhere_small(self, fig1, fig2):
         for net in (fig1, fig2, cycle_net(2), cycle_net(4)):
             table = build_transfer_table(net)
@@ -240,6 +245,25 @@ def _hand_equation(target):
     )
 
 
+def _wide_equation(*sources):
+    """An equation over 12 transitions; each source is a list of {slot: bit} cubes."""
+    terms = [
+        (tuple(fixed.get(j) for j in range(12)), src)
+        for src, cubes in sources
+        for fixed in cubes
+    ]
+    return MassEquation(target=S({0}), transition_count=12, terms=tuple(terms))
+
+
+# (r1 + r2)*(r3 + !r4) on {P1}, and r12 on {P1,P2}, each factored two ways
+WIDE_PRODUCT = (S({0}), [{0: 1, 2: 1}, {0: 1, 3: 0}, {1: 1, 2: 1}, {1: 1, 3: 0}])
+WIDE_DISJOINT = (
+    S({0}), [{0: 1, 2: 1}, {0: 1, 2: 0, 3: 0}, {0: 0, 1: 1, 2: 1}, {0: 0, 1: 1, 2: 0, 3: 0}]
+)
+WIDE_R12 = (S({0, 1}), [{11: 1}])
+WIDE_R12_SPLIT = (S({0, 1}), [{11: 1, 4: 1}, {11: 1, 4: 0}])
+
+
 class TestEquations:
     def test_all_seven_targets_emitted(self, fig1_table):
         eqs = emit_equations(fig1_table, minimize=True)
@@ -279,12 +303,18 @@ class TestEquations:
     def test_different_targets_not_equal(self, fig1_table):
         eqs = emit_equations(fig1_table, minimize=True)
         assert not equations_semantically_equal(eqs[0], eqs[1])
+        moved = MassEquation(target=eqs[1].target, transition_count=3, terms=eqs[0].terms)
+        assert not equations_semantically_equal(eqs[0], moved)
 
     def test_width_mismatch_is_an_error(self, fig1_table, fig2_table):
         a = emit_equations(fig1_table, minimize=True)[0]
         b = emit_equations(fig2_table, minimize=True)[0]
         with pytest.raises(DimensionError):
             equations_semantically_equal(a, b)
+        (cube, src), *rest = a.terms
+        short = MassEquation(target=a.target, transition_count=3, terms=((cube[:2], src), *rest))
+        with pytest.raises(DimensionError, match="has 2 slots, equation spans 3"):
+            equations_semantically_equal(a, short)
 
     def test_hand_entered_pair_equation_matches_emitted(self, fig1_table):
         emitted = next(
@@ -292,6 +322,17 @@ class TestEquations:
             if e.target == S({1, 2})
         )
         assert equations_semantically_equal(emitted, _hand_equation(S({1, 2})))
+        product = _wide_equation(WIDE_PRODUCT, WIDE_R12)
+        disjoint = _wide_equation(WIDE_DISJOINT, WIDE_R12_SPLIT)
+        assert equations_semantically_equal(product, disjoint)
+        # the all-false minterm is off in both coefficients; turning it on differs
+        all_false = {j: 0 for j in range(12)}
+        for changed in (
+            _wide_equation((S({0}), WIDE_DISJOINT[1] + [all_false]), WIDE_R12_SPLIT),
+            _wide_equation(WIDE_DISJOINT, (S({0, 1}), WIDE_R12_SPLIT[1] + [all_false])),
+        ):
+            assert not equations_semantically_equal(product, changed)
+            assert not equations_semantically_equal(changed, product)
 
     def test_raw_equations_reproduce_table_step(self, fig1, fig1_table):
         raw = emit_equations(fig1_table)
@@ -411,6 +452,14 @@ class TestMinimize:
     def test_sparse_set_at_the_width_limit(self):
         top = (1 << WIDTH_LIMIT) - 1
         assert minimize_minterms([0, top], WIDTH_LIMIT) == ((0,) * 24, (1,) * 24)
+
+    def test_wide_merge_masks_are_not_kept(self):
+        minterms = [3, 2**22 - 5]
+        assert minimize_minterms(minterms, 22) == minimize_minterms_tabular(minterms, 22)
+        assert minimize._CACHED_WIDTH == 16
+        assert all(width <= 16 for width in minimize._merge_cache)
+        minimize_minterms([3], 9)
+        assert 9 in minimize._merge_cache
 
 
 class TestCsv:
