@@ -248,10 +248,10 @@ def equations(net_path: str, minimize: bool, max_places: int | None):
     net = _read_net(net_path)
     cap = _size_cap(max_places)
     try:
-        built = build_transfer_table(net, max_places=cap)
+        emitted = emit_equations(build_transfer_table(net, max_places=cap), minimize=minimize)
     except EvinetError as exc:
         _fail(str(exc))
-    click.echo(render_equations(emit_equations(built, minimize=minimize)), nl=False)
+    click.echo(render_equations(emitted), nl=False)
 
 
 if __name__ == "__main__":

@@ -284,10 +284,13 @@ def serialize_mass(
 
 
 def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> MassVector:
-    """Parse a sparse mass record against the declared place names."""
+    """Parse a sparse mass record against the declared place names.
+
+    Each focal set may be named once; naming one twice is a :class:`ParseError`.
+    """
     names = _place_names(places)
     index = {p: i for i, p in enumerate(names)}
-    masses: list[tuple[PlaceSet, float]] = []
+    masses: dict[PlaceSet, float] = {}
     tokens = text.split()
     if not tokens:
         raise ParseError("empty mass record", line_no)
@@ -305,7 +308,10 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
             value = float(match.group(2))
         except ValueError:
             raise ParseError(f"bad mass value {match.group(2)!r}", line_no) from None
-        masses.append((frozenset(index[p] for p in members), value))
+        focal = frozenset(index[p] for p in members)
+        if focal in masses:
+            raise ParseError(f"focal set {format_place_set(focal, names)} is named twice", line_no)
+        masses[focal] = value
     try:
         return MassVector(masses)
     except Exception as exc:

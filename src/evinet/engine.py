@@ -56,7 +56,8 @@ class MassVector(Mapping):
     """Normalized mass distribution over nonempty sets of place indices.
 
     Keys with zero mass are dropped, so the stored sets are exactly the focal
-    elements. Instances are immutable; iteration is in canonical set order.
+    elements, and pairs naming the same set are merged by adding their
+    masses. Instances are immutable; iteration is in canonical set order.
     """
 
     __slots__ = ("_masses",)

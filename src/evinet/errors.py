@@ -8,7 +8,7 @@ class EvinetError(Exception):
 
 
 class DimensionError(EvinetError):
-    """A vector's length does not match the net it is used with."""
+    """A length or width does not match, or exceeds, what an operation supports."""
 
 
 class InvalidNetError(EvinetError):

@@ -28,13 +28,9 @@ from typing import Iterable
 
 Cube = tuple[int | None, ...]
 
-# 2**24 bits, 2 MiB, per on-set int; build_transfer_table enumerates and
-# stores all 2**m receptivity combinations first, so tables stop far earlier.
+# 2**24 bits, 2 MiB, per on-set int. Tables enumerate only admissible
+# combinations, so wider nets build; emit_equations refuses to minimize them.
 WIDTH_LIMIT = 24
-
-
-def cube_matches(cube: Cube, minterm: int) -> bool:
-    return all(bit is None or (minterm >> j) & 1 == bit for j, bit in enumerate(cube))
 
 
 def cube_sort_key(cube: Cube):

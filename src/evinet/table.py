@@ -6,12 +6,14 @@ set's next mass, and grouping the inverse by source gives one boolean
 coefficient per (target, source) pair, printable raw (as minterms) or
 minimized to a two-level sum of products.
 
-Cell count is (2**n - 1) * 2**m before conflict filtering, so construction is
-capped, and the mask array the kernel fills is bounded before it is
-allocated. Filling the masks is the cheap part; the cost is in turning cells
-into text. The output stage therefore works per mask, not per cell: each set's
-label, frozenset and sort rank is built once, cells are grouped with one
-``np.lexsort``, and CSV rows are written one subset's block at a time.
+Only the receptivity combinations the conflict constraint admits are
+enumerated: each place fires none or one of its k_p output transitions, so a
+table has (2**n - 1) * prod(k_p + 1) cells. Construction is capped, and the
+mask array the kernel fills is bounded before it is allocated. Filling the
+masks is the cheap part; the cost is in turning cells into text. The output
+stage therefore works per mask, not per cell: each set's label, frozenset and
+sort rank is built once, cells are grouped with one ``np.lexsort``, and CSV
+rows are written one subset's block at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, product
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -29,7 +32,7 @@ import numpy as np
 from . import _backend
 from .errors import ConflictError, DimensionError, TableCapError
 from .engine import PlaceSet, MassVector, _advance, _as_mass_vector, _coerce_place_set, place_set_key, place_sets
-from .minimize import Cube, _cover, _members, cube_matches, cube_sort_key, minimize_minterms
+from .minimize import WIDTH_LIMIT, Cube, _cover, _members, _to_cube, cube_sort_key, minimize_minterms
 from .net import (
     PetriNet,
     Receptivity,
@@ -72,33 +75,37 @@ class TransferTable:
     """Total map (nonempty place set, admissible receptivity) -> image set.
 
     ``rows[k][x]`` is the image mask of subset mask ``x`` under the k-th
-    admissible combination; combinations rejected by the conflict constraint
-    carry no cells and are listed in ``rejected``.
+    admissible combination. Only admissible combinations are stored;
+    combinations rejected by the conflict constraint carry no cells, and
+    ``rejected`` lists them on demand.
     """
 
     net: PetriNet
     admissible: tuple[Receptivity, ...]
-    rejected: tuple[Receptivity, ...]
     rows: np.ndarray = field(repr=False)
+
+    @property
+    def rejected(self) -> tuple[Receptivity, ...]:
+        """Combinations the conflict constraint rejects, in binary order; each
+        access walks all 2**m combinations."""
+        combos = product((0, 1), repeat=self.net.transition_count)
+        return tuple(bits for bits in combos if bits not in self._row_index)
 
     @property
     def defined_cell_count(self) -> int:
         return len(self.admissible) * ((1 << self.net.place_count) - 1)
 
     def is_admissible(self, r: Sequence[int]) -> bool:
-        return coerce_receptivity(self.net, r) in self._row_index()
+        return coerce_receptivity(self.net, r) in self._row_index
 
+    @cached_property
     def _row_index(self) -> dict[Receptivity, int]:
-        index = getattr(self, "_row_index_cache", None)
-        if index is None:
-            index = {bits: k for k, bits in enumerate(self.admissible)}
-            object.__setattr__(self, "_row_index_cache", index)
-        return index
+        return {bits: k for k, bits in enumerate(self.admissible)}
 
     def _row(self, r: Sequence[int]) -> int:
         """The row of ``r``; raises :class:`ConflictError` for rejected combinations."""
         bits = coerce_receptivity(self.net, r)
-        row = self._row_index().get(bits)
+        row = self._row_index.get(bits)
         if row is None:
             raise ConflictError(check_receptivity(self.net, bits))
         return row
@@ -120,7 +127,7 @@ class TransferTable:
 def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -> TransferTable:
     """Evaluate the transformation of every subset under every admissible combination.
 
-    Work and memory grow as (2**n - 1) * 2**m; builds with more than
+    Work and memory grow as 2**n times the admissible count; builds with more than
     ``max_places`` places or transitions, or whose mask array would exceed
     ``ROWS_CELL_LIMIT`` cells, raise :class:`~evinet.errors.TableCapError`
     carrying the cell count that would be required.
@@ -153,26 +160,16 @@ def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -
             f" {ROWS_CELL_LIMIT}",
             required_cells=allocated,
         )
-    # combinations in ascending order of the bit string r1..rm read as a
-    # binary number, so r1 is the counter's most significant bit
-    conflicts = [
-        sum(1 << (m - 1 - t) for t in outputs)
-        for outputs in structure.outputs
-        if len(outputs) > 1
+    # each place fires none or one of its outputs; combinations run in
+    # ascending order of the bit string r1..rm read as a binary number
+    choices = [(0, *(1 << (m - 1 - t) for t in outputs)) for outputs in structure.outputs]
+    admissible = [
+        tuple((value >> j) & 1 for j in reversed(range(m)))
+        for value in sorted(map(sum, product(*choices)))
     ]
-    admissible: list[Receptivity] = []
-    rejected: list[Receptivity] = []
-    for value, bits in enumerate(product((0, 1), repeat=m)):
-        fired = [value & outputs for outputs in conflicts]
-        (rejected if any(f & (f - 1) for f in fired) else admissible).append(bits)
     rmasks = [_bits_to_mask(bits) for bits in admissible]
     rows = _backend.fill_rows(n, structure.pre_place, structure.post_place, rmasks)
-    return TransferTable(
-        net=net,
-        admissible=tuple(admissible),
-        rejected=tuple(rejected),
-        rows=rows,
-    )
+    return TransferTable(net=net, admissible=tuple(admissible), rows=rows)
 
 
 def invert_table(
@@ -219,11 +216,8 @@ class MassEquation:
         return tuple(sorted({src for _, src in self.terms}, key=place_set_key))
 
     def coefficient(self, source: Iterable[int], r: Sequence[int]) -> bool:
-        src = frozenset(source)
         minterm = _bits_to_mask(_coerce_bits(r, self.transition_count, "equation spans {}"))
-        return any(
-            cube_matches(cube, minterm) for cube, s in self.terms if s == src
-        )
+        return bool(_on_sets(self).get(frozenset(source), 0) >> minterm & 1)
 
 
 def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEquation, ...]:
@@ -232,8 +226,12 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     With ``minimize`` each (target, source) coefficient is reduced to an
     equivalent sum of products; equality with the raw form holds on every one
     of the 2**m assignments because rejected combinations stay off in both.
+    Minimizing over more than ``WIDTH_LIMIT`` transitions raises
+    :class:`~evinet.errors.DimensionError` before any cell is grouped.
     """
     n, m = table.net.place_count, table.net.transition_count
+    if minimize and m > WIDTH_LIMIT:
+        raise DimensionError(f"cannot minimize over {m} transitions; the limit is {WIDTH_LIMIT}")
     rmasks = [_bits_to_mask(bits) for bits in table.admissible]
     # cells as flat (k, x, y) with x = 0 dropped, sorted by target rank, then
     # source rank, then minterm: each (y, x) run is one coefficient's minterms
@@ -252,7 +250,7 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     cell_k = ks.tolist()
 
     sets = _Memo(_set_of)
-    full_cubes = [_to_full_cube(rmask, m) for rmask in rmasks]
+    full_cubes = [_to_cube(rmask, 0, m) for rmask in rmasks]
     equations = []
     groups = zip(group_y, group_x, starts, stops)
     for ymask, target_groups in groupby(groups, key=itemgetter(0)):
@@ -294,10 +292,6 @@ def _canonical_rank(n: int) -> np.ndarray:
     return rank
 
 
-def _to_full_cube(minterm: int, width: int) -> Cube:
-    return tuple((minterm >> j) & 1 for j in range(width))
-
-
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
     """True when both equations compute the same coefficients everywhere.
 
@@ -331,8 +325,9 @@ def _on_sets(eq: MassEquation) -> dict[PlaceSet, int]:
 def evaluate_equation(eq: MassEquation, mass, r: Sequence[int]) -> float:
     """The target's next mass under the equation, given the current masses."""
     mass = _as_mass_vector(mass)
-    bits = _coerce_bits(r, eq.transition_count, "equation spans {}")
-    return sum(mass.mass(src) for src in eq.sources() if eq.coefficient(src, bits))
+    minterm = _bits_to_mask(_coerce_bits(r, eq.transition_count, "equation spans {}"))
+    on = _on_sets(eq)
+    return sum(mass.mass(src) for src in eq.sources() if on[src] >> minterm & 1)
 
 
 def _set_label(places: PlaceSet) -> str:

@@ -54,6 +54,11 @@ def cycle_net(n: int, name="cycle") -> PetriNet:
     return net_from_transitions(n, [(i, (i + 1) % n) for i in range(n)], name=name)
 
 
+def alternating_net(m: int, name="alternating") -> PetriNet:
+    """Two places joined by m parallel transitions, P1 -> P2 and P2 -> P1 in turn."""
+    return net_from_transitions(2, [(j % 2, 1 - j % 2) for j in range(m)], name=name)
+
+
 def random_net(rng: random.Random, max_places: int = 8, max_transitions: int = 10) -> PetriNet:
     n = rng.randint(2, max_places)
     m = rng.randint(1, max_transitions)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from evinet.cli import main
 from evinet import serialize_net
-from _nets import cycle_net, net_from_transitions
+from _nets import alternating_net, cycle_net, net_from_transitions
 
 
 @pytest.fixture()
@@ -224,6 +224,17 @@ class TestRun:
         )
         assert result.exit_code == 1
 
+    def test_duplicate_focal_set_in_initial_record(self, runner, data_dir):
+        result = invoke(
+            runner,
+            ["run", "--net", str(data_dir / "fig1.evinet"),
+             "--initial", "{P1}:0.5 {P1}:0.5", "--input", "-"],
+            input="",
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: --initial: line 1: focal set {P1} is named twice\n"
+
 
 class TestTable:
     def test_fig1_row_count_and_cells(self, runner, data_dir, tmp_path):
@@ -356,6 +367,25 @@ class TestEquations:
         result = invoke(runner, ["equations", "--net", str(data_dir / "fig1.evinet")])
         last = result.output.splitlines()[-1]
         assert last == "M{1,2,3}(k+1) = (!r1*!r2*!r3 + r1*r2*r3)*M{1,2,3}"
+
+    def test_minimize_past_the_width_limit(self, runner, tmp_path):
+        path = tmp_path / "alternating.evinet"
+        path.write_text(serialize_net(alternating_net(26)))
+        args = ["--net", str(path), "--max-places", "30"]
+        result = invoke(runner, ["equations", "--minimize", *args])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: cannot minimize over 26 transitions; the limit is 24\n"
+        )
+        raw = invoke(runner, ["equations", *args])
+        assert raw.exit_code == 0
+        assert len(raw.output.splitlines()) == 4  # header + three targets
+        out = tmp_path / "t.csv"
+        table = invoke(runner, ["table", *args, "--output", str(out)])
+        assert table.exit_code == 0
+        assert table.output == "588 rows\n"
+        assert len(out.read_text().splitlines()) == 589
 
     def test_two_place_cycle(self, runner, tmp_path):
         path = tmp_path / "loop.evinet"

@@ -194,3 +194,15 @@ class TestMassRecords:
     def test_parse_empty(self):
         with pytest.raises(ParseError):
             parse_mass("   ", 3)
+
+    @pytest.mark.parametrize(
+        "text, label",
+        [("{P1}:0.5 {P1}:0.5", "{P1}"), ("{P1,P2}:0.5 {P2,P1}:0.5", "{P1,P2}")],
+    )
+    def test_parse_duplicate_focal_set(self, text, label):
+        with pytest.raises(ParseError, match=f"focal set {label} is named twice"):
+            parse_mass(text, 3)
+
+    def test_library_pairs_naming_one_set_are_merged(self):
+        merged = MassVector([({0}, 0.25), ({1}, 0.5), ({0}, 0.25)])
+        assert merged == MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})

@@ -31,6 +31,7 @@ from evinet import minimize
 from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
 from _nets import (
     all_admissible_receptivities,
+    alternating_net,
     cycle_net,
     net_from_transitions,
     random_admissible_receptivity,
@@ -121,6 +122,16 @@ class TestBuild:
             assert table.rejected == tuple(
                 bits for bits in combos if check_receptivity(net, bits)
             )
+
+    def test_admissible_combinations_are_generated_not_filtered(self):
+        # 2**26 combinations, of which each place admits none or one of its
+        # 13 outputs: 14 * 14
+        net = alternating_net(26)
+        table = build_transfer_table(net, max_places=30)
+        assert len(table.admissible) == 196
+        assert all(a < b for a, b in zip(table.admissible, table.admissible[1:]))
+        assert not any(check_receptivity(net, bits) for bits in table.admissible)
+        assert table.defined_cell_count == 588
 
     def test_more_places_than_mask_bits_is_rejected(self):
         # checked before the 2**33 receptivity combinations are enumerated
@@ -315,6 +326,12 @@ class TestEquations:
         short = MassEquation(target=a.target, transition_count=3, terms=((cube[:2], src), *rest))
         with pytest.raises(DimensionError, match="has 2 slots, equation spans 3"):
             equations_semantically_equal(a, short)
+        for cube in ((1,), (1, None, None, 1)):
+            wrong = MassEquation(target=a.target, transition_count=3, terms=((cube, src), *rest))
+            with pytest.raises(DimensionError, match=f"has {len(cube)} slots"):
+                wrong.coefficient(src, (1, 0, 0))
+            with pytest.raises(DimensionError, match=f"has {len(cube)} slots"):
+                evaluate_equation(wrong, MassVector.categorical(src), (1, 0, 0))
 
     def test_hand_entered_pair_equation_matches_emitted(self, fig1_table):
         emitted = next(
