@@ -18,6 +18,7 @@ from .errors import MassError, TrajectoryError
 from .net import (
     PetriNet,
     Receptivity,
+    _integral,
     _successors,
     coerce_receptivity,
     require_admissible,
@@ -44,7 +45,10 @@ def place_sets(n: int) -> Iterator[PlaceSet]:
 
 
 def _coerce_place_set(x: Iterable[int], n: int) -> PlaceSet:
-    members = frozenset(int(i) for i in x)
+    raw = frozenset(x)
+    members = _integral(raw)
+    if members is None:
+        raise ValueError(f"place indices must be integers, got {set(raw)}")
     if not members:
         raise ValueError("place set must be nonempty")
     if any(i < 0 or i >= n for i in members):
@@ -66,7 +70,10 @@ class MassVector(Mapping):
         pairs = masses.items() if isinstance(masses, Mapping) else masses
         collected: dict[PlaceSet, float] = {}
         for key, value in pairs:
-            members = frozenset(int(i) for i in key)
+            raw = frozenset(key)
+            members = _integral(raw)
+            if members is None:
+                raise MassError(f"place indices must be integers, got {set(raw)}")
             if not members:
                 raise MassError("the empty set cannot carry mass")
             if any(i < 0 for i in members):

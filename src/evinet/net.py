@@ -29,7 +29,10 @@ Matrix = tuple[tuple[int, ...], ...]
 def _as_matrix(rows, n: int, m: int, label: str) -> Matrix:
     out = []
     for i, row in enumerate(rows):
-        row = tuple(int(v) for v in row)
+        raw = tuple(row)
+        row = _integral(raw)
+        if row is None:
+            raise ValueError(f"{label} row {i} entries must be integers, got {raw}")
         if len(row) != m:
             raise ValueError(
                 f"{label} row {i} has {len(row)} entries, expected {m} (one per transition)"
@@ -235,6 +238,18 @@ def _successors(net: PetriNet, bits: Receptivity) -> tuple[int, ...]:
     return tuple(succ)
 
 
+def _integral(raw: tuple | frozenset) -> tuple | frozenset | None:
+    """``raw`` with each value as an int, or None when a value is fractional.
+
+    The rule for place indices, incidence entries and markings, as for the
+    bits of :func:`_coerce_bits`: ints, bools, numpy integers and integral
+    floats pass, and a fractional value such as 0.5 is rejected, not
+    truncated. All values are checked by one comparison, with no Python loop.
+    """
+    ints = type(raw)(map(int, raw))
+    return ints if ints == raw else None
+
+
 def _coerce_bits(r: Sequence[int], width: int, spans: str) -> Receptivity:
     """Normalize a receptivity to a tuple of ``width`` 0/1 bits.
 
@@ -309,7 +324,10 @@ def enabled_transitions(net: PetriNet, place: int, r: Sequence[int]) -> frozense
 
 
 def _coerce_marking(net: PetriNet, marks: Sequence[int]) -> ClassicMarking:
-    vec = tuple(int(v) for v in marks)
+    raw = tuple(marks)
+    vec = _integral(raw)
+    if vec is None:
+        raise ValueError(f"marking entries must be integers, got {raw}")
     if len(vec) != net.place_count:
         raise DimensionError(
             f"marking has {len(vec)} entries, net has {net.place_count} places"

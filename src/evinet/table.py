@@ -11,9 +11,9 @@ enumerated: each place fires none or one of its k_p output transitions, so a
 table has (2**n - 1) * prod(k_p + 1) cells. Construction is capped, and the
 mask array the kernel fills is bounded before it is allocated. Filling the
 masks is the cheap part; the cost is in turning cells into text. The output
-stage therefore works per mask, not per cell: each set's label, frozenset and
-sort rank is built once, cells are grouped with one ``np.lexsort``, and CSV
-rows are written one subset's block at a time.
+stage therefore works per mask, not per cell: each set's label and frozenset
+are built once, and both the CSV writer and the equation emitter read the
+table one subset column at a time, in canonical subset order.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, product
-from operator import itemgetter
+from itertools import product
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -51,6 +51,11 @@ MASK_PLACE_LIMIT = 32
 # The kernel allocates one uint32 per (admissible combination, subset mask)
 # pair, the empty mask included; 2**28 of them take 1 GiB.
 ROWS_CELL_LIMIT = 1 << 28
+
+# Emitting and rendering raw equations peaks at about 185 bytes per defined
+# cell (tracemalloc over build, emit and render of a 10-place cycle, 2**20
+# cells), most of it the rendered text; 2**22 cells stay under about 780 MB.
+EQUATION_CELL_LIMIT = 1 << 22
 
 EQUATION_FORMAT_VERSION = "evinet equations v1"
 
@@ -119,9 +124,8 @@ class TransferTable:
     def cells(self) -> Iterator[tuple[PlaceSet, Receptivity, PlaceSet]]:
         """All defined cells, subsets in canonical order, combinations in binary order."""
         for x in place_sets(self.net.place_count):
-            xmask = _mask_of(x)
-            for k, bits in enumerate(self.admissible):
-                yield x, bits, _set_of(int(self.rows[k, xmask]))
+            for bits, ymask in zip(self.admissible, self.rows[:, _mask_of(x)].tolist()):
+                yield x, bits, _set_of(ymask)
 
 
 def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -> TransferTable:
@@ -227,41 +231,48 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     equivalent sum of products; equality with the raw form holds on every one
     of the 2**m assignments because rejected combinations stay off in both.
     Minimizing over more than ``WIDTH_LIMIT`` transitions raises
-    :class:`~evinet.errors.DimensionError` before any cell is grouped.
+    :class:`~evinet.errors.DimensionError`, and a table of more than
+    ``EQUATION_CELL_LIMIT`` defined cells raises
+    :class:`~evinet.errors.TableCapError` carrying its cell count, both before
+    any cell is grouped.
     """
     n, m = table.net.place_count, table.net.transition_count
     if minimize and m > WIDTH_LIMIT:
         raise DimensionError(f"cannot minimize over {m} transitions; the limit is {WIDTH_LIMIT}")
+    cells = table.defined_cell_count
+    if cells > EQUATION_CELL_LIMIT:
+        raise TableCapError(
+            f"table has {cells} defined cells; equations are limited to"
+            f" {EQUATION_CELL_LIMIT} cells",
+            required_cells=cells,
+        )
     rmasks = [_bits_to_mask(bits) for bits in table.admissible]
-    # cells as flat (k, x, y) with x = 0 dropped, sorted by target rank, then
-    # source rank, then minterm: each (y, x) run is one coefficient's minterms
-    rank = _canonical_rank(n)
-    width = (1 << n) - 1
-    ks = np.repeat(np.arange(len(rmasks), dtype=np.uint32), width)
-    xs = np.tile(np.arange(1, 1 << n, dtype=np.uint32), len(rmasks))
-    ys = table.rows[:, 1:].ravel()
-    order = np.lexsort((np.asarray(rmasks, dtype=np.int64)[ks], rank[xs], rank[ys]))
-    ks, xs, ys = ks[order], xs[order], ys[order]
-    bounds = np.flatnonzero((ys[1:] != ys[:-1]) | (xs[1:] != xs[:-1])) + 1
-    starts = [0, *bounds.tolist()]
-    stops = [*starts[1:], len(ks)]
-    group_y = ys[starts].tolist()
-    group_x = xs[starts].tolist()
-    cell_k = ks.tolist()
+    # each source column is read in minterm order, so every (target, source)
+    # list of rows holds one coefficient's minterms in ascending order, and
+    # sources reach each target in canonical order
+    by_minterm = sorted(range(len(rmasks)), key=rmasks.__getitem__)
+    minterm_rows = np.array(by_minterm)
+    grouped: dict[int, dict[int, list[int]]] = {}
+    for xmask in _canonical_masks(n):
+        column = table.rows[minterm_rows, xmask].tolist()
+        targets = defaultdict(list)
+        for k, ymask in zip(by_minterm, column):
+            targets[ymask].append(k)
+        for ymask, rows in targets.items():
+            grouped.setdefault(ymask, {})[xmask] = rows
 
     sets = _Memo(_set_of)
     full_cubes = [_to_cube(rmask, 0, m) for rmask in rmasks]
     equations = []
-    groups = zip(group_y, group_x, starts, stops)
-    for ymask, target_groups in groupby(groups, key=itemgetter(0)):
+    for ymask in sorted(grouped, key=lambda y: place_set_key(sets[y])):
         terms: list[tuple[Cube, PlaceSet]] = []
-        for _, xmask, start, stop in target_groups:
+        for xmask, rows in grouped[ymask].items():
             source = sets[xmask]
             if minimize:
-                minterms = [rmasks[k] for k in cell_k[start:stop]]
+                minterms = [rmasks[k] for k in rows]
                 terms.extend([(cube, source) for cube in minimize_minterms(minterms, m)])
             else:
-                terms.extend([(full_cubes[k], source) for k in cell_k[start:stop]])
+                terms.extend([(full_cubes[k], source) for k in rows])
         equations.append(
             MassEquation(target=sets[ymask], transition_count=m, terms=tuple(terms))
         )
@@ -283,13 +294,6 @@ class _Memo(dict):
 def _canonical_masks(n: int) -> list[int]:
     """Nonempty subset masks of n places in canonical order."""
     return [_mask_of(x) for x in place_sets(n)]
-
-
-def _canonical_rank(n: int) -> np.ndarray:
-    """``rank[mask]`` is the mask's position in canonical order; mask 0 ranks 0."""
-    rank = np.zeros(1 << n, dtype=np.uint32)
-    rank[_canonical_masks(n)] = np.arange(1, 1 << n, dtype=np.uint32)
-    return rank
 
 
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
@@ -414,4 +418,4 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
         handle.write(
             "".join([subset + middle + images[y] for middle, y in zip(middles, column)])
         )
-    return len(table.admissible) * (size - 1)
+    return table.defined_cell_count

@@ -387,6 +387,18 @@ class TestEquations:
         assert table.output == "588 rows\n"
         assert len(out.read_text().splitlines()) == 589
 
+    def test_emission_over_the_cell_limit(self, runner, tmp_path):
+        path = tmp_path / "cycle12.evinet"
+        path.write_text(serialize_net(cycle_net(12)))
+        for extra in ([], ["--minimize"]):
+            result = invoke(runner, ["equations", "--net", str(path), *extra])
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            assert result.stderr == (
+                "error: table has 16773120 defined cells;"
+                " equations are limited to 4194304 cells\n"
+            )
+
     def test_two_place_cycle(self, runner, tmp_path):
         path = tmp_path / "loop.evinet"
         path.write_text(serialize_net(cycle_net(2)))

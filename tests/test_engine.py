@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,33 @@ class TestMassVector:
     def test_rejects_negative_mass(self):
         with pytest.raises(MassError):
             MassVector({frozenset({0}): -0.1, frozenset({1}): 1.1})
+
+    def test_fractional_indices_are_rejected_not_truncated(self):
+        # {0.5, 0.2} used to collapse into {0}
+        with pytest.raises(MassError, match="place indices must be integers"):
+            MassVector({(0.5, 0.2): 1.0})
+        with pytest.raises(MassError, match="place indices must be integers"):
+            MassVector([({0, 1.5}, 1.0)])
+        m = MassVector({(1.0, np.int64(2), True): 1.0})
+        assert m.focal_sets() == (frozenset({1, 2}),)
+        assert all(type(i) is int for i in m.focal_sets()[0])
+
+    def test_allclose_within_and_beyond_the_tolerance(self):
+        a = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
+        near = MassVector({frozenset({0}): 0.5 - 5e-10, frozenset({1}): 0.5 + 5e-10})
+        far = MassVector({frozenset({0}): 0.5 - 1e-6, frozenset({1}): 0.5 + 1e-6})
+        assert a.allclose(near) and near.allclose(a)
+        assert not a.allclose(far) and not far.allclose(a)
+        assert a.allclose(far, tol=1e-5)
+
+    def test_allclose_with_a_set_only_one_side_holds(self):
+        a = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
+        b = MassVector({frozenset({0}): 0.5, frozenset({0, 1}): 0.5})
+        assert not a.allclose(b) and not b.allclose(a)
+        one = MassVector.categorical({0})
+        trace = MassVector({frozenset({0}): 1.0 - 1e-10, frozenset({2}): 1e-10})
+        assert one.allclose(trace) and trace.allclose(one)
+        assert not one.allclose(trace, tol=1e-11)
 
     def test_drops_zero_entries(self):
         m = MassVector({frozenset({0}): 1.0, frozenset({1}): 0.0})
@@ -115,6 +143,15 @@ class TestTransform:
     def test_empty_set_rejected(self, fig1):
         with pytest.raises(ValueError):
             transform(fig1, set(), (0, 0, 0))
+
+    def test_fractional_indices_are_rejected_not_truncated(self, fig1):
+        # {0.7} used to read as {0}
+        with pytest.raises(ValueError, match=r"place indices must be integers, got \{0.7\}"):
+            transform(fig1, {0.7}, (0, 0, 0))
+        with pytest.raises(ValueError, match="place indices must be integers"):
+            transform(fig1, (0, 1.5), (1, 0, 0))
+        assert transform(fig1, (0.0, np.int64(1)), (1, 0, 0)) == transform(fig1, {0, 1}, (1, 0, 0))
+        assert transform(fig1, iter([True]), (0, 1, 0)) == frozenset({2})
 
     def test_out_of_range_rejected(self, fig1):
         with pytest.raises(ValueError):

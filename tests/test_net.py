@@ -60,6 +60,22 @@ class TestValidateNet:
         kinds = {v.kind for v in validate_net(net).violations}
         assert "entry-range" in kinds
 
+    def test_fractional_entries_are_rejected_not_truncated(self):
+        import numpy as np
+
+        # (1.9, 0) used to be stored as (1, 0)
+        with pytest.raises(ValueError, match=r"pre row 0 entries must be integers, got \(1.9, 0\)"):
+            PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
+                     pre=((1.9, 0), (0, 1)), post=((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="post row 1 entries must be integers"):
+            PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
+                     pre=((1, 0), (0, 1)), post=((0, 1), (0.5, 0)))
+        net = PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
+                       pre=((1.0, False), np.array([0, 1])), post=((0, True), (np.int64(1), 0.0)))
+        assert net.pre == ((1, 0), (0, 1)) and net.post == ((0, 1), (1, 0))
+        assert all(type(v) is int for row in net.pre + net.post for v in row)
+        assert validate_net(net).ok
+
     def test_multi_pre_column_rejected(self):
         # one transition draining two places (synchronization) is out of scope
         net = PetriNet(
@@ -225,6 +241,15 @@ class TestClassicStep:
     def test_bad_marking(self, fig1):
         with pytest.raises(ValueError):
             classic_step(fig1, (1, 1, 0), (0, 0, 0))
+
+    def test_fractional_marking_is_rejected_not_truncated(self, fig1):
+        import numpy as np
+
+        # (1.5, 0, 0) and (1, 0.2, 0) used to read as (1, 0, 0)
+        for marks in ((1.5, 0, 0), (1, 0.2, 0)):
+            with pytest.raises(ValueError, match="marking entries must be integers"):
+                classic_step(fig1, marks, (1, 0, 0))
+        assert classic_step(fig1, (1.0, False, np.int64(0)), (1, 0, 0)) == (0, 1, 0)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)

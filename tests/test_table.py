@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from evinet import (
 )
 from evinet import minimize
 from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
+from evinet.table import EQUATION_CELL_LIMIT
 from _nets import (
     all_admissible_receptivities,
     alternating_net,
@@ -66,6 +68,24 @@ class TestBuild:
         assert len(fig2_table.rejected) == 4
         assert all(bits[0] == bits[1] == 1 for bits in fig2_table.rejected)
         assert fig2_table.defined_cell_count == 84
+
+    def test_is_admissible_follows_the_conflict_check(self, fig2_table):
+        assert not fig2_table.is_admissible((1, 1, 0, 0))
+        assert fig2_table.is_admissible((1, 0, 0, 0))
+        assert fig2_table.is_admissible([True, False, 0.0, np.int64(0)])
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            fig2_table.is_admissible((0.5, 0, 0, 0))
+        with pytest.raises(DimensionError, match="receptivity has 3 bits"):
+            fig2_table.is_admissible((1, 0, 0))
+
+    def test_fractional_indices_are_rejected_not_truncated(self, fig1_table):
+        # {0.5} used to read as {0}, and {1.5} as {1}
+        with pytest.raises(ValueError, match="place indices must be integers"):
+            fig1_table.lookup({0.5}, (1, 0, 0))
+        with pytest.raises(ValueError, match="place indices must be integers"):
+            invert_table(fig1_table, {1.5})
+        assert fig1_table.lookup((0.0, np.int64(2)), (1, 0, 0)) == S({1, 2})
+        assert invert_table(fig1_table, [1.0]) == invert_table(fig1_table, {1})
 
     def test_two_place_cycle_cardinality(self):
         table = build_transfer_table(cycle_net(2))
@@ -384,6 +404,27 @@ class TestEquations:
         assert targets == [S({0}), S({1}), S({0, 1})]
         pair = eqs[2]
         assert set(pair.terms) == {((0, 0), S({0, 1})), ((1, 1), S({0, 1}))}
+
+    def test_emission_over_the_cell_limit_is_rejected(self):
+        table = build_transfer_table(cycle_net(12))
+        assert table.defined_cell_count == 16_773_120 > EQUATION_CELL_LIMIT
+        for minimize in (False, True):
+            with pytest.raises(TableCapError, match="16773120 defined cells") as err:
+                emit_equations(table, minimize=minimize)
+            assert err.value.required_cells == 16_773_120
+
+    def test_emission_keeps_no_flat_per_cell_arrays(self):
+        # grouping one source column at a time takes about 15 bytes per cell
+        # beyond the result; flat per-cell arrays and a lexsort take about 33
+        table = build_transfer_table(cycle_net(8))
+        tracemalloc.start()
+        try:
+            equations = emit_equations(table)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(equations) == 255
+        assert (peak - retained) / table.defined_cell_count < 24
 
     def test_render_gives_documented_form(self, fig1_table):
         eqs = emit_equations(fig1_table, minimize=True)
