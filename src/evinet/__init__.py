@@ -17,6 +17,7 @@ from .errors import (
     TrajectoryError,
 )
 from .net import (
+    DEFAULT_SIZE_CAP,
     ClassicMarking,
     ConflictSet,
     PetriNet,
@@ -42,20 +43,6 @@ from .engine import (
     step,
     transform,
 )
-from .table import (
-    DEFAULT_SIZE_CAP,
-    MassEquation,
-    TransferTable,
-    build_transfer_table,
-    emit_equations,
-    equations_semantically_equal,
-    evaluate_equation,
-    invert_table,
-    render_equation,
-    render_equations,
-    table_step,
-    write_table_csv,
-)
 from .dsl import (
     NetDocument,
     document_to_net,
@@ -69,6 +56,31 @@ from .dsl import (
 )
 
 __version__ = "0.1.0"
+
+# Served from ``evinet.table`` on first access, so that importing evinet for
+# ``run`` does not import numpy.
+_TABLE_NAMES = frozenset({
+    "MassEquation",
+    "TransferTable",
+    "build_transfer_table",
+    "emit_equations",
+    "equations_semantically_equal",
+    "evaluate_equation",
+    "invert_table",
+    "render_equation",
+    "render_equations",
+    "table_step",
+    "write_table_csv",
+})
+
+
+def __getattr__(name: str):
+    if name in _TABLE_NAMES:
+        from . import table
+
+        return getattr(table, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClassicMarking",

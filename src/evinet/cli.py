@@ -2,7 +2,9 @@
 
 Diagnostics go to stderr and the exit status is nonzero whenever one is
 emitted. ``run`` streams one record per input line and flushes it before the
-next line is read, so a live pipe shows beliefs as events arrive.
+next line is read, so a live pipe shows beliefs as events arrive. ``table``
+and ``equations`` import the numpy-backed :mod:`evinet.table` when they run,
+so ``run`` starts without numpy.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ import click
 from . import dsl
 from .engine import MassVector, ignorance_mass, step
 from .errors import ConflictError, EvinetError, ParseError
-from .net import PetriNet, detect_conflicts, validate_net
-from .table import (
-    DEFAULT_SIZE_CAP,
-    build_transfer_table,
-    emit_equations,
-    render_equations,
-    write_table_csv,
-)
+from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts, validate_net
 
 ENV_MAX_PLACES = "EVINET_MAX_PLACES"
 
@@ -225,6 +220,8 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
 @_max_places_option
 def table(net_path: str, output_path: str, max_places: int | None):
     """Write the full transformation table as CSV."""
+    from .table import build_transfer_table, write_table_csv
+
     net = _read_net(net_path)
     cap = _size_cap(max_places)
     try:
@@ -245,6 +242,8 @@ def table(net_path: str, output_path: str, max_places: int | None):
 @_max_places_option
 def equations(net_path: str, minimize: bool, max_places: int | None):
     """Print the boolean mass-update equations of a net."""
+    from .table import build_transfer_table, emit_equations, render_equations
+
     net = _read_net(net_path)
     cap = _size_cap(max_places)
     try:

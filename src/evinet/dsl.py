@@ -18,12 +18,14 @@ step. A mass record lists focal sets against declared place names, e.g.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
 from .engine import MassVector, PlaceSet
+from .minimize import _members
 from .net import PetriNet, Receptivity, validate_net
 
 FORMAT_HEADER = "# format: evinet v1"
@@ -252,10 +254,23 @@ def format_place_set(places: PlaceSet, names: int | Sequence[str]) -> str:
     return "{" + ",".join(labels[i] for i in sorted(places)) + "}"
 
 
-def _format_number(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
+# Masses lie in [0, 1], so 0 and 1 are the only whole numbers a record
+# prints: ``_WHOLE.get(v) or repr(v)`` prints them without a fraction.
+_WHOLE = {0.0: "0", 1.0: "1"}
+
+
+@functools.lru_cache(maxsize=4)
+def _mask_labels(names: tuple[str, ...]) -> Callable[[int], str]:
+    """The set literal of a place mask over ``names``, cached per mask.
+
+    At most 8192 labels are kept per name tuple, and four name tuples.
+    """
+
+    @functools.lru_cache(maxsize=1 << 13)
+    def label(mask: int) -> str:
+        return "{" + ",".join([names[i] for i in _members(mask)]) + "}"
+
+    return label
 
 
 def serialize_mass(
@@ -270,16 +285,16 @@ def serialize_mass(
     names = _place_names(places)
     n = len(names)
     if form == "sparse":
+        label = _mask_labels(names)
         return " ".join(
-            f"{format_place_set(x, names)}:{_format_number(mass[x])}"
-            for x in mass.focal_sets()
+            [f"{label(x)}:{_WHOLE.get(v) or repr(v)}" for x, v in mass._masses.items()]
         )
     if form == "dense":
         if n > DENSE_PLACE_LIMIT:
             raise ValueError(
                 f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
             )
-        return "[" + ",".join(_format_number(v) for v in mass.dense(n)) + "]"
+        return "[" + ",".join([_WHOLE.get(v) or repr(v) for v in mass.dense(n)]) + "]"
     raise ValueError(f"unknown mass record form {form!r}")
 
 

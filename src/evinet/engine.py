@@ -5,16 +5,23 @@ nonempty sets of places: mass on a set means the token is somewhere in it,
 with no commitment to a particular member. Each observation step transforms
 every hypothesis set through the net and transfers its mass to the image set,
 so total belief is conserved and ignorance narrows as events arrive.
+
+A set of places is held as an int mask, bit i for place i, and a
+:class:`MassVector` maps masks to masses in canonical order. Frozensets appear
+only at the API edge, in the keys callers pass and in :meth:`focal_sets`.
+Masks are Python ints, so nets wider than a machine word step as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
+from .minimize import _members
 from .net import (
     PetriNet,
     Receptivity,
@@ -44,6 +51,54 @@ def place_sets(n: int) -> Iterator[PlaceSet]:
             yield frozenset(combo)
 
 
+def _set_of(mask: int) -> PlaceSet:
+    return frozenset(_members(mask))
+
+
+@functools.lru_cache(maxsize=4)
+def _canonical_masks(n: int) -> tuple[int, ...]:
+    """Nonempty subset masks of n places in canonical order."""
+    return tuple(
+        sum(1 << i for i in combo)
+        for size in range(1, n + 1)
+        for combo in combinations(range(n), size)
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _canonical_key(width: int) -> Callable[[int], int]:
+    """Int sort key putting masks below ``2**width`` in canonical order.
+
+    The popcount leads; below it sits the mask with its bits reversed, then
+    complemented, so that of two sets of one size the one holding the
+    smallest index where they differ sorts first. Keys are cached per mask,
+    at most 8192 per width for four widths, and hold no set.
+    """
+    full = (1 << width) - 1
+
+    @functools.lru_cache(maxsize=1 << 13)
+    def key(mask: int) -> int:
+        reversed_bits = int(format(mask, f"0{width}b")[::-1], 2)
+        return (mask.bit_count() << width) | (full ^ reversed_bits)
+
+    return key
+
+
+def _mask_of_key(key: Iterable[int]) -> int:
+    """The mask of a caller's set, under the constructor's index rule.
+
+    Indices must be integers and nonnegative; a fractional or infinite index
+    raises :class:`MassError`, as in the constructor. The empty set gives 0.
+    """
+    raw = frozenset(key)
+    members = _integral(raw)
+    if members is None:
+        raise MassError(f"place indices must be integers, got {set(raw)}")
+    if members and min(members) < 0:
+        raise MassError(f"negative place index in {sorted(members)}")
+    return sum(1 << i for i in members)
+
+
 def _coerce_place_set(x: Iterable[int], n: int) -> PlaceSet:
     raw = frozenset(x)
     members = _integral(raw)
@@ -62,45 +117,46 @@ class MassVector(Mapping):
     Keys with zero mass are dropped, so the stored sets are exactly the focal
     elements, and pairs naming the same set are merged by adding their
     masses. Instances are immutable; iteration is in canonical set order.
+    Masses are stored by set mask, in that order.
     """
 
     __slots__ = ("_masses",)
 
     def __init__(self, masses: Mapping | Iterable[tuple[Iterable[int], float]]):
         pairs = masses.items() if isinstance(masses, Mapping) else masses
-        collected: dict[PlaceSet, float] = {}
+        collected: dict[int, float] = {}
         for key, value in pairs:
-            raw = frozenset(key)
-            members = _integral(raw)
-            if members is None:
-                raise MassError(f"place indices must be integers, got {set(raw)}")
-            if not members:
+            mask = _mask_of_key(key)
+            if not mask:
                 raise MassError("the empty set cannot carry mass")
-            if any(i < 0 for i in members):
-                raise MassError(f"negative place index in {sorted(members)}")
             value = float(value)
             if not 0.0 <= value <= 1.0:
-                raise MassError(f"mass {value!r} for {set(members)} outside [0, 1]")
+                raise MassError(f"mass {value!r} for {set(_members(mask))} outside [0, 1]")
             if value:
-                collected[members] = collected.get(members, 0.0) + value
-        total = math.fsum(collected.values())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise MassError(
-                f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
-        self._masses = collected
+                collected[mask] = collected.get(mask, 0.0) + value
+        self._masses = _settle(collected)
+
+    @classmethod
+    def _of_masks(cls, masses: dict[int, float]) -> "MassVector":
+        """A mass vector over checked masks, normalized and put in canonical order."""
+        out = cls.__new__(cls)
+        out._masses = _settle(masses)
+        return out
 
     def __getitem__(self, key) -> float:
-        return self._masses[frozenset(key)]
+        mask = _mask_of_key(key)
+        if mask not in self._masses:
+            raise KeyError(_set_of(mask))
+        return self._masses[mask]
 
     def __iter__(self) -> Iterator[PlaceSet]:
-        return iter(self.focal_sets())
+        return map(_set_of, self._masses)
 
     def __len__(self) -> int:
         return len(self._masses)
 
     def __contains__(self, key) -> bool:
-        return frozenset(key) in self._masses
+        return _mask_of_key(key) in self._masses
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MassVector):
@@ -109,35 +165,50 @@ class MassVector(Mapping):
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{{{', '.join(map(str, sorted(x)))}}}: {self._masses[x]!r}"
-            for x in self.focal_sets()
+            f"{{{', '.join(map(str, _members(x)))}}}: {value!r}"
+            for x, value in self._masses.items()
         )
         return f"MassVector({{{body}}})"
 
     def focal_sets(self) -> tuple[PlaceSet, ...]:
-        return tuple(sorted(self._masses, key=place_set_key))
+        return tuple(map(_set_of, self._masses))
 
     def mass(self, places: Iterable[int]) -> float:
         """Mass of a set, zero when it is not focal."""
-        return self._masses.get(frozenset(places), 0.0)
+        return self._masses.get(_mask_of_key(places), 0.0)
 
     def is_categorical(self) -> bool:
         """True when all belief sits on a single set."""
         return len(self._masses) == 1 and next(iter(self._masses.values())) == 1.0
 
     def allclose(self, other: "MassVector", tol: float = NORMALIZATION_TOL) -> bool:
-        keys = set(self._masses) | set(other._masses)
-        return all(abs(self.mass(k) - other.mass(k)) <= tol for k in keys)
+        mine, theirs = self._masses, other._masses
+        return all(
+            abs(mine.get(x, 0.0) - theirs.get(x, 0.0)) <= tol for x in mine.keys() | theirs
+        )
 
     def dense(self, n: int) -> tuple[float, ...]:
         """Masses over all nonempty subsets of ``range(n)`` in canonical order."""
-        if any(i >= n for x in self._masses for i in x):
+        if max(self._masses) >> n:
             raise ValueError(f"mass vector has place indices beyond {n} places")
-        return tuple(self.mass(x) for x in place_sets(n))
+        return tuple(map(self._masses.get, _canonical_masks(n), repeat(0.0)))
 
     @classmethod
     def categorical(cls, places: Iterable[int]) -> "MassVector":
         return cls({frozenset(places): 1.0})
+
+
+def _settle(masses: dict[int, float]) -> dict[int, float]:
+    """``masses`` in canonical order, once their sum is 1 within the tolerance."""
+    total = math.fsum(masses.values())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise MassError(
+            f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
+        )
+    if len(masses) < 2:
+        return masses
+    order = sorted(masses, key=_canonical_key(max(masses).bit_length()))
+    return dict(zip(order, map(masses.__getitem__, order)))
 
 
 def _as_mass_vector(mass) -> MassVector:
@@ -174,19 +245,61 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
     return frozenset(map(_successors(net, bits).__getitem__, members))
 
 
-def _advance(mass: MassVector, image: Callable[[PlaceSet], PlaceSet], n: int) -> MassVector:
+def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
     """Transfer each focal set's mass to its image; the one loop behind every step.
 
-    Sources are walked in canonical order, so masses sharing an image add up
-    in the same order, and bit for bit the same floats, whatever computes the
-    image. Each source is range-checked against ``n`` places first.
+    ``image`` maps a source mask to its image mask. Sources are walked in
+    canonical order, so masses sharing an image add up in the same order, and
+    bit for bit the same floats, whatever computes the image. The sources are
+    range-checked against ``n`` places first, and the merged masses against
+    [0, 1].
     """
     masses = mass._masses
-    out: dict[PlaceSet, float] = {}
-    for x in mass.focal_sets():
-        y = image(_coerce_place_set(x, n))
-        out[y] = out.get(y, 0.0) + masses[x]
-    return MassVector(out)
+    if max(masses) >> n:
+        x = next(x for x in masses if x >> n)
+        raise ValueError(f"place set {_members(x)} out of range for {n} places")
+    out: dict[int, float] = {}
+    get = out.get
+    for y, value in zip(map(image, masses), masses.values()):
+        out[y] = get(y, 0.0) + value
+    merged = out.values()
+    if not (0.0 <= min(merged) and max(merged) <= 1.0):
+        y, value = next((y, v) for y, v in out.items() if not 0.0 <= v <= 1.0)
+        raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
+    return MassVector._of_masks(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _image(net: PetriNet, bits: Receptivity) -> Callable[[int], int]:
+    """The image of a place mask under an admissible receptivity, by table lookup.
+
+    Each byte of the mask indexes a 256-entry table of the union of its
+    places' successors (:func:`~evinet.net._successors`), and the image is the
+    union over the bytes. Cached for 64 (net, receptivity) pairs, each about
+    10 KB per 8 places.
+    """
+    successors = _successors(net, bits)
+    tables = []
+    for base in range(0, len(successors), 8):
+        table = [0]
+        for place in successors[base : base + 8]:
+            unit = 1 << place
+            table += [y | unit for y in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        low, high = tables
+        return lambda x: low[x & 0xFF] | high[x >> 8]
+
+    def image(x: int) -> int:
+        y = 0
+        for table in tables:
+            y |= table[x & 0xFF]
+            x >>= 8
+        return y
+
+    return image
 
 
 def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
@@ -197,8 +310,7 @@ def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
     each source set has exactly one image.
     """
     mass = _as_mass_vector(mass)
-    successor = _successors(net, require_admissible(net, r)).__getitem__
-    return _advance(mass, lambda x: frozenset(map(successor, x)), net.place_count)
+    return _advance(mass, _image(net, require_admissible(net, r)), net.place_count)
 
 
 def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:

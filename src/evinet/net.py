@@ -25,6 +25,11 @@ ClassicMarking = tuple[int, ...]
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# Default cap on the places and transitions of a net whose transfer table is
+# built. Defined here, not in ``table``, so that importing the CLI does not
+# import numpy.
+DEFAULT_SIZE_CAP = 16
+
 
 def _as_matrix(rows, n: int, m: int, label: str) -> Matrix:
     out = []
@@ -48,7 +53,9 @@ class PetriNet:
     """Immutable place/transition net with incidence matrices.
 
     Construction only checks shapes; structural soundness is reported by
-    :func:`validate_net` so that candidate matrices can be inspected.
+    :func:`validate_net` so that candidate matrices can be inspected. The
+    hash is computed once: nets key the memoized derived wiring, looked up
+    several times per step.
     """
 
     places: tuple[str, ...]
@@ -67,6 +74,15 @@ class PetriNet:
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "pre", _as_matrix(self.pre, n, m, "pre"))
         object.__setattr__(self, "post", _as_matrix(self.post, n, m, "post"))
+        fields = (self.places, self.transitions, self.pre, self.post, self.name)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the hash is recomputed in the new process
+        return (PetriNet, (self.places, self.transitions, self.pre, self.post, self.name))
 
     @property
     def place_count(self) -> int:
@@ -244,9 +260,13 @@ def _integral(raw: tuple | frozenset) -> tuple | frozenset | None:
     The rule for place indices, incidence entries and markings, as for the
     bits of :func:`_coerce_bits`: ints, bools, numpy integers and integral
     floats pass, and a fractional value such as 0.5 is rejected, not
-    truncated. All values are checked by one comparison, with no Python loop.
+    truncated, as is a value ``int`` cannot convert, such as an infinite or
+    NaN float. All values are checked by one comparison, with no Python loop.
     """
-    ints = type(raw)(map(int, raw))
+    try:
+        ints = type(raw)(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        return None
     return ints if ints == raw else None
 
 
@@ -254,15 +274,19 @@ def _coerce_bits(r: Sequence[int], width: int, spans: str) -> Receptivity:
     """Normalize a receptivity to a tuple of ``width`` 0/1 bits.
 
     Bits may be ints, bools, numpy integers, integral floats or the strings
-    ``"0"`` and ``"1"``; a fractional bit such as 0.5 is rejected, not truncated.
-    ``spans`` completes the length error with ``width`` in place of ``{}``, as
-    in ``"net has {} transitions"``.
+    ``"0"`` and ``"1"``; a fractional bit such as 0.5 is rejected, not truncated,
+    as is a bit ``int`` cannot convert, such as an infinite float. ``spans``
+    completes the length error with ``width`` in place of ``{}``, as in
+    ``"net has {} transitions"``.
     """
     raw = tuple(r)
-    bits = tuple(int(b) for b in raw)
-    if len(bits) != width:
-        raise DimensionError(f"receptivity has {len(bits)} bits, {spans.format(width)}")
-    if any(b not in (0, 1) for b in bits) or (
+    try:
+        bits = tuple(int(b) for b in raw)
+    except (TypeError, ValueError, OverflowError):
+        bits = None
+    if len(raw) != width:
+        raise DimensionError(f"receptivity has {len(raw)} bits, {spans.format(width)}")
+    if bits is None or any(b not in (0, 1) for b in bits) or (
         bits != raw and any(type(b) is not str and b != c for b, c in zip(raw, bits))
     ):
         raise ValueError(f"receptivity bits must be 0 or 1, got {raw}")

@@ -31,19 +31,28 @@ import numpy as np
 
 from . import _backend
 from .errors import ConflictError, DimensionError, TableCapError
-from .engine import PlaceSet, MassVector, _advance, _as_mass_vector, _coerce_place_set, place_set_key, place_sets
+from .engine import (
+    MassVector,
+    PlaceSet,
+    _advance,
+    _as_mass_vector,
+    _canonical_masks,
+    _coerce_place_set,
+    _set_of,
+    place_set_key,
+    place_sets,
+)
 from .minimize import WIDTH_LIMIT, Cube, _cover, _members, _to_cube, cube_sort_key, minimize_minterms
 from .net import (
     PetriNet,
     Receptivity,
+    DEFAULT_SIZE_CAP,
     _coerce_bits,
     _require_valid,
     _structure,
     check_receptivity,
     coerce_receptivity,
 )
-
-DEFAULT_SIZE_CAP = 16
 
 # The kernel stores subset masks as uint32, one bit per place.
 MASK_PLACE_LIMIT = 32
@@ -65,10 +74,6 @@ def _mask_of(places: Iterable[int]) -> int:
     for i in places:
         mask |= 1 << i
     return mask
-
-
-def _set_of(mask: int) -> PlaceSet:
-    return frozenset(_members(mask))
 
 
 def _bits_to_mask(bits: Receptivity) -> int:
@@ -199,8 +204,7 @@ def invert_table(
 def table_step(table: TransferTable, mass, r: Sequence[int]) -> MassVector:
     """Advance a mass distribution by table lookup; equals the direct step."""
     mass = _as_mass_vector(mass)
-    images = table.rows[table._row(r)]
-    return _advance(mass, lambda x: _set_of(int(images[_mask_of(x)])), table.net.place_count)
+    return _advance(mass, table.rows[table._row(r)].item, table.net.place_count)
 
 
 @dataclass(frozen=True)
@@ -289,11 +293,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
-
-
-def _canonical_masks(n: int) -> list[int]:
-    """Nonempty subset masks of n places in canonical order."""
-    return [_mask_of(x) for x in place_sets(n)]
 
 
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:

@@ -11,7 +11,8 @@ on cycle nets by index arithmetic.
 The per-cell output stage at the end is the exception: it is the package's
 first CSV writer, equation emitter and renderer, and its first, tabular
 Quine-McCluskey, kept verbatim so that the mask-based and bitset versions can
-be diffed against them byte for byte.
+be diffed against them byte for byte. So is the frozenset mass-record
+serializer, against which the mask-keyed one is diffed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 
-from evinet import MassEquation, MassVector, place_set_key
+from evinet import MassEquation, MassVector, place_set_key, place_sets
 from evinet.net import coerce_receptivity
 from evinet.minimize import cube_sort_key
 
@@ -317,3 +318,50 @@ def render_equation_per_cell(eq):
         parts.append(f"{coeff}*M{_set_label(source)}")
     rhs = " + ".join(parts) if parts else "0"
     return f"M{_set_label(eq.target)}(k+1) = {rhs}"
+
+
+# --- frozenset mass records --------------------------------------------------
+# Labels rebuilt from each sorted frozenset, and every canonical frozenset
+# built for a dense record.
+
+DENSE_PLACE_LIMIT = 10
+
+
+def _place_names(places):
+    if isinstance(places, int):
+        return tuple(f"P{i + 1}" for i in range(places))
+    return tuple(places)
+
+
+def format_place_set(places, names):
+    labels = _place_names(names)
+    return "{" + ",".join(labels[i] for i in sorted(places)) + "}"
+
+
+def _format_number(value):
+    if value == int(value):
+        return str(int(value))
+    return repr(value)
+
+
+def dense_frozensets(mass, n):
+    if any(i >= n for x in mass.focal_sets() for i in x):
+        raise ValueError(f"mass vector has place indices beyond {n} places")
+    return tuple(mass.mass(x) for x in place_sets(n))
+
+
+def serialize_mass_frozensets(mass, places, form="sparse"):
+    names = _place_names(places)
+    n = len(names)
+    if form == "sparse":
+        return " ".join(
+            f"{format_place_set(x, names)}:{_format_number(mass[x])}"
+            for x in mass.focal_sets()
+        )
+    if form == "dense":
+        if n > DENSE_PLACE_LIMIT:
+            raise ValueError(
+                f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
+            )
+        return "[" + ",".join(_format_number(v) for v in dense_frozensets(mass, n)) + "]"
+    raise ValueError(f"unknown mass record form {form!r}")

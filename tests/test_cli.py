@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import evinet
 from evinet.cli import main
 from evinet import serialize_net
 from _nets import alternating_net, cycle_net, net_from_transitions
@@ -26,6 +31,26 @@ def combined_output(result) -> str:
     except (ValueError, AttributeError):
         stderr = ""
     return result.output + stderr
+
+
+# Run in a fresh interpreter: this one has imported numpy already.
+IMPORT_CHECK = """
+import sys
+import evinet, evinet.cli
+assert "numpy" not in sys.modules, "importing the CLI imported numpy"
+from evinet import DEFAULT_SIZE_CAP, build_transfer_table
+assert "numpy" in sys.modules and DEFAULT_SIZE_CAP == 16
+assert all(hasattr(evinet, name) for name in evinet.__all__)
+"""
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    src = str(Path(evinet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestValidate:

@@ -59,9 +59,32 @@ class TestMassVector:
             MassVector({(0.5, 0.2): 1.0})
         with pytest.raises(MassError, match="place indices must be integers"):
             MassVector([({0, 1.5}, 1.0)])
+        # an infinite index raised OverflowError, a NaN index a bare ValueError
+        for index in (float("inf"), float("nan")):
+            with pytest.raises(MassError, match="place indices must be integers"):
+                MassVector({(index,): 1.0})
         m = MassVector({(1.0, np.int64(2), True): 1.0})
         assert m.focal_sets() == (frozenset({1, 2}),)
         assert all(type(i) is int for i in m.focal_sets()[0])
+
+    def test_lookups_apply_the_index_rule(self):
+        # a fractional key used to read as a set that is not focal
+        m = MassVector.categorical({0})
+        for key in ({0.5}, {float("inf")}, {float("nan")}, {-1}):
+            with pytest.raises(MassError):
+                m.mass(key)
+            with pytest.raises(MassError):
+                key in m
+            with pytest.raises(MassError):
+                m[key]
+        assert m.mass({1}) == 0.0 and {1} not in m
+        with pytest.raises(KeyError):
+            m[{1}]
+        assert m.mass((0.0,)) == m[[np.int64(0)]] == 1.0 and {True - 1} in m
+
+    def test_repr_lists_sets_in_canonical_order(self):
+        m = MassVector({frozenset({0, 2}): 0.5, frozenset({1}): 0.5})
+        assert repr(m) == "MassVector({{1}: 0.5, {0, 2}: 0.5})"
 
     def test_allclose_within_and_beyond_the_tolerance(self):
         a = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
@@ -150,6 +173,11 @@ class TestTransform:
             transform(fig1, {0.7}, (0, 0, 0))
         with pytest.raises(ValueError, match="place indices must be integers"):
             transform(fig1, (0, 1.5), (1, 0, 0))
+        # infinite values raised OverflowError
+        with pytest.raises(ValueError, match="place indices must be integers"):
+            transform(fig1, {float("inf")}, (0, 0, 0))
+        with pytest.raises(ValueError, match="receptivity bits must be 0 or 1"):
+            transform(fig1, (0,), (float("inf"), 0, 0))
         assert transform(fig1, (0.0, np.int64(1)), (1, 0, 0)) == transform(fig1, {0, 1}, (1, 0, 0))
         assert transform(fig1, iter([True]), (0, 1, 0)) == frozenset({2})
 
@@ -211,6 +239,13 @@ class TestStep:
     def test_plain_mapping_accepted(self, fig1):
         after = step(fig1, {frozenset({0}): 1.0}, (1, 0, 0))
         assert after.mass({1}) == 1.0
+
+    def test_merged_mass_above_one_rejected(self, fig1):
+        # each mass is in [0, 1] and the sum within the tolerance, but the
+        # merged mass on {P1} is above 1
+        mass = MassVector({frozenset({0}): 0.5 + 4e-10, frozenset({2}): 0.5 + 4e-10})
+        with pytest.raises(MassError, match=r"for \{0\} outside \[0, 1\]"):
+            step(fig1, mass, (0, 0, 1))
 
     def test_focal_set_beyond_the_places_rejected(self, fig1):
         with pytest.raises(ValueError, match="out of range for 3 places"):

@@ -21,6 +21,7 @@ from _nets import (
     FIG1_POST,
     FIG1_PRE,
     all_admissible_receptivities,
+    cycle_net,
     fig1_net,
     net_from_transitions,
     random_admissible_receptivity,
@@ -70,6 +71,10 @@ class TestValidateNet:
         with pytest.raises(ValueError, match="post row 1 entries must be integers"):
             PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
                      pre=((1, 0), (0, 1)), post=((0, 1), (0.5, 0)))
+        # an infinite entry raised OverflowError
+        with pytest.raises(ValueError, match="pre row 1 entries must be integers"):
+            PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
+                     pre=((1, 0), (0, float("inf"))), post=((0, 1), (1, 0)))
         net = PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
                        pre=((1.0, False), np.array([0, 1])), post=((0, True), (np.int64(1), 0.0)))
         assert net.pre == ((1, 0), (0, 1)) and net.post == ((0, 1), (1, 0))
@@ -180,6 +185,12 @@ class TestCheckReceptivity:
             coerce_receptivity(fig1, (0.5, 0.9, 1.7))
         with pytest.raises(ValueError):
             step(fig1, ignorance_mass(fig1), (0.5, 0, 0))
+        # infinite and NaN bits raised OverflowError and int()'s ValueError
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="receptivity bits must be 0 or 1"):
+                coerce_receptivity(fig1, (bad, 0, 0))
+        with pytest.raises(DimensionError):
+            coerce_receptivity(fig1, (float("inf"), 0))
         for r in ((1, 0, 0), (True, False, False), (1.0, 0.0, 0.0),
                   np.array([1, 0, 0]), np.array([True, False, False])):
             assert coerce_receptivity(fig1, r) == (1, 0, 0)
@@ -246,7 +257,7 @@ class TestClassicStep:
         import numpy as np
 
         # (1.5, 0, 0) and (1, 0.2, 0) used to read as (1, 0, 0)
-        for marks in ((1.5, 0, 0), (1, 0.2, 0)):
+        for marks in ((1.5, 0, 0), (1, 0.2, 0), (float("inf"), 0, 0)):
             with pytest.raises(ValueError, match="marking entries must be integers"):
                 classic_step(fig1, marks, (1, 0, 0))
         assert classic_step(fig1, (1.0, False, np.int64(0)), (1, 0, 0)) == (0, 1, 0)
@@ -279,3 +290,23 @@ def test_fig1_matrices_match_construction():
     assert net.post == FIG1_POST
     assert net.place_index("P2") == 1
     assert net.transition_index("t3") == 2
+
+
+class TestHash:
+    def test_equal_nets_hash_equal_and_share_cache_entries(self):
+        from evinet.net import _successors
+
+        a, b = cycle_net(12), cycle_net(12)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((a.places, a.transitions, a.pre, a.post, a.name))
+        bits = (1,) + (0,) * 11
+        first = _successors(a, bits)
+        hits = _successors.cache_info().hits
+        assert _successors(b, bits) is first
+        assert _successors.cache_info().hits == hits + 1
+
+    def test_hash_survives_a_pickle_round_trip(self, fig2):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(fig2))
+        assert copy == fig2 and hash(copy) == hash(fig2) and repr(copy) == repr(fig2)

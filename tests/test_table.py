@@ -84,6 +84,8 @@ class TestBuild:
             fig1_table.lookup({0.5}, (1, 0, 0))
         with pytest.raises(ValueError, match="place indices must be integers"):
             invert_table(fig1_table, {1.5})
+        with pytest.raises(ValueError, match="place indices must be integers"):
+            fig1_table.lookup({float("inf")}, (1, 0, 0))
         assert fig1_table.lookup((0.0, np.int64(2)), (1, 0, 0)) == S({1, 2})
         assert invert_table(fig1_table, [1.0]) == invert_table(fig1_table, {1})
 
