@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
-from .engine import MassVector, PlaceSet
+from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet
 from .minimize import _members
 from .net import PetriNet, Receptivity, validate_net
 
 FORMAT_HEADER = "# format: evinet v1"
-
-DENSE_PLACE_LIMIT = 10  # 2**10 - 1 columns is the most a dense record may carry
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARC = re.compile(r"(\S+)\s*->\s*(\S+)\Z")

@@ -37,6 +37,8 @@ NORMALIZATION_TOL = 1e-9
 
 PlaceSet = frozenset[int]
 
+DENSE_PLACE_LIMIT = 10  # 2**10 - 1 columns is the most a dense record may carry
+
 
 def place_set_key(places: PlaceSet) -> tuple[int, tuple[int, ...]]:
     """Canonical sort key: ascending cardinality, then lexicographic indices."""
@@ -55,7 +57,6 @@ def _set_of(mask: int) -> PlaceSet:
     return frozenset(_members(mask))
 
 
-@functools.lru_cache(maxsize=4)
 def _canonical_masks(n: int) -> tuple[int, ...]:
     """Nonempty subset masks of n places in canonical order."""
     return tuple(
@@ -63,6 +64,11 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
         for size in range(1, n + 1)
         for combo in combinations(range(n), size)
     )
+
+
+# A dense record reads the order once per step, so it is kept for four place
+# counts of at most DENSE_PLACE_LIMIT places: under 4 * 2**10 ints in all.
+_dense_masks = functools.lru_cache(maxsize=4)(_canonical_masks)
 
 
 @functools.lru_cache(maxsize=4)
@@ -84,11 +90,11 @@ def _canonical_key(width: int) -> Callable[[int], int]:
     return key
 
 
-def _mask_of_key(key: Iterable[int]) -> int:
-    """The mask of a caller's set, under the constructor's index rule.
+def _key_members(key: Iterable[int]) -> PlaceSet:
+    """A caller's set of places, under the constructor's index rule.
 
     Indices must be integers and nonnegative; a fractional or infinite index
-    raises :class:`MassError`, as in the constructor. The empty set gives 0.
+    raises :class:`MassError`, as in the constructor.
     """
     raw = frozenset(key)
     members = _integral(raw)
@@ -96,7 +102,7 @@ def _mask_of_key(key: Iterable[int]) -> int:
         raise MassError(f"place indices must be integers, got {set(raw)}")
     if members and min(members) < 0:
         raise MassError(f"negative place index in {sorted(members)}")
-    return sum(1 << i for i in members)
+    return members
 
 
 def _coerce_place_set(x: Iterable[int], n: int) -> PlaceSet:
@@ -126,7 +132,7 @@ class MassVector(Mapping):
         pairs = masses.items() if isinstance(masses, Mapping) else masses
         collected: dict[int, float] = {}
         for key, value in pairs:
-            mask = _mask_of_key(key)
+            mask = sum(1 << i for i in _key_members(key))
             if not mask:
                 raise MassError("the empty set cannot carry mass")
             value = float(value)
@@ -143,11 +149,22 @@ class MassVector(Mapping):
         out._masses = _settle(masses)
         return out
 
+    def _mask_within(self, members: PlaceSet) -> int:
+        """The mask of ``members``, or 0 when one lies beyond every focal set.
+
+        0 is never focal, and the bound keeps a lookup of a large index from
+        building a mask that wide.
+        """
+        if not members or max(members) >= max(self._masses).bit_length():
+            return 0
+        return sum(1 << i for i in members)
+
     def __getitem__(self, key) -> float:
-        mask = _mask_of_key(key)
-        if mask not in self._masses:
-            raise KeyError(_set_of(mask))
-        return self._masses[mask]
+        members = _key_members(key)
+        value = self._masses.get(self._mask_within(members))
+        if value is None:
+            raise KeyError(members)
+        return value
 
     def __iter__(self) -> Iterator[PlaceSet]:
         return map(_set_of, self._masses)
@@ -156,7 +173,7 @@ class MassVector(Mapping):
         return len(self._masses)
 
     def __contains__(self, key) -> bool:
-        return _mask_of_key(key) in self._masses
+        return self._mask_within(_key_members(key)) in self._masses
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MassVector):
@@ -175,7 +192,7 @@ class MassVector(Mapping):
 
     def mass(self, places: Iterable[int]) -> float:
         """Mass of a set, zero when it is not focal."""
-        return self._masses.get(_mask_of_key(places), 0.0)
+        return self._masses.get(self._mask_within(_key_members(places)), 0.0)
 
     def is_categorical(self) -> bool:
         """True when all belief sits on a single set."""
@@ -191,7 +208,8 @@ class MassVector(Mapping):
         """Masses over all nonempty subsets of ``range(n)`` in canonical order."""
         if max(self._masses) >> n:
             raise ValueError(f"mass vector has place indices beyond {n} places")
-        return tuple(map(self._masses.get, _canonical_masks(n), repeat(0.0)))
+        masks = _dense_masks(n) if n <= DENSE_PLACE_LIMIT else _canonical_masks(n)
+        return tuple(map(self._masses.get, masks, repeat(0.0)))
 
     @classmethod
     def categorical(cls, places: Iterable[int]) -> "MassVector":
@@ -286,11 +304,6 @@ def _image(net: PetriNet, bits: Receptivity) -> Callable[[int], int]:
             unit = 1 << place
             table += [y | unit for y in table]
         tables.append(table)
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    if len(tables) == 2:
-        low, high = tables
-        return lambda x: low[x & 0xFF] | high[x >> 8]
 
     def image(x: int) -> int:
         y = 0

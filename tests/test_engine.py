@@ -82,6 +82,16 @@ class TestMassVector:
             m[{1}]
         assert m.mass((0.0,)) == m[[np.int64(0)]] == 1.0 and {True - 1} in m
 
+    def test_lookups_beyond_every_focal_set_build_no_wide_mask(self):
+        # a mask of bit 2**62 would take 512 PB, more than any address space
+        # holds, so a lookup that built it would raise MemoryError at once
+        m = MassVector.categorical({0, 1})
+        for key in ({2**62}, {0, 2**62}, {2}, set()):
+            assert m.mass(key) == 0.0 and key not in m
+            with pytest.raises(KeyError):
+                m[key]
+        assert m.mass({0, 1}) == m[{1, 0}] == 1.0 and {0, 1} in m
+
     def test_repr_lists_sets_in_canonical_order(self):
         m = MassVector({frozenset({0, 2}): 0.5, frozenset({1}): 0.5})
         assert repr(m) == "MassVector({{1}: 0.5, {0, 2}: 0.5})"
@@ -117,6 +127,17 @@ class TestMassVector:
     def test_dense_layout_matches_canonical_order(self):
         m = MassVector({frozenset({0, 2}): 1.0})
         assert m.dense(3) == (0, 0, 0, 0, 1.0, 0, 0)
+
+    def test_dense_keeps_the_order_only_up_to_the_dense_limit(self):
+        from evinet.engine import DENSE_PLACE_LIMIT, _dense_masks
+
+        m = MassVector({frozenset({0, 2}): 1.0})
+        m.dense(DENSE_PLACE_LIMIT)
+        cached = _dense_masks.cache_info().currsize
+        wide = m.dense(DENSE_PLACE_LIMIT + 2)
+        assert _dense_masks.cache_info().currsize == cached
+        assert len(wide) == 2 ** (DENSE_PLACE_LIMIT + 2) - 1
+        assert wide[DENSE_PLACE_LIMIT + 2 + 1] == 1.0  # {0, 2} follows {0, 1}
 
     def test_place_sets_enumeration(self):
         assert list(place_sets(3)) == [

@@ -310,3 +310,30 @@ class TestHash:
 
         copy = pickle.loads(pickle.dumps(fig2))
         assert copy == fig2 and hash(copy) == hash(fig2) and repr(copy) == repr(fig2)
+
+    def test_a_net_unpickled_under_another_hash_seed_rehashes(self, fig2):
+        # place names are strings, whose hashes change with the seed, so a
+        # copy carrying this process's hash would disagree with a net built there
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import evinet
+
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        check = (
+            "import pickle, sys\n"
+            "from evinet import PetriNet\n"
+            "net = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = PetriNet(net.places, net.transitions, net.pre, net.post, net.name)\n"
+            "assert hash(net) == hash(fresh), (hash(net), hash(fresh))\n"
+        )
+        src = str(Path(evinet.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-c", check], input=pickle.dumps(fig2), env=env,
+            capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr.decode()
