@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
-from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet
+from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _mask
 from .minimize import _members
 from .net import PetriNet, Receptivity, validate_net
 
@@ -248,8 +248,7 @@ def _place_names(places: int | Sequence[str]) -> tuple[str, ...]:
 
 def format_place_set(places: PlaceSet, names: int | Sequence[str]) -> str:
     """The set-literal form used by mass records, e.g. ``{P1,P3}``."""
-    labels = _place_names(names)
-    return "{" + ",".join(labels[i] for i in sorted(places)) + "}"
+    return _mask_labels(_place_names(names))(_mask(places))
 
 
 # Masses lie in [0, 1], so 0 and 1 are the only whole numbers a record

@@ -48,27 +48,29 @@ def place_set_key(places: PlaceSet) -> tuple[int, tuple[int, ...]]:
 
 def place_sets(n: int) -> Iterator[PlaceSet]:
     """All nonempty subsets of ``range(n)`` in canonical order."""
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            yield frozenset(combo)
+    return map(_set_of, _canonical_masks(n))
+
+
+def _mask(places: Iterable[int]) -> int:
+    """The int mask of distinct place indices, bit i for place i."""
+    return sum(1 << i for i in places)
 
 
 def _set_of(mask: int) -> PlaceSet:
     return frozenset(_members(mask))
 
 
-def _canonical_masks(n: int) -> tuple[int, ...]:
+def _canonical_masks(n: int) -> Iterator[int]:
     """Nonempty subset masks of n places in canonical order."""
-    return tuple(
-        sum(1 << i for i in combo)
-        for size in range(1, n + 1)
-        for combo in combinations(range(n), size)
-    )
+    for size in range(1, n + 1):
+        yield from map(_mask, combinations(range(n), size))
 
 
 # A dense record reads the order once per step, so it is kept for four place
 # counts of at most DENSE_PLACE_LIMIT places: under 4 * 2**10 ints in all.
-_dense_masks = functools.lru_cache(maxsize=4)(_canonical_masks)
+@functools.lru_cache(maxsize=4)
+def _dense_masks(n: int) -> tuple[int, ...]:
+    return tuple(_canonical_masks(n))
 
 
 @functools.lru_cache(maxsize=4)
@@ -132,7 +134,7 @@ class MassVector(Mapping):
         pairs = masses.items() if isinstance(masses, Mapping) else masses
         collected: dict[int, float] = {}
         for key, value in pairs:
-            mask = sum(1 << i for i in _key_members(key))
+            mask = _mask(_key_members(key))
             if not mask:
                 raise MassError("the empty set cannot carry mass")
             value = float(value)
@@ -157,7 +159,7 @@ class MassVector(Mapping):
         """
         if not members or max(members) >= max(self._masses).bit_length():
             return 0
-        return sum(1 << i for i in members)
+        return _mask(members)
 
     def __getitem__(self, key) -> float:
         members = _key_members(key)

@@ -30,19 +30,21 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _backend
+from .dsl import _mask_labels
 from .errors import ConflictError, DimensionError, TableCapError
 from .engine import (
     MassVector,
     PlaceSet,
     _advance,
     _as_mass_vector,
+    _canonical_key,
     _canonical_masks,
     _coerce_place_set,
+    _mask,
     _set_of,
     place_set_key,
-    place_sets,
 )
-from .minimize import WIDTH_LIMIT, Cube, _cover, _members, _to_cube, cube_sort_key, minimize_minterms
+from .minimize import WIDTH_LIMIT, Cube, _cover, _to_cube, cube_sort_key, minimize_minterms
 from .net import (
     PetriNet,
     Receptivity,
@@ -67,13 +69,6 @@ ROWS_CELL_LIMIT = 1 << 28
 EQUATION_CELL_LIMIT = 1 << 22
 
 EQUATION_FORMAT_VERSION = "evinet equations v1"
-
-
-def _mask_of(places: Iterable[int]) -> int:
-    mask = 0
-    for i in places:
-        mask |= 1 << i
-    return mask
 
 
 def _bits_to_mask(bits: Receptivity) -> int:
@@ -124,12 +119,13 @@ class TransferTable:
         """The image set of ``x`` under ``r``; raises for rejected combinations."""
         row = self._row(r)
         members = _coerce_place_set(x, self.net.place_count)
-        return _set_of(int(self.rows[row, _mask_of(members)]))
+        return _set_of(int(self.rows[row, _mask(members)]))
 
     def cells(self) -> Iterator[tuple[PlaceSet, Receptivity, PlaceSet]]:
         """All defined cells, subsets in canonical order, combinations in binary order."""
-        for x in place_sets(self.net.place_count):
-            for bits, ymask in zip(self.admissible, self.rows[:, _mask_of(x)].tolist()):
+        for xmask in _canonical_masks(self.net.place_count):
+            x = _set_of(xmask)
+            for bits, ymask in zip(self.admissible, self.rows[:, xmask].tolist()):
                 yield x, bits, _set_of(ymask)
 
 
@@ -189,16 +185,14 @@ def invert_table(
     Ordered canonically: source sets by cardinality then indices, and within a
     source by the combination's binary value. Empty when nothing maps to ``y``.
     """
-    target = _coerce_place_set(y, table.net.place_count)
-    ymask = _mask_of(target)
+    n = table.net.place_count
+    ymask = _mask(_coerce_place_set(y, n))
     row_idx, x_masks = np.nonzero(table.rows == np.uint32(ymask))
-    pairs = [
-        (_set_of(int(xmask)), table.admissible[int(k)])
-        for k, xmask in zip(row_idx, x_masks)
-        if xmask  # mask 0 is not a subset cell
-    ]
-    pairs.sort(key=lambda pair: (place_set_key(pair[0]), pair[1]))
-    return tuple(pairs)
+    key = _canonical_key(n)
+    # mask 0 is not a subset cell; rows run in binary order, so the row index
+    # orders the cells of one source
+    cells = sorted((key(x), k, x) for k, x in zip(row_idx.tolist(), x_masks.tolist()) if x)
+    return tuple((_set_of(x), table.admissible[k]) for _, k, x in cells)
 
 
 def table_step(table: TransferTable, mass, r: Sequence[int]) -> MassVector:
@@ -268,7 +262,7 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     sets = _Memo(_set_of)
     full_cubes = [_to_cube(rmask, 0, m) for rmask in rmasks]
     equations = []
-    for ymask in sorted(grouped, key=lambda y: place_set_key(sets[y])):
+    for ymask in sorted(grouped, key=_canonical_key(n)):
         terms: list[tuple[Cube, PlaceSet]] = []
         for xmask, rows in grouped[ymask].items():
             source = sets[xmask]
@@ -402,11 +396,7 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
     Rows run over subsets in canonical order and, within a subset, over the
     admissible combinations in binary order, as :meth:`TransferTable.cells`.
     """
-    names = table.net.places
-    size = 1 << table.net.place_count
-    labels = _csv_fields(
-        "{" + ",".join(names[i] for i in _members(mask)) + "}" for mask in range(size)
-    )
+    labels = _csv_fields(map(_mask_labels(table.net.places), range(1 << table.net.place_count)))
     bits_fields = _csv_fields("".join(map(str, bits)) for bits in table.admissible)
     middles = [f",{field}," for field in bits_fields]
     images = [f"{label}\n" for label in labels]
