@@ -27,10 +27,18 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
-def _read_net(path: str) -> PetriNet:
+def _open_text(path: str):
+    """``path`` opened for reading text. A byte that is not UTF-8 becomes a lone
+    surrogate, which no token of the grammar matches, so it ends in the parser's
+    own diagnostic instead of a decoding error."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _read_net(path: str, parse=dsl.parse_net):
+    """``parse`` applied to the text of ``path``; any failure ends in one ``error:`` line."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return dsl.parse_net(handle.read())
+        with _open_text(path) as handle:
+            return parse(handle.read())
     except OSError as exc:
         _fail(f"cannot read {path}: {exc.strerror or exc}")
     except EvinetError as exc:
@@ -81,14 +89,7 @@ def main():
 @_net_option
 def validate(net_path: str):
     """Check a net document; report violations and conflict sets."""
-    try:
-        with open(net_path, "r", encoding="utf-8") as handle:
-            doc = dsl.parse_document(handle.read())
-    except OSError as exc:
-        _fail(f"cannot read {net_path}: {exc.strerror or exc}")
-    except ParseError as exc:
-        _fail(f"{net_path}: {exc}")
-    net = dsl.document_to_net(doc)
+    net = dsl.document_to_net(_read_net(net_path, dsl.parse_document))
     report = validate_net(net)
     if not report.ok:
         click.echo(f"invalid: {len(report.violations)} violation(s)", err=True)
@@ -174,7 +175,7 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
         close = False
     else:
         try:
-            handle = open(input_path, "r", encoding="utf-8")
+            handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
         close = True
@@ -183,7 +184,10 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
         index = 0
         line_no = 0
         while True:
-            line = handle.readline()
+            try:
+                line = handle.readline()
+            except UnicodeDecodeError:  # a stdin that decodes strictly
+                _fail(f"input after line {line_no} is not UTF-8")
             if not line:
                 break
             line_no += 1

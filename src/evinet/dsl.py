@@ -247,8 +247,15 @@ def _place_names(places: int | Sequence[str]) -> tuple[str, ...]:
 
 
 def format_place_set(places: PlaceSet, names: int | Sequence[str]) -> str:
-    """The set-literal form used by mass records, e.g. ``{P1,P3}``."""
-    return _mask_labels(_place_names(names))(_mask(places))
+    """The set-literal form used by mass records, e.g. ``{P1,P3}``.
+
+    An index that is negative or has no name raises :class:`ValueError`.
+    """
+    labels = _place_names(names)
+    members = frozenset(places)
+    if not all(0 <= i < len(labels) for i in members):
+        raise ValueError(f"place set {sorted(members)} out of range for {len(labels)} places")
+    return _mask_labels(labels)(_mask(members))
 
 
 # Masses lie in [0, 1], so 0 and 1 are the only whole numbers a record
@@ -283,9 +290,12 @@ def serialize_mass(
     n = len(names)
     if form == "sparse":
         label = _mask_labels(names)
-        return " ".join(
-            [f"{label(x)}:{_WHOLE.get(v) or repr(v)}" for x, v in mass._masses.items()]
-        )
+        try:
+            return " ".join(
+                [f"{label(x)}:{_WHOLE.get(v) or repr(v)}" for x, v in mass._masses.items()]
+            )
+        except IndexError:  # a focal set holds a place with no name
+            raise ValueError(f"mass vector has place indices beyond {n} places") from None
     if form == "dense":
         if n > DENSE_PLACE_LIMIT:
             raise ValueError(

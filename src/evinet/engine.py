@@ -9,7 +9,9 @@ so total belief is conserved and ignorance narrows as events arrive.
 A set of places is held as an int mask, bit i for place i, and a
 :class:`MassVector` maps masks to masses in canonical order. Frozensets appear
 only at the API edge, in the keys callers pass and in :meth:`focal_sets`.
-Masks are Python ints, so nets wider than a machine word step as well.
+Masks are Python ints, so nets wider than a machine word step as well. The
+set-to-mask conversion, the canonical enumeration of masks and their sort key
+live here alone; :mod:`evinet.table` and :mod:`evinet.dsl` use them.
 """
 
 from __future__ import annotations
@@ -142,13 +144,14 @@ class MassVector(Mapping):
                 raise MassError(f"mass {value!r} for {set(_members(mask))} outside [0, 1]")
             if value:
                 collected[mask] = collected.get(mask, 0.0) + value
-        self._masses = _settle(collected)
+        self._masses = _settle(collected, max(collected, default=0).bit_length())
 
     @classmethod
-    def _of_masks(cls, masses: dict[int, float]) -> "MassVector":
-        """A mass vector over checked masks, normalized and put in canonical order."""
+    def _of_masks(cls, masses: dict[int, float], n: int) -> "MassVector":
+        """A mass vector over checked masks of ``n`` places, normalized and put in
+        canonical order."""
         out = cls.__new__(cls)
-        out._masses = _settle(masses)
+        out._masses = _settle(masses, n)
         return out
 
     def _mask_within(self, members: PlaceSet) -> int:
@@ -218,8 +221,13 @@ class MassVector(Mapping):
         return cls({frozenset(places): 1.0})
 
 
-def _settle(masses: dict[int, float]) -> dict[int, float]:
-    """``masses`` in canonical order, once their sum is 1 within the tolerance."""
+def _settle(masses: dict[int, float], width: int) -> dict[int, float]:
+    """``masses``, all below ``2**width``, in canonical order once their sum is 1
+    within the tolerance.
+
+    Steps pass their net's place count as the width, so one sort key serves a
+    whole run however its widest focal set moves.
+    """
     total = math.fsum(masses.values())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise MassError(
@@ -227,7 +235,7 @@ def _settle(masses: dict[int, float]) -> dict[int, float]:
         )
     if len(masses) < 2:
         return masses
-    order = sorted(masses, key=_canonical_key(max(masses).bit_length()))
+    order = sorted(masses, key=_canonical_key(width))
     return dict(zip(order, map(masses.__getitem__, order)))
 
 
@@ -286,7 +294,7 @@ def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVecto
     if not (0.0 <= min(merged) and max(merged) <= 1.0):
         y, value = next((y, v) for y, v in out.items() if not 0.0 <= v <= 1.0)
         raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
-    return MassVector._of_masks(out)
+    return MassVector._of_masks(out, n)
 
 
 @functools.lru_cache(maxsize=64)

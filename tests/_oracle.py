@@ -6,23 +6,41 @@ transition whose pre-place is marked fires through the incidence update, and
 the image is the set of places left with a nonzero mark. Expected values in
 the test suite were computed with these functions and then frozen. The
 closed-form cycle stepper reads the raw matrices too, to cross-check ``step``
-on cycle nets by index arithmetic.
+on cycle nets by index arithmetic. The canonical order of place sets is stated
+here a second time, as frozensets from ``itertools.combinations`` sorted by
+(size, sorted members), so the package's int-mask order is checked against an
+order it does not compute; the brute inversion of a table lists its cells in
+that order.
 
 The per-cell output stage at the end is the exception: it is the package's
 first CSV writer, equation emitter and renderer, and its first, tabular
 Quine-McCluskey, kept verbatim so that the mask-based and bitset versions can
 be diffed against them byte for byte. So is the frozenset mass-record
-serializer, against which the mask-keyed one is diffed.
+serializer, against which the mask-keyed one is diffed. Both walk place sets
+in this module's own canonical order, and the CSV writer reads the table's
+``rows`` by admissible index, not through ``TransferTable.cells``.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import defaultdict
+from itertools import combinations
 
-from evinet import MassEquation, MassVector, place_set_key, place_sets
+from evinet import MassEquation, MassVector
 from evinet.net import coerce_receptivity
 from evinet.minimize import cube_sort_key
+
+
+def set_key(places):
+    """Canonical order of place sets: by size, then by sorted members."""
+    return (len(places), tuple(sorted(places)))
+
+
+def canonical_sets(n):
+    """All nonempty subsets of ``range(n)``, in canonical order."""
+    sets = [frozenset(c) for size in range(1, n + 1) for c in combinations(range(n), size)]
+    return sorted(sets, key=set_key)
 
 
 def dims(pre):
@@ -54,6 +72,20 @@ def transform_brute(pre, post, x, r):
         for i in range(n)
     ]
     return frozenset(i for i in range(n) if after[i] != 0)
+
+
+def invert_brute(pre, post):
+    """Each image set's (source set, admissible receptivity) cells under the
+    brute-force transform: sources in canonical order, receptivities in binary
+    order."""
+    n, m = dims(pre)
+    combos = [tuple((v >> (m - 1 - j)) & 1 for j in range(m)) for v in range(1 << m)]
+    allowed = [r for r in combos if admissible(pre, r)]
+    sources = defaultdict(list)
+    for x in canonical_sets(n):
+        for r in allowed:
+            sources[transform_brute(pre, post, x, r)].append((x, r))
+    return {y: tuple(cells) for y, cells in sources.items()}
 
 
 def step_brute(pre, post, mass, r):
@@ -245,9 +277,12 @@ def write_table_csv_per_cell(table, handle):
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["subset", "receptivity_bits", "result_subset"])
     count = 0
-    for x, bits, y in table.cells():
-        writer.writerow([bracket(x), "".join(map(str, bits)), bracket(y)])
-        count += 1
+    for x in canonical_sets(table.net.place_count):
+        xmask = sum(1 << i for i in x)
+        for k, bits in enumerate(table.admissible):
+            y = _set_of(int(table.rows[k, xmask]))
+            writer.writerow([bracket(x), "".join(map(str, bits)), bracket(y)])
+            count += 1
     return count
 
 
@@ -278,9 +313,9 @@ def emit_equations_per_cell(table, minimize=False):
         by_target.setdefault(_set_of(ymask), {})[_set_of(xmask)] = minterms
 
     equations = []
-    for target in sorted(by_target, key=place_set_key):
+    for target in sorted(by_target, key=set_key):
         terms = []
-        for source in sorted(by_target[target], key=place_set_key):
+        for source in sorted(by_target[target], key=set_key):
             minterms = by_target[target][source]
             if minimize:
                 cubes = minimize_minterms_tabular(minterms, m)
@@ -308,7 +343,7 @@ def _cube_label(cube):
 
 def render_equation_per_cell(eq):
     parts = []
-    for source in eq.sources():
+    for source in sorted({src for _, src in eq.terms}, key=set_key):
         cubes = sorted(
             (cube for cube, src in eq.terms if src == source), key=cube_sort_key
         )
@@ -347,7 +382,7 @@ def _format_number(value):
 def dense_frozensets(mass, n):
     if any(i >= n for x in mass.focal_sets() for i in x):
         raise ValueError(f"mass vector has place indices beyond {n} places")
-    return tuple(mass.mass(x) for x in place_sets(n))
+    return tuple(mass.mass(x) for x in canonical_sets(n))
 
 
 def serialize_mass_frozensets(mass, places, form="sparse"):

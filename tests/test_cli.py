@@ -430,3 +430,45 @@ class TestEquations:
         result = invoke(runner, ["equations", "--net", str(path), "--minimize"])
         lines = result.output.splitlines()
         assert len(lines) == 4  # header + two singleton targets + the pair target
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 ends in one ``error:`` line: the parser's own
+    diagnostic when it comes from a file, read as standard input is."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["conflicts"], ["run"], ["table", "--output"], ["equations"]],
+        ids=lambda command: command[0],
+    )
+    def test_net_file(self, runner, tmp_path, command):
+        path = tmp_path / "bad.evinet"
+        path.write_bytes(b"net bad\nplaces: P1, P\xff2\ntransitions: t1\n")
+        if command[-1] == "--output":
+            command = command + [str(tmp_path / "table.csv")]
+        result = invoke(runner, [*command, "--net", str(path)], input="")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {path}: line 2: invalid place name 'P\\udcff2'\n"
+
+    def test_run_input_file_keeps_the_records_before_the_bad_line(
+        self, runner, data_dir, tmp_path
+    ):
+        path = tmp_path / "stream.txt"
+        path.write_bytes(b"0 1 0\n0 \xff 0\n1 0 0\n")
+        args = ["run", "--net", str(data_dir / "fig1.evinet"), "--input", str(path)]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == "step=0 r=- mass={P1,P2,P3}:1\nstep=1 r=010 mass={P1,P3}:1\n"
+        assert result.stderr == "error: line 2: non-binary token '\\udcff'\n"
+
+    def test_a_stdin_that_decodes_strictly(self, runner, data_dir):
+        # the test runner's stdin raises on the byte, as a strict locale's does
+        args = ["run", "--net", str(data_dir / "fig1.evinet"), "--input", "-"]
+        result = invoke(runner, args, input=b"0 1 0\n0 \xff 0\n")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == "step=0 r=- mass={P1,P2,P3}:1\n"
+        assert result.stderr == "error: input after line 0 is not UTF-8\n"

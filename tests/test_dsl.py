@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evinet import (
     MassVector,
     ParseError,
+    format_place_set,
     parse_document,
     parse_mass,
     parse_net,
@@ -163,6 +164,22 @@ class TestMassRecords:
     def test_sparse_uses_declared_names(self):
         mass = MassVector({frozenset({0, 1}): 1.0})
         assert serialize_mass(mass, ("idle", "busy")) == "{idle,busy}:1"
+
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_focal_set_beyond_the_names_is_a_value_error(self, form):
+        with pytest.raises(ValueError, match="place indices beyond 3 places"):
+            serialize_mass(MassVector.categorical({5}), 3, form=form)
+
+    @pytest.mark.parametrize("places", [{-1}, {3}, {0, 3}])
+    def test_format_place_set_rejects_an_index_without_a_name(self, places):
+        with pytest.raises(ValueError, match="out of range for 3 places"):
+            format_place_set(places, 3)
+        with pytest.raises(ValueError, match="out of range for 3 places"):
+            format_place_set(places, ("a", "b", "c"))
+
+    def test_format_place_set(self):
+        assert format_place_set({2, 0}, 3) == "{P1,P3}"
+        assert format_place_set(frozenset(), ("a",)) == "{}"
 
     def test_dense_place_limit(self):
         mass = MassVector({frozenset({0}): 1.0})

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evinet import (
+    NORMALIZATION_TOL,
     ConflictError,
     MassError,
     MassVector,
@@ -28,6 +29,7 @@ from _nets import (
     random_cycle,
     random_mass,
     random_net,
+    ring_with_chords,
 )
 from _oracle import sequential_step_check, step_brute, transform_brute
 
@@ -348,6 +350,43 @@ class TestRun:
         for r, mass in trajectory.steps:
             current = step(fig1, current, r)
             assert mass == current
+
+    def test_a_run_sorts_every_step_by_the_net_width(self):
+        from evinet.engine import _canonical_key
+
+        # the widest focal set moves each step, but the net's width does not
+        net = cycle_net(12)
+        mass = MassVector({frozenset({0}): 0.5, frozenset({5, 6}): 0.5})
+        _canonical_key.cache_clear()
+        trajectory = run(net, mass, [(1,) * 12] * 24)
+        assert trajectory.final == mass
+        assert _canonical_key.cache_info().misses <= 2
+
+
+class TestLongRuns:
+    """Each focal set has one image, so masses move and merge but never split:
+    a run merges at most (focal count - 1) times and then only moves floats,
+    and its total cannot drift from 1."""
+
+    def test_a_rotating_belief_returns_exactly_every_cycle(self):
+        net = cycle_net(3)
+        initial = MassVector({x: w / 28 for x, w in zip(place_sets(3), range(1, 8))})
+        assert len(initial) == 7
+        mass = initial
+        for k in range(1, 30_001):
+            mass = step(net, mass, (1, 1, 1))
+            if k % 3 == 0:
+                assert mass == initial, k
+
+    def test_a_random_stream_on_a_conflict_net_keeps_its_total(self):
+        rng = random.Random(20131001)
+        net = ring_with_chords(rng, 6, 2)
+        weights = {x: rng.randint(1, 1000) for x in place_sets(6)}
+        total = sum(weights.values())
+        mass = MassVector({x: w / total for x, w in weights.items()})
+        for _ in range(5_000):
+            mass = step(net, mass, random_admissible_receptivity(rng, net))
+            assert abs(math.fsum(mass.values()) - 1.0) <= NORMALIZATION_TOL
 
 
 class TestSequentialCheck:

@@ -41,7 +41,13 @@ from _nets import (
     random_net,
     ring_with_chords,
 )
-from _oracle import minimize_minterms_tabular, prime_implicants_tabular, transform_brute
+from _oracle import (
+    canonical_sets,
+    invert_brute,
+    minimize_minterms_tabular,
+    prime_implicants_tabular,
+    transform_brute,
+)
 
 S = frozenset
 
@@ -211,6 +217,15 @@ class TestInvert:
     def test_out_of_range_target(self, fig1_table):
         with pytest.raises(ValueError):
             invert_table(fig1_table, {4})
+
+    def test_every_target_matches_the_brute_inversion_in_order(self):
+        rng = random.Random(19560102)
+        nets = [random_net(rng, max_places=6, max_transitions=6) for _ in range(12)]
+        for net in nets:
+            table = build_transfer_table(net)
+            brute = invert_brute(net.pre, net.post)
+            for y in canonical_sets(net.place_count):
+                assert invert_table(table, y) == brute.get(y, ()), (net, sorted(y))
 
 
 class TestTableStep:
