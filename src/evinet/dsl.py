@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
-from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _mask
-from .minimize import _members
+from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _mask, _members
 from .net import PetriNet, Receptivity, validate_net
 
 FORMAT_HEADER = "# format: evinet v1"
@@ -275,6 +274,19 @@ def _mask_labels(names: tuple[str, ...]) -> Callable[[int], str]:
         return "{" + ",".join([names[i] for i in _members(mask)]) + "}"
 
     return label
+
+
+def _all_mask_labels(names: Sequence[str]) -> list[str]:
+    """The set literal of every mask over ``names``, indexed by mask.
+
+    A whole table labels each mask once, so these bypass :func:`_mask_labels`,
+    whose cache would evict the labels a run keeps.
+    """
+    inner = [""]
+    for name in names:
+        # the masks whose highest place is this one: each lower mask plus it
+        inner += [f"{rest},{name}" if rest else name for rest in inner]
+    return ["{" + text + "}" for text in inner]
 
 
 def serialize_mass(

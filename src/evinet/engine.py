@@ -23,7 +23,6 @@ from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
-from .minimize import _members
 from .net import (
     PetriNet,
     Receptivity,
@@ -51,6 +50,31 @@ def place_set_key(places: PlaceSet) -> tuple[int, tuple[int, ...]]:
 def place_sets(n: int) -> Iterator[PlaceSet]:
     """All nonempty subsets of ``range(n)`` in canonical order."""
     return map(_set_of, _canonical_masks(n))
+
+
+# Above this many bits an int is read in slices of this many, so a sparse
+# wide int, such as a minimizer's 2**24-bit on-set, never becomes that many
+# characters of text.
+_TEXT_BITS = 1 << 16
+
+
+def _members(bits: int) -> list[int]:
+    """Positions of the set bits of ``bits``, ascending."""
+    if bits.bit_length() > _TEXT_BITS:
+        data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        out = []
+        for start in range(0, len(data), _TEXT_BITS // 8):
+            part = int.from_bytes(data[start : start + _TEXT_BITS // 8], "little")
+            if part:
+                out.extend([8 * start + v for v in _members(part)])
+        return out
+    text = bin(bits)[:1:-1]
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
 
 
 def _mask(places: Iterable[int]) -> int:

@@ -17,14 +17,42 @@ the on-set. Merging along variable j is three big-int operations,
 j clear; a cube that no merge covers is prime. Cover selection runs on the same
 ints: each prime's cover is an int, and popcounts replace set sizes.
 
+Before the search the on-set is reduced to its support. Variable j is free
+when flipping it maps the on-set onto itself, ``(on >> 2**j) & low[j] ==
+on & low[j]``, one test per variable on the merge masks. A free variable is a
+dash in every prime, so the search and the cover run on the cofactor where
+every free variable is 0: the on-set projected onto its support, with the
+variables keeping their bit positions. No merge along a free variable finds a
+pair there, and each chosen prime is lifted back by adding the free variables
+to its dashes (ESPRESSO's support and cofactor reasoning; Brayton et al.,
+*Logic Minimization Algorithms for VLSI Synthesis*, 1984). The cover is the
+one the full search returns, byte for byte:
+
+- a function's prime implicants are unique, so the lifted primes of the
+  cofactor are all the primes of the on-set;
+- lifting adds the same bits, outside every prime's own, to every dash mask,
+  so the primes keep their (value, dashes) order;
+- every prime covers 2**free times as many minterms after lifting, so the
+  greedy key (count, -value, dashes) ranks the primes the same.
+
+Cubes stay (value, dashes) ints until the result is built. Each distinct cube
+becomes a tuple once, with an int sort key in the order of
+:func:`cube_sort_key`; up to ``_CUBE_LIMIT`` of them are kept for the next
+calls, where most repeats fall.
+
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
-variables (2 MiB per int).
+variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
+variables are built one at a time whenever a pass needs them, so a call holds
+a few on-set-sized ints at once, never one per variable.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from .engine import _members
 
 Cube = tuple[int | None, ...]
 
@@ -39,50 +67,70 @@ def cube_sort_key(cube: Cube):
 
 
 def _to_cube(value: int, dashes: int, width: int) -> Cube:
-    return tuple(
-        None if (dashes >> j) & 1 else (value >> j) & 1 for j in range(width)
-    )
+    return tuple([None if dashes >> j & 1 else value >> j & 1 for j in range(width)])
+
+
+def _int_sort_key(cube: Cube) -> int:
+    """An int that orders cubes of one width as :func:`cube_sort_key` does:
+    the fixed count, then one base-4 digit per slot, variable 0 first."""
+    fixed = digits = 0
+    for b in cube:
+        if b is None:
+            digits = digits << 2 | 2
+        else:
+            fixed += 1
+            digits = digits << 2 | b
+    return fixed << 2 * len(cube) | digits
+
+
+# (sort key, tuple) of the cubes minimize_minterms returned most recently,
+# keyed by value, dashes and width; emptied when full. Repeated cubes come a
+# few calls apart, so 256 entries (about 90 KiB) catch nearly all of them.
+_CUBE_LIMIT = 256
+_cubes: dict[int, tuple[int, Cube]] = {}
+
+
+def _cube_entry(value: int, dashes: int, width: int) -> tuple[int, Cube]:
+    key = (value | dashes << width) << 5 | width  # width < 32
+    entry = _cubes.get(key)
+    if entry is None:
+        if len(_cubes) >= _CUBE_LIMIT:
+            _cubes.clear()
+        cube = _to_cube(value, dashes, width)
+        entry = _cubes[key] = (_int_sort_key(cube), cube)
+    return entry
 
 
 # Merge masks are kept for widths up to this, 16 ints of 8 KiB at width 16;
-# wider ones, up to 2 MiB each, are built per call and not kept.
+# wider ones, up to 2 MiB each, are built one at a time and not kept.
 _CACHED_WIDTH = 16
 _merge_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
-def _merge_steps(width: int) -> tuple[tuple[int, int], ...]:
+def _merge_steps(width: int) -> Iterable[tuple[int, int]]:
     """``(2**j, low[j])`` per variable j; ``low[j]`` has bit v set for each
     v < 2**width whose bit j is clear."""
-    if width in _merge_cache:
-        return _merge_cache[width]
+    steps = _merge_cache.get(width)
+    if steps is None:
+        steps = _build_steps(width)
+        if width <= _CACHED_WIDTH:
+            steps = _merge_cache[width] = tuple(steps)
+    return steps
+
+
+def _build_steps(width: int) -> Iterator[tuple[int, int]]:
     size = 1 << width
-    steps = []
     for j in range(width):
         # 2**j ones then 2**j zeros, doubled until it spans all 2**width bits
         low, span = (1 << (1 << j)) - 1, 2 << j
         while span < size:
             low |= low << span
             span <<= 1
-        steps.append((1 << j, low))
-    if width <= _CACHED_WIDTH:
-        _merge_cache[width] = tuple(steps)
-    return tuple(steps)
-
-
-def _members(bits: int) -> list[int]:
-    """Positions of the set bits of ``bits``, ascending."""
-    text = bin(bits)[:1:-1]
-    out = []
-    i = text.find("1")
-    while i >= 0:
-        out.append(i)
-        i = text.find("1", i + 1)
-    return out
+        yield 1 << j, low
 
 
 def _prime_implicants(on: int, width: int) -> list[tuple[int, int]]:
     """All prime implicants of the on-set ``on``, as sorted (value, dashes) pairs."""
-    steps = _merge_steps(width)
     primes: list[tuple[int, int]] = []
     level = {0: on} if on else {}
     while level:
@@ -92,14 +140,14 @@ def _prime_implicants(on: int, width: int) -> list[tuple[int, int]]:
                 primes.append((implicants.bit_length() - 1, dashes))
                 continue
             covered = 0
-            for shift, low in steps:
+            for shift, low in _merge_steps(width):
                 if dashes & shift:
                     continue
                 pairs = implicants & (implicants >> shift) & low
                 if pairs:
                     merged[dashes | shift] = pairs
                     covered |= pairs | (pairs << shift)
-            unmerged = implicants & ~covered
+            unmerged = implicants ^ covered  # covered lies inside implicants
             if unmerged:
                 primes.extend([(value, dashes) for value in _members(unmerged)])
         level = merged
@@ -109,9 +157,37 @@ def _prime_implicants(on: int, width: int) -> list[tuple[int, int]]:
 def _cover(value: int, dashes: int) -> int:
     """The minterms of the cube (value, dashes) as one int."""
     cover = 1 << value
-    for j in _members(dashes):
-        cover |= cover << (1 << j)
+    while dashes:
+        shift = dashes & -dashes  # 2**j for the lowest dashed variable j
+        cover |= cover << shift
+        dashes ^= shift
     return cover
+
+
+def _select_cover(on: int, primes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Essential primes first, then the rest greedily by coverage of what is left."""
+    covers = [_cover(value, dashes) for value, dashes in primes]
+    # a minterm in exactly one cover makes that prime essential; ``sole``
+    # gathers the minterms covered at least once, then drops the rest
+    sole = twice = 0
+    for cover in covers:
+        twice |= sole & cover
+        sole |= cover
+    sole ^= twice
+    chosen = [k for k, cover in enumerate(covers) if cover & sole]
+    uncovered = on
+    for k in chosen:
+        uncovered ^= uncovered & covers[k]
+    rest = [k for k in range(len(primes)) if covers[k] & uncovered]
+    while uncovered:
+        best = max(
+            rest,
+            key=lambda k: ((covers[k] & uncovered).bit_count(), -primes[k][0], primes[k][1]),
+        )
+        chosen.append(best)
+        rest.remove(best)
+        uncovered ^= uncovered & covers[best]
+    return [primes[k] for k in chosen]
 
 
 def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
@@ -126,36 +202,22 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
         raise ValueError(
             f"cannot minimize over {width} variables; the limit is {WIDTH_LIMIT}"
         )
-    on = 0
-    for m in minterms:
-        m = operator.index(m)
-        if m < 0 or m >> width:
-            raise ValueError(f"minterm out of range for {width} variables")
-        on |= 1 << m
-    if not on:
+    minterms = list(map(operator.index, minterms))
+    if not minterms:
         return ()
-    primes = _prime_implicants(on, width)
-    covers = [_cover(value, dashes) for value, dashes in primes]
+    if min(minterms) < 0 or max(minterms) >> width:
+        raise ValueError(f"minterm out of range for {width} variables")
+    on = functools.reduce(operator.or_, map((1).__lshift__, minterms))
 
-    # a minterm in exactly one cover makes that prime essential
-    once = twice = 0
-    for cover in covers:
-        twice |= once & cover
-        once |= cover
-    sole = once & ~twice
-    chosen = [k for k, cover in enumerate(covers) if cover & sole]
-    uncovered = on
-    for k in chosen:
-        uncovered &= ~covers[k]
-    rest = [k for k in range(len(primes)) if covers[k] & uncovered]
-    while uncovered:
-        best = max(
-            rest,
-            key=lambda k: ((covers[k] & uncovered).bit_count(), -primes[k][0], primes[k][1]),
-        )
-        chosen.append(best)
-        rest.remove(best)
-        uncovered &= ~covers[best]
-
-    cubes = [_to_cube(*primes[k], width) for k in chosen]
-    return tuple(sorted(cubes, key=cube_sort_key))
+    # A variable is free when flipping it maps the on-set onto itself. The
+    # search runs on the cofactor where every free variable is 0, so it never
+    # merges along one, and each chosen prime takes them back as dashes.
+    free, cofactor = 0, on
+    for shift, low in _merge_steps(width):
+        if not ((on >> shift) ^ on) & low:
+            free |= shift
+            cofactor &= low
+    del on  # 2 MiB at WIDTH_LIMIT, which the search can use
+    chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
+    entries = sorted([_cube_entry(value, dashes | free, width) for value, dashes in chosen])
+    return tuple([cube for _, cube in entries])

@@ -21,16 +21,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import _backend
-from .dsl import _mask_labels
+from .dsl import _all_mask_labels
 from .errors import ConflictError, DimensionError, TableCapError
 from .engine import (
     MassVector,
@@ -44,7 +45,7 @@ from .engine import (
     _set_of,
     place_set_key,
 )
-from .minimize import WIDTH_LIMIT, Cube, _cover, _to_cube, cube_sort_key, minimize_minterms
+from .minimize import WIDTH_LIMIT, Cube, _cover, _int_sort_key, _to_cube, minimize_minterms
 from .net import (
     PetriNet,
     Receptivity,
@@ -246,31 +247,30 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
         )
     rmasks = [_bits_to_mask(bits) for bits in table.admissible]
     # each source column is read in minterm order, so every (target, source)
-    # list of rows holds one coefficient's minterms in ascending order, and
-    # sources reach each target in canonical order
+    # list holds one coefficient's minterms (or raw cubes) in ascending order,
+    # and sources reach each target in canonical order
     by_minterm = sorted(range(len(rmasks)), key=rmasks.__getitem__)
     minterm_rows = np.array(by_minterm)
-    grouped: dict[int, dict[int, list[int]]] = {}
+    if minimize:
+        items = [rmasks[k] for k in by_minterm]
+    else:
+        items = [_to_cube(rmasks[k], 0, m) for k in by_minterm]
+    grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
         column = table.rows[minterm_rows, xmask].tolist()
         targets = defaultdict(list)
-        for k, ymask in zip(by_minterm, column):
-            targets[ymask].append(k)
-        for ymask, rows in targets.items():
-            grouped.setdefault(ymask, {})[xmask] = rows
+        for item, ymask in zip(items, column):
+            targets[ymask].append(item)
+        for ymask, group in targets.items():
+            grouped.setdefault(ymask, {})[xmask] = group
 
     sets = _Memo(_set_of)
-    full_cubes = [_to_cube(rmask, 0, m) for rmask in rmasks]
     equations = []
     for ymask in sorted(grouped, key=_canonical_key(n)):
         terms: list[tuple[Cube, PlaceSet]] = []
-        for xmask, rows in grouped[ymask].items():
-            source = sets[xmask]
-            if minimize:
-                minterms = [rmasks[k] for k in rows]
-                terms.extend([(cube, source) for cube in minimize_minterms(minterms, m)])
-            else:
-                terms.extend([(full_cubes[k], source) for k in rows])
+        for xmask, group in grouped[ymask].items():
+            cubes = minimize_minterms(group, m) if minimize else group
+            terms.extend(zip(cubes, repeat(sets[xmask])))
         equations.append(
             MassEquation(target=sets[ymask], transition_count=m, terms=tuple(terms))
         )
@@ -331,33 +331,45 @@ def _set_label(places: PlaceSet) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(places)) + "}"
 
 
-def _cube_label(cube: Cube) -> str:
-    literals = [
-        f"r{j + 1}" if bit else f"!r{j + 1}"
-        for j, bit in enumerate(cube)
-        if bit is not None
-    ]
-    return "*".join(literals) if literals else "1"
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 
 
 class _Labels:
     """Labels and sort keys of cubes and sets, built once per render call."""
 
     def __init__(self):
-        self.cube = _Memo(_cube_label)
-        self.cube_key = _Memo(cube_sort_key)
+        # (sort key, label, cube) per cube object, keyed by id: emitted terms
+        # share their cube tuples, and an id hashes faster than a cube's slots.
+        # The entry holds the cube, so no other object takes its id meanwhile.
+        self.cubes: dict[int, tuple[int, str, Cube]] = {}
+        self.literals: list[tuple[str, str]] = []  # (plain, negated) per variable
         self.set = _Memo(_set_label)
         self.set_key = _Memo(place_set_key)
 
+    def add_cube(self, cube: Cube) -> None:
+        literals = self.literals
+        while len(literals) < len(cube):
+            j = len(literals) + 1
+            literals.append((f"r{j}", f"!r{j}"))
+        label = "*".join([literals[j][not bit] for j, bit in enumerate(cube) if bit is not None])
+        self.cubes[id(cube)] = (_int_sort_key(cube), label or "1", cube)
+
     def render(self, eq: MassEquation) -> str:
+        # emitted terms come in runs of one source; a source may recur
         by_source: dict[PlaceSet, list[Cube]] = {}
-        for cube, src in eq.terms:
-            by_source.setdefault(src, []).append(cube)
+        for source, run in groupby(eq.terms, key=_second):
+            by_source.setdefault(source, []).extend(map(_first, run))
+        cubes = self.cubes
         parts = []
         for source in sorted(by_source, key=self.set_key.__getitem__):
-            cubes = sorted(by_source[source], key=self.cube_key.__getitem__)
-            coeff = " + ".join([self.cube[cube] for cube in cubes])
-            if len(cubes) > 1:
+            group = by_source[source]
+            for cube in group:
+                if id(cube) not in cubes:
+                    self.add_cube(cube)
+            entries = sorted(map(cubes.__getitem__, map(id, group)), key=_first)
+            coeff = " + ".join(map(_second, entries))
+            if len(entries) > 1:
                 coeff = f"({coeff})"
             parts.append(f"{coeff}*M{self.set[source]}")
         rhs = " + ".join(parts) if parts else "0"
@@ -396,7 +408,7 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
     Rows run over subsets in canonical order and, within a subset, over the
     admissible combinations in binary order, as :meth:`TransferTable.cells`.
     """
-    labels = _csv_fields(map(_mask_labels(table.net.places), range(1 << table.net.place_count)))
+    labels = _csv_fields(_all_mask_labels(table.net.places))
     bits_fields = _csv_fields("".join(map(str, bits)) for bits in table.admissible)
     middles = [f",{field}," for field in bits_fields]
     images = [f"{label}\n" for label in labels]

@@ -29,6 +29,7 @@ from evinet import (
     write_table_csv,
 )
 from evinet import minimize
+from evinet.dsl import _mask_labels
 from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
 from evinet.table import EQUATION_CELL_LIMIT
 from _nets import (
@@ -528,6 +529,67 @@ class TestMinimize:
         top = (1 << WIDTH_LIMIT) - 1
         assert minimize_minterms([0, top], WIDTH_LIMIT) == ((0,) * 24, (1,) * 24)
 
+    def test_free_variables_match_the_tabular_oracle(self):
+        # random on-sets almost never have a free variable, so these are built
+        # to have them: this is what exercises the support reduction
+        rng = random.Random(1984)
+        for width in range(13):
+            for _ in range(8 if width < 10 else 3):
+                on, free = _with_free_variables(rng, width, max_support=6)
+                cubes = minimize_minterms(on, width)
+                assert cubes == minimize_minterms_tabular(on, width)
+                assert all(cube[j] is None for cube in cubes for j in free)
+
+    @pytest.mark.parametrize("width", [0, 1, 5, 12])
+    def test_full_space_is_one_all_dash_cube(self, width):
+        assert minimize_minterms(range(1 << width), width) == ((None,) * width,)
+
+    @pytest.mark.parametrize("width", [1, 4, 12])
+    def test_one_variable_support(self, width):
+        for j in range(width):
+            for bit in (0, 1):
+                on = [v for v in range(1 << width) if (v >> j) & 1 == bit]
+                cube = tuple(bit if i == j else None for i in range(width))
+                assert minimize_minterms(on, width) == (cube,)
+
+    def test_edge_supports_match_the_tabular_oracle(self):
+        for width in range(7):
+            assert minimize_minterms_tabular(range(1 << width), width) == ((None,) * width,)
+            for j in range(width):
+                on = [v for v in range(1 << width) if (v >> j) & 1]
+                assert minimize_minterms(on, width) == minimize_minterms_tabular(on, width)
+
+    def test_width_zero(self):
+        assert minimize_minterms([0], 0) == ((),) == minimize_minterms_tabular([0], 0)
+        assert minimize_minterms([], 0) == ()
+
+    def test_wide_on_sets_allocate_a_few_on_set_ints(self):
+        # an on-set int at WIDTH_LIMIT is 2 MiB; the 24 merge masks held at
+        # once took 48 MiB more, and a dense table over 2**24 minterms far more
+        top = (1 << WIDTH_LIMIT) - 1
+        bit = 1 << 11
+        one_free = [m | f for m in (6, top ^ bit ^ 6, 1 << 20 | 1 << 12) for f in (0, bit)]
+        on_set_bytes = (1 << WIDTH_LIMIT) // 8
+        for minterms in ([0, top], one_free):
+            tracemalloc.start()
+            try:
+                cubes = minimize_minterms(minterms, WIDTH_LIMIT)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert cubes == minimize_minterms_tabular(minterms, WIDTH_LIMIT)
+            assert peak < 8 * on_set_bytes
+        assert all(cube[11] is None for cube in cubes)
+
+    def test_module_caches_stay_within_their_bounds(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            width = rng.randint(0, 10)
+            on, _ = _with_free_variables(rng, width, max_support=width)
+            minimize_minterms(on, width)
+            assert len(minimize._cubes) <= minimize._CUBE_LIMIT
+        assert all(width <= minimize._CACHED_WIDTH for width in minimize._merge_cache)
+
     def test_wide_merge_masks_are_not_kept(self):
         minterms = [3, 2**22 - 5]
         assert minimize_minterms(minterms, 22) == minimize_minterms_tabular(minterms, 22)
@@ -535,6 +597,24 @@ class TestMinimize:
         assert all(width <= 16 for width in minimize._merge_cache)
         minimize_minterms([3], 9)
         assert 9 in minimize._merge_cache
+
+
+def _with_free_variables(rng, width, max_support):
+    """A random function of a random support, crossed with every value of the
+    other variables; returns its on-set and those free variables."""
+    support = rng.sample(range(width), rng.randint(0, min(width, max_support)))
+    free = [j for j in range(width) if j not in support]
+
+    def spread(value, positions):
+        return sum(((value >> i) & 1) << j for i, j in enumerate(positions))
+
+    on = [
+        spread(v, support) | spread(f, free)
+        for v in range(1 << len(support))
+        if rng.random() < 0.4
+        for f in range(1 << len(free))
+    ]
+    return on, free
 
 
 class TestCsv:
@@ -551,3 +631,12 @@ class TestCsv:
     def test_fig2_export_row_count(self, fig2_table):
         buffer = io.StringIO()
         assert write_table_csv(fig2_table, buffer) == 84
+
+    def test_whole_table_labels_leave_the_label_cache_alone(self):
+        # 2**14 labels, each built once, would evict every label a run keeps
+        table = build_transfer_table(net_from_transitions(14, [(0, 1)]))
+        label = _mask_labels(table.net.places)
+        label(0b101)
+        before = label.cache_info().currsize
+        assert write_table_csv(table, io.StringIO()) == 2 * ((1 << 14) - 1)
+        assert label.cache_info().currsize == before
