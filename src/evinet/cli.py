@@ -3,12 +3,13 @@
 Diagnostics go to stderr and the exit status is nonzero whenever one is
 emitted. ``run`` streams one record per input line and flushes it before the
 next line is read, so a live pipe shows beliefs as events arrive. ``table``
-and ``equations`` import the numpy-backed :mod:`evinet.table` when they run,
-so ``run`` starts without numpy.
+and ``equations`` import :mod:`evinet.table` when they run, so ``run`` starts
+without loading the table and minimizer modules.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 
@@ -172,22 +173,19 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
     """Print one record per receptivity line of ``input_path`` ("-" is stdin)."""
     if input_path == "-":
         handle = sys.stdin
-        close = False
+        if hasattr(handle, "buffer"):  # decode its bytes as a file's, whatever the locale
+            handle = io.TextIOWrapper(handle.buffer, encoding="utf-8", errors="surrogateescape")
     else:
         try:
             handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
-        close = True
     try:
         print(_record(net, form, 0, None, mass), flush=True)
         index = 0
         line_no = 0
         while True:
-            try:
-                line = handle.readline()
-            except UnicodeDecodeError:  # a stdin that decodes strictly
-                _fail(f"input after line {line_no} is not UTF-8")
+            line = handle.readline()
             if not line:
                 break
             line_no += 1
@@ -212,8 +210,10 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
             index += 1
             print(_record(net, form, index, bits, mass), flush=True)
     finally:
-        if close:
+        if input_path != "-":
             handle.close()
+        elif handle is not sys.stdin:
+            handle.detach()  # leaves stdin open
 
 
 @main.command()

@@ -27,7 +27,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 # Default cap on the places and transitions of a net whose transfer table is
 # built. Defined here, not in ``table``, so that importing the CLI does not
-# import numpy.
+# load the table module.
 DEFAULT_SIZE_CAP = 16
 
 

@@ -22,13 +22,12 @@ import csv
 import io
 import math
 import operator
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby, product, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import _backend
 from .dsl import _all_mask_labels
@@ -57,11 +56,11 @@ from .net import (
     coerce_receptivity,
 )
 
-# The kernel stores subset masks as uint32, one bit per place.
+# The kernel stores subset masks in 32-bit lanes, one bit per place.
 MASK_PLACE_LIMIT = 32
 
-# The kernel allocates one uint32 per (admissible combination, subset mask)
-# pair, the empty mask included; 2**28 of them take 1 GiB.
+# The kernel allocates one 32-bit lane per (admissible combination, subset
+# mask) pair, the empty mask included; 2**28 of them take 1 GiB.
 ROWS_CELL_LIMIT = 1 << 28
 
 # Emitting and rendering raw equations peaks at about 185 bytes per defined
@@ -80,15 +79,16 @@ def _bits_to_mask(bits: Receptivity) -> int:
 class TransferTable:
     """Total map (nonempty place set, admissible receptivity) -> image set.
 
-    ``rows[k][x]`` is the image mask of subset mask ``x`` under the k-th
-    admissible combination. Only admissible combinations are stored;
-    combinations rejected by the conflict constraint carry no cells, and
-    ``rejected`` lists them on demand.
+    ``rows[x, k]``, a read-only view, is the image mask of subset mask ``x``
+    under the k-th admissible combination. Only admissible combinations are
+    stored; combinations rejected by the conflict constraint carry no cells,
+    and ``rejected`` lists them on demand.
     """
 
     net: PetriNet
     admissible: tuple[Receptivity, ...]
-    rows: np.ndarray = field(repr=False)
+    rows: memoryview = field(repr=False)
+    _masks: tuple[int, ...] = field(repr=False)  # each of ``admissible`` as a mask, bit t for r[t]
 
     @property
     def rejected(self) -> tuple[Receptivity, ...]:
@@ -108,6 +108,11 @@ class TransferTable:
     def _row_index(self) -> dict[Receptivity, int]:
         return {bits: k for k, bits in enumerate(self.admissible)}
 
+    def _column(self, xmask: int) -> memoryview:
+        """The image masks of ``xmask``, one per admissible combination."""
+        count = len(self.admissible)
+        return self.rows.cast("B").cast("I")[xmask * count : (xmask + 1) * count]
+
     def _row(self, r: Sequence[int]) -> int:
         """The row of ``r``; raises :class:`ConflictError` for rejected combinations."""
         bits = coerce_receptivity(self.net, r)
@@ -120,13 +125,13 @@ class TransferTable:
         """The image set of ``x`` under ``r``; raises for rejected combinations."""
         row = self._row(r)
         members = _coerce_place_set(x, self.net.place_count)
-        return _set_of(int(self.rows[row, _mask(members)]))
+        return _set_of(self.rows[_mask(members), row])
 
     def cells(self) -> Iterator[tuple[PlaceSet, Receptivity, PlaceSet]]:
         """All defined cells, subsets in canonical order, combinations in binary order."""
         for xmask in _canonical_masks(self.net.place_count):
             x = _set_of(xmask)
-            for bits, ymask in zip(self.admissible, self.rows[:, xmask].tolist()):
+            for bits, ymask in zip(self.admissible, self._column(xmask).tolist()):
                 yield x, bits, _set_of(ymask)
 
 
@@ -166,16 +171,14 @@ def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -
             f" {ROWS_CELL_LIMIT}",
             required_cells=allocated,
         )
-    # each place fires none or one of its outputs; combinations run in
-    # ascending order of the bit string r1..rm read as a binary number
-    choices = [(0, *(1 << (m - 1 - t) for t in outputs)) for outputs in structure.outputs]
-    admissible = [
-        tuple((value >> j) & 1 for j in reversed(range(m)))
-        for value in sorted(map(sum, product(*choices)))
-    ]
-    rmasks = [_bits_to_mask(bits) for bits in admissible]
-    rows = _backend.fill_rows(n, structure.pre_place, structure.post_place, rmasks)
-    return TransferTable(net=net, admissible=tuple(admissible), rows=rows)
+    # each place fires none or one of its outputs; choosing transition t sets
+    # bit t of the mask and, above the mask, bit m - 1 - t of the sort key, so
+    # combinations run in ascending order of r1..rm read as a binary number
+    choices = [(0, *(1 << (2 * m - 1 - t) | 1 << t for t in outs)) for outs in structure.outputs]
+    masks = tuple(value & ((1 << m) - 1) for value in sorted(map(sum, product(*choices))))
+    admissible = tuple(tuple(mask >> t & 1 for t in range(m)) for mask in masks)
+    rows = _backend.fill_rows(n, structure.pre_place, structure.post_place, masks)
+    return TransferTable(net=net, admissible=admissible, rows=rows, _masks=masks)
 
 
 def invert_table(
@@ -187,19 +190,25 @@ def invert_table(
     source by the combination's binary value. Empty when nothing maps to ``y``.
     """
     n = table.net.place_count
-    ymask = _mask(_coerce_place_set(y, n))
-    row_idx, x_masks = np.nonzero(table.rows == np.uint32(ymask))
-    key = _canonical_key(n)
-    # mask 0 is not a subset cell; rows run in binary order, so the row index
-    # orders the cells of one source
-    cells = sorted((key(x), k, x) for k, x in zip(row_idx.tolist(), x_masks.tolist()) if x)
-    return tuple((_set_of(x), table.admissible[k]) for _, k, x in cells)
+    target = array("I", [_mask(_coerce_place_set(y, n))]).tobytes()
+    # lanes run in binary order, so scanning the source columns in canonical
+    # order yields the cells in order; a match straddling two lanes is skipped
+    cells = []
+    for xmask in _canonical_masks(n):
+        column = table._column(xmask).tobytes()
+        at = column.find(target)
+        while at >= 0:
+            if at % 4 == 0:
+                cells.append((_set_of(xmask), table.admissible[at // 4]))
+            at = column.find(target, at - at % 4 + 4)
+    return tuple(cells)
 
 
 def table_step(table: TransferTable, mass, r: Sequence[int]) -> MassVector:
     """Advance a mass distribution by table lookup; equals the direct step."""
     mass = _as_mass_vector(mass)
-    return _advance(mass, table.rows[table._row(r)].item, table.net.place_count)
+    k = table._row(r)
+    return _advance(mass, lambda x: table.rows[x, k], table.net.place_count)
 
 
 @dataclass(frozen=True)
@@ -245,48 +254,33 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
             f" {EQUATION_CELL_LIMIT} cells",
             required_cells=cells,
         )
-    rmasks = [_bits_to_mask(bits) for bits in table.admissible]
+    masks = table._masks
     # each source column is read in minterm order, so every (target, source)
     # list holds one coefficient's minterms (or raw cubes) in ascending order,
     # and sources reach each target in canonical order
-    by_minterm = sorted(range(len(rmasks)), key=rmasks.__getitem__)
-    minterm_rows = np.array(by_minterm)
-    if minimize:
-        items = [rmasks[k] for k in by_minterm]
-    else:
-        items = [_to_cube(rmasks[k], 0, m) for k in by_minterm]
+    # a valid net has a transition, so two rows or more: the pick is a tuple
+    pick = operator.itemgetter(*sorted(range(len(masks)), key=masks.__getitem__))
+    items = sorted(masks) if minimize else [_to_cube(mask, 0, m) for mask in sorted(masks)]
     grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
-        column = table.rows[minterm_rows, xmask].tolist()
+        column = pick(table._column(xmask))
         targets = defaultdict(list)
         for item, ymask in zip(items, column):
             targets[ymask].append(item)
         for ymask, group in targets.items():
             grouped.setdefault(ymask, {})[xmask] = group
 
-    sets = _Memo(_set_of)
+    sets = cache(_set_of)
     equations = []
     for ymask in sorted(grouped, key=_canonical_key(n)):
         terms: list[tuple[Cube, PlaceSet]] = []
         for xmask, group in grouped[ymask].items():
             cubes = minimize_minterms(group, m) if minimize else group
-            terms.extend(zip(cubes, repeat(sets[xmask])))
+            terms.extend(zip(cubes, repeat(sets(xmask))))
         equations.append(
-            MassEquation(target=sets[ymask], transition_count=m, terms=tuple(terms))
+            MassEquation(target=sets(ymask), transition_count=m, terms=tuple(terms))
         )
     return tuple(equations)
-
-
-class _Memo(dict):
-    """``memo[key]`` is ``make(key)``, computed on first use."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
@@ -344,8 +338,8 @@ class _Labels:
         # The entry holds the cube, so no other object takes its id meanwhile.
         self.cubes: dict[int, tuple[int, str, Cube]] = {}
         self.literals: list[tuple[str, str]] = []  # (plain, negated) per variable
-        self.set = _Memo(_set_label)
-        self.set_key = _Memo(place_set_key)
+        self.set = cache(_set_label)
+        self.set_key = cache(place_set_key)
 
     def add_cube(self, cube: Cube) -> None:
         literals = self.literals
@@ -362,7 +356,7 @@ class _Labels:
             by_source.setdefault(source, []).extend(map(_first, run))
         cubes = self.cubes
         parts = []
-        for source in sorted(by_source, key=self.set_key.__getitem__):
+        for source in sorted(by_source, key=self.set_key):
             group = by_source[source]
             for cube in group:
                 if id(cube) not in cubes:
@@ -371,9 +365,9 @@ class _Labels:
             coeff = " + ".join(map(_second, entries))
             if len(entries) > 1:
                 coeff = f"({coeff})"
-            parts.append(f"{coeff}*M{self.set[source]}")
+            parts.append(f"{coeff}*M{self.set(source)}")
         rhs = " + ".join(parts) if parts else "0"
-        return f"M{self.set[eq.target]}(k+1) = {rhs}"
+        return f"M{self.set(eq.target)}(k+1) = {rhs}"
 
 
 def render_equation(eq: MassEquation) -> str:
@@ -415,7 +409,7 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
     handle.write("subset,receptivity_bits,result_subset\n")
     for xmask in _canonical_masks(table.net.place_count):
         subset = labels[xmask]
-        column = table.rows[:, xmask].tolist()
+        column = table._column(xmask).tolist()
         handle.write(
             "".join([subset + middle + images[y] for middle, y in zip(middles, column)])
         )

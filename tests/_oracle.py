@@ -280,7 +280,7 @@ def write_table_csv_per_cell(table, handle):
     for x in canonical_sets(table.net.place_count):
         xmask = sum(1 << i for i in x)
         for k, bits in enumerate(table.admissible):
-            y = _set_of(int(table.rows[k, xmask]))
+            y = _set_of(int(table.rows[xmask, k]))
             writer.writerow([bracket(x), "".join(map(str, bits)), bracket(y)])
             count += 1
     return count
@@ -303,10 +303,8 @@ def emit_equations_per_cell(table, minimize=False):
     groups = {}
     for k, bits in enumerate(table.admissible):
         rmask = _bits_to_mask(bits)
-        row = table.rows[k]
-        for xmask, ymask in enumerate(row.tolist()):
-            if xmask:
-                groups.setdefault((int(ymask), xmask), []).append(rmask)
+        for xmask in range(1, table.rows.shape[0]):
+            groups.setdefault((int(table.rows[xmask, k]), xmask), []).append(rmask)
 
     by_target = {}
     for (ymask, xmask), minterms in groups.items():

@@ -33,22 +33,32 @@ def combined_output(result) -> str:
     return result.output + stderr
 
 
-# Run in a fresh interpreter: this one has imported numpy already.
+# Run in a fresh interpreter, where numpy cannot be imported: this one has
+# imported numpy already, and the tests use it.
 IMPORT_CHECK = """
-import sys
+import io, sys
+sys.modules["numpy"] = None
 import evinet, evinet.cli
-assert "numpy" not in sys.modules, "importing the CLI imported numpy"
-from evinet import DEFAULT_SIZE_CAP, build_transfer_table
-assert "numpy" in sys.modules and DEFAULT_SIZE_CAP == 16
+assert "evinet.table" not in sys.modules, "importing the CLI loaded evinet.table"
+assert "evinet.minimize" not in sys.modules, "importing the CLI loaded evinet.minimize"
 assert all(hasattr(evinet, name) for name in evinet.__all__)
+from evinet import build_transfer_table, emit_equations, invert_table, parse_net, write_table_csv
+with open(sys.argv[1], encoding="utf-8") as handle:
+    table = build_transfer_table(parse_net(handle.read()))
+assert write_table_csv(table, io.StringIO()) == 56
+assert len(emit_equations(table, minimize=True)) == 7
+assert len(invert_table(table, {0})) == 10
 """
 
 
-def test_importing_the_cli_does_not_import_numpy():
+def test_importing_the_cli_does_not_import_numpy(data_dir):
     src = str(Path(evinet.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True, text=True
+        [sys.executable, "-c", IMPORT_CHECK, str(data_dir / "fig1.evinet")],
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert result.returncode == 0, result.stderr
 
@@ -465,10 +475,11 @@ class TestUndecodableBytes:
         assert result.stderr == "error: line 2: non-binary token '\\udcff'\n"
 
     def test_a_stdin_that_decodes_strictly(self, runner, data_dir):
-        # the test runner's stdin raises on the byte, as a strict locale's does
+        # the test runner's stdin raises on the byte, as a strict locale's
+        # does; its bytes are read as a file's, so the output is the file's
         args = ["run", "--net", str(data_dir / "fig1.evinet"), "--input", "-"]
         result = invoke(runner, args, input=b"0 1 0\n0 \xff 0\n")
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.stdout == "step=0 r=- mass={P1,P2,P3}:1\n"
-        assert result.stderr == "error: input after line 0 is not UTF-8\n"
+        assert result.stdout == "step=0 r=- mass={P1,P2,P3}:1\nstep=1 r=010 mass={P1,P3}:1\n"
+        assert result.stderr == "error: line 2: non-binary token '\\udcff'\n"

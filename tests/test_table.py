@@ -126,7 +126,7 @@ class TestBuild:
         assert build_transfer_table(net, max_places=5).defined_cell_count == 31 * 32
 
     def test_mask_array_over_the_cell_limit_is_rejected(self):
-        # passes the default cap, but its rows would take 2**32 uint32 cells
+        # passes the default cap, but its rows would take 2**32 32-bit cells
         with pytest.raises(TableCapError, match="allocate 4294967296 cells") as err:
             build_transfer_table(cycle_net(16))
         assert err.value.required_cells == (1 << 16) << 16
@@ -167,6 +167,28 @@ class TestBuild:
         with pytest.raises(TableCapError, match="33 places") as err:
             build_transfer_table(cycle_net(33), max_places=40)
         assert err.value.required_cells == ((1 << 33) - 1) * (1 << 33)
+
+    def test_rows_are_a_read_only_view(self, fig1_table):
+        rows = fig1_table.rows
+        assert rows.shape == (8, 8) and rows.format == "I"
+        assert rows[0b101, 5] == 0b011  # {P1,P3} under 101 is {P1,P2}
+        with pytest.raises(TypeError):
+            rows[1, 0] = 0
+        assert rows[1, 0] == 0b001
+
+    def test_building_allocates_little_beyond_the_rows(self):
+        # one preallocated array and n live columns; copying the array, or
+        # keeping every column alive, peaks at about twice the rows
+        net = cycle_net(10)
+        build_transfer_table(net)  # caches the net's structure
+        tracemalloc.start()
+        try:
+            table = build_transfer_table(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.rows.nbytes == 4 * 1024 << 10
+        assert peak < 1.1 * table.rows.nbytes + (64 << 10)
 
     def test_entries_match_fresh_transform(self, fig1, fig2):
         rng = random.Random(41)
