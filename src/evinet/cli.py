@@ -173,6 +173,8 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
     """Print one record per receptivity line of ``input_path`` ("-" is stdin)."""
     if input_path == "-":
         handle = sys.stdin
+        if handle is None:  # the process started with file descriptor 0 closed
+            _fail("cannot read standard input: it is closed")
         if hasattr(handle, "buffer"):  # decode its bytes as a file's, whatever the locale
             handle = io.TextIOWrapper(handle.buffer, encoding="utf-8", errors="surrogateescape")
     else:

@@ -35,10 +35,8 @@ one the full search returns, byte for byte:
 - every prime covers 2**free times as many minterms after lifting, so the
   greedy key (count, -value, dashes) ranks the primes the same.
 
-Cubes stay (value, dashes) ints until the result is built. Each distinct cube
-becomes a tuple once, with an int sort key in the order of
-:func:`cube_sort_key`; up to ``_CUBE_LIMIT`` of them are kept for the next
-calls, where most repeats fall.
+Cubes stay (value, dashes) ints until the result is built, and the result is
+sorted by fixed-slot count, then slot by slot with 0 < 1 < eliminated.
 
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
 variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
@@ -61,18 +59,13 @@ Cube = tuple[int | None, ...]
 WIDTH_LIMIT = 24
 
 
-def cube_sort_key(cube: Cube):
-    fixed = sum(1 for b in cube if b is not None)
-    return (fixed, tuple(2 if b is None else b for b in cube))
-
-
 def _to_cube(value: int, dashes: int, width: int) -> Cube:
     return tuple([None if dashes >> j & 1 else value >> j & 1 for j in range(width)])
 
 
 def _int_sort_key(cube: Cube) -> int:
-    """An int that orders cubes of one width as :func:`cube_sort_key` does:
-    the fixed count, then one base-4 digit per slot, variable 0 first."""
+    """An int that orders cubes of one width by their fixed count, then by one
+    base-4 digit per slot (0, 1, or 2 when eliminated), variable 0 first."""
     fixed = digits = 0
     for b in cube:
         if b is None:
@@ -81,24 +74,6 @@ def _int_sort_key(cube: Cube) -> int:
             fixed += 1
             digits = digits << 2 | b
     return fixed << 2 * len(cube) | digits
-
-
-# (sort key, tuple) of the cubes minimize_minterms returned most recently,
-# keyed by value, dashes and width; emptied when full. Repeated cubes come a
-# few calls apart, so 256 entries (about 90 KiB) catch nearly all of them.
-_CUBE_LIMIT = 256
-_cubes: dict[int, tuple[int, Cube]] = {}
-
-
-def _cube_entry(value: int, dashes: int, width: int) -> tuple[int, Cube]:
-    key = (value | dashes << width) << 5 | width  # width < 32
-    entry = _cubes.get(key)
-    if entry is None:
-        if len(_cubes) >= _CUBE_LIMIT:
-            _cubes.clear()
-        cube = _to_cube(value, dashes, width)
-        entry = _cubes[key] = (_int_sort_key(cube), cube)
-    return entry
 
 
 # Merge masks are kept for widths up to this, 16 ints of 8 KiB at width 16;
@@ -219,5 +194,5 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
             cofactor &= low
     del on  # 2 MiB at WIDTH_LIMIT, which the search can use
     chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
-    entries = sorted([_cube_entry(value, dashes | free, width) for value, dashes in chosen])
-    return tuple([cube for _, cube in entries])
+    cubes = [_to_cube(value, dashes | free, width) for value, dashes in chosen]
+    return tuple(sorted(cubes, key=_int_sort_key))

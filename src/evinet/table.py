@@ -71,10 +71,6 @@ EQUATION_CELL_LIMIT = 1 << 22
 EQUATION_FORMAT_VERSION = "evinet equations v1"
 
 
-def _bits_to_mask(bits: Receptivity) -> int:
-    return sum(bit << j for j, bit in enumerate(bits))
-
-
 @dataclass(frozen=True, eq=False)
 class TransferTable:
     """Total map (nonempty place set, admissible receptivity) -> image set.
@@ -228,8 +224,7 @@ class MassEquation:
         return tuple(sorted({src for _, src in self.terms}, key=place_set_key))
 
     def coefficient(self, source: Iterable[int], r: Sequence[int]) -> bool:
-        minterm = _bits_to_mask(_coerce_bits(r, self.transition_count, "equation spans {}"))
-        return bool(_on_sets(self).get(frozenset(source), 0) >> minterm & 1)
+        return frozenset(source) in _true_sources(self, r)
 
 
 def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEquation, ...]:
@@ -299,87 +294,88 @@ def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
     return a.target == b.target and _on_sets(a) == _on_sets(b)
 
 
-def _on_sets(eq: MassEquation) -> dict[PlaceSet, int]:
-    """Each source's on-set, the union of its cubes' minterms, as one int."""
-    on: dict[PlaceSet, int] = {}
+def _checked_terms(eq: MassEquation) -> Iterator[tuple[Cube, PlaceSet]]:
+    """The terms of ``eq``; raises when a cube's width is not the equation's."""
     for cube, src in eq.terms:
         if len(cube) != eq.transition_count:
             raise DimensionError(
                 f"cube {cube} has {len(cube)} slots, equation spans {eq.transition_count}"
             )
+        yield cube, src
+
+
+def _on_sets(eq: MassEquation) -> dict[PlaceSet, int]:
+    """Each source's on-set, the union of its cubes' minterms, as one int.
+    A slot that is not None is the plain literal when it is truthy."""
+    on: dict[PlaceSet, int] = {}
+    for cube, src in _checked_terms(eq):
         value = sum(1 << j for j, bit in enumerate(cube) if bit)
         dashes = sum(1 << j for j, bit in enumerate(cube) if bit is None)
         on[src] = on.get(src, 0) | _cover(value, dashes)
     return on
 
 
+def _true_sources(eq: MassEquation, r: Sequence[int]) -> set[PlaceSet]:
+    """The sources whose coefficient holds under ``r``, read from the cubes
+    with the truth rule of :func:`_on_sets`, without building any on-set."""
+    bits = _coerce_bits(r, eq.transition_count, "equation spans {}")
+    return {
+        src
+        for cube, src in _checked_terms(eq)
+        if all(slot is None or bool(slot) == bit for slot, bit in zip(cube, bits))
+    }
+
+
 def evaluate_equation(eq: MassEquation, mass, r: Sequence[int]) -> float:
     """The target's next mass under the equation, given the current masses."""
     mass = _as_mass_vector(mass)
-    minterm = _bits_to_mask(_coerce_bits(r, eq.transition_count, "equation spans {}"))
-    on = _on_sets(eq)
-    return sum(mass.mass(src) for src in eq.sources() if on[src] >> minterm & 1)
+    true = _true_sources(eq, r)
+    return sum(mass.mass(src) for src in eq.sources() if src in true)
 
 
 def _set_label(places: PlaceSet) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(places)) + "}"
 
 
+def _cube_key_label(cube: Cube) -> tuple[int, str]:
+    """A cube's sort key and its product label, ``1`` when no slot is fixed."""
+    literals = [f"r{j}" if bit else f"!r{j}" for j, bit in enumerate(cube, 1) if bit is not None]
+    label = "*".join(literals)
+    return _int_sort_key(cube), label or "1"
+
+
 _first = operator.itemgetter(0)
 _second = operator.itemgetter(1)
 
 
-class _Labels:
-    """Labels and sort keys of cubes and sets, built once per render call."""
-
-    def __init__(self):
-        # (sort key, label, cube) per cube object, keyed by id: emitted terms
-        # share their cube tuples, and an id hashes faster than a cube's slots.
-        # The entry holds the cube, so no other object takes its id meanwhile.
-        self.cubes: dict[int, tuple[int, str, Cube]] = {}
-        self.literals: list[tuple[str, str]] = []  # (plain, negated) per variable
-        self.set = cache(_set_label)
-        self.set_key = cache(place_set_key)
-
-    def add_cube(self, cube: Cube) -> None:
-        literals = self.literals
-        while len(literals) < len(cube):
-            j = len(literals) + 1
-            literals.append((f"r{j}", f"!r{j}"))
-        label = "*".join([literals[j][not bit] for j, bit in enumerate(cube) if bit is not None])
-        self.cubes[id(cube)] = (_int_sort_key(cube), label or "1", cube)
-
-    def render(self, eq: MassEquation) -> str:
-        # emitted terms come in runs of one source; a source may recur
-        by_source: dict[PlaceSet, list[Cube]] = {}
-        for source, run in groupby(eq.terms, key=_second):
-            by_source.setdefault(source, []).extend(map(_first, run))
-        cubes = self.cubes
-        parts = []
-        for source in sorted(by_source, key=self.set_key):
-            group = by_source[source]
-            for cube in group:
-                if id(cube) not in cubes:
-                    self.add_cube(cube)
-            entries = sorted(map(cubes.__getitem__, map(id, group)), key=_first)
-            coeff = " + ".join(map(_second, entries))
-            if len(entries) > 1:
-                coeff = f"({coeff})"
-            parts.append(f"{coeff}*M{self.set(source)}")
-        rhs = " + ".join(parts) if parts else "0"
-        return f"M{self.set(eq.target)}(k+1) = {rhs}"
+def _render(eq: MassEquation, cube_entry, set_label, set_key) -> str:
+    """One equation's text; ``cube_entry`` maps a cube to its (sort key, label)."""
+    # emitted terms come in runs of one source; a source may recur
+    by_source: dict[PlaceSet, list[Cube]] = {}
+    for source, run in groupby(eq.terms, key=_second):
+        by_source.setdefault(source, []).extend(map(_first, run))
+    parts = []
+    for source in sorted(by_source, key=set_key):
+        entries = sorted(map(cube_entry, by_source[source]), key=_first)
+        coeff = " + ".join(map(_second, entries))
+        if len(entries) > 1:
+            coeff = f"({coeff})"
+        parts.append(f"{coeff}*M{set_label(source)}")
+    rhs = " + ".join(parts) if parts else "0"
+    return f"M{set_label(eq.target)}(k+1) = {rhs}"
 
 
 def render_equation(eq: MassEquation) -> str:
     """One-line text form, e.g. ``M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}``."""
-    return _Labels().render(eq)
+    return _render(eq, _cube_key_label, _set_label, place_set_key)
 
 
 def render_equations(equations: Iterable[MassEquation]) -> str:
-    """All equations under the versioned format header, one per line."""
-    labels = _Labels()
+    """All equations under the versioned format header, one per line; each
+    cube's and set's label is built once per call."""
+    memos = cache(_cube_key_label), cache(_set_label), cache(place_set_key)
     lines = [f"# {EQUATION_FORMAT_VERSION}"]
-    lines.extend(labels.render(eq) for eq in equations)
+    lines.extend(_render(eq, *memos) for eq in equations)
     return "\n".join(lines) + "\n"
 
 

@@ -29,7 +29,6 @@ from itertools import combinations
 
 from evinet import MassEquation, MassVector
 from evinet.net import coerce_receptivity
-from evinet.minimize import cube_sort_key
 
 
 def set_key(places):
@@ -202,6 +201,12 @@ def sequential_step_check(net, mass, r):
 # Cubes as (value, dash-mask), compared pairwise between neighbouring groups of
 # one popcount apart; the package's bitset search must return the same primes
 # and the same cover.
+
+
+def cube_sort_key(cube):
+    """Cubes by fixed-slot count, then slot by slot with 0 < 1 < eliminated."""
+    fixed = sum(1 for b in cube if b is not None)
+    return (fixed, tuple(2 if b is None else b for b in cube))
 
 
 def _to_cube(value, dashes, width):

@@ -204,6 +204,21 @@ class TestRun:
         assert from_file.exit_code == from_stdin.exit_code == 0
         assert from_file.output == from_stdin.output
 
+    def test_closed_stdin_is_one_error_line(self, data_dir):
+        # with file descriptor 0 closed, Python starts with sys.stdin None
+        src = str(Path(evinet.__file__).resolve().parent.parent)
+        command = [sys.executable, "-m", "evinet.cli", "run", "--net",
+                   str(data_dir / "fig1.evinet"), "--input", "-"]
+        result = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$@" <&-', "sh", *command],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: cannot read standard input: it is closed\n"
+
     def test_runs_are_deterministic(self, runner, data_dir):
         args = ["run", "--net", str(data_dir / "fig2.evinet"), "--initial",
                 "{P1}:0.25 {P2,P3}:0.75", "--input", "-"]

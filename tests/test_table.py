@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import io
 import random
 import tracemalloc
@@ -29,9 +30,10 @@ from evinet import (
     write_table_csv,
 )
 from evinet import minimize
+from evinet import table as table_module
 from evinet.dsl import _mask_labels
 from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
-from evinet.table import EQUATION_CELL_LIMIT
+from evinet.table import EQUATION_CELL_LIMIT, _on_sets
 from _nets import (
     all_admissible_receptivities,
     alternating_net,
@@ -438,6 +440,42 @@ class TestEquations:
         with pytest.raises(DimensionError, match="equation spans 3"):
             evaluate_equation(eq, MassVector.categorical({0}), (0, 0, 0, 0))
 
+    def test_coefficients_read_from_cubes_match_the_on_sets(self, fig1, fig2):
+        rng = random.Random(77)
+        nets = [fig1, fig2]
+        nets += [random_net(rng, max_places=5, max_transitions=7) for _ in range(12)]
+        for net in nets:
+            m = net.transition_count
+            table = build_transfer_table(net)
+            for eq in emit_equations(table) + emit_equations(table, minimize=True):
+                on = _on_sets(eq)
+                mass = random_mass(rng, net.place_count)
+                for minterm in range(1 << m):
+                    r = [minterm >> j & 1 for j in range(m)]
+                    for src, cover in on.items():
+                        assert eq.coefficient(src, r) == bool(cover >> minterm & 1)
+                    expected = sum(
+                        mass.mass(src) for src in eq.sources() if on[src] >> minterm & 1
+                    )
+                    assert evaluate_equation(eq, mass, r) == expected
+
+    def test_evaluation_builds_no_on_sets(self):
+        # each source's on-set spans 2**28 bits; reading the cubes needs none
+        net = alternating_net(28)
+        equations = emit_equations(build_transfer_table(net, max_places=40))
+        mass = ignorance_mass(net)
+        r = (1,) + (0,) * 27
+        tracemalloc.start()
+        try:
+            masses = [evaluate_equation(eq, mass, r) for eq in equations]
+            coefficients = [eq.coefficient({0}, r) for eq in equations]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert masses == [step(net, mass, r).mass(eq.target) for eq in equations]
+        assert coefficients == [eq.target == S({1}) for eq in equations]
+
     def test_two_place_cycle_equation_shapes(self):
         eqs = emit_equations(build_transfer_table(cycle_net(2)), minimize=True)
         targets = [eq.target for eq in eqs]
@@ -477,6 +515,26 @@ class TestEquations:
     def test_render_single_equation(self):
         eq = _hand_equation(S({0}))
         assert render_equation(eq) == "M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}"
+
+    def test_render_reads_cubes_by_value(self, fig2_table):
+        # rebuilt cubes are equal to the emitted ones but other objects
+        for minimized in (False, True):
+            emitted = emit_equations(fig2_table, minimize=minimized)
+            rebuilt = tuple(
+                MassEquation(
+                    target=eq.target,
+                    transition_count=eq.transition_count,
+                    terms=tuple((tuple([*cube]), src) for cube, src in eq.terms),
+                )
+                for eq in emitted
+            )
+            assert all(
+                a is not b
+                for eq, other in zip(emitted, rebuilt)
+                for (a, _), (b, _) in zip(eq.terms, other.terms)
+            )
+            assert render_equations(rebuilt) == render_equations(emitted)
+            assert list(map(render_equation, rebuilt)) == list(map(render_equation, emitted))
 
     def test_sink_place_renders_constant_coefficient(self):
         chain = net_from_transitions(3, [(0, 1), (1, 2)], name="chain")
@@ -604,12 +662,18 @@ class TestMinimize:
         assert all(cube[11] is None for cube in cubes)
 
     def test_module_caches_stay_within_their_bounds(self):
+        # the equation stage keeps no state between calls but the merge masks
+        equations_net = ring_with_chords(random.Random("equations:1"), 7, 2)
+        table = build_transfer_table(equations_net)
+        before = _module_state()
         rng = random.Random(2024)
         for _ in range(300):
             width = rng.randint(0, 10)
             on, _ = _with_free_variables(rng, width, max_support=width)
             minimize_minterms(on, width)
-            assert len(minimize._cubes) <= minimize._CUBE_LIMIT
+        for minimized in (False, True):
+            render_equations(emit_equations(table, minimize=minimized))
+        assert _module_state() == before
         assert all(width <= minimize._CACHED_WIDTH for width in minimize._merge_cache)
 
     def test_wide_merge_masks_are_not_kept(self):
@@ -619,6 +683,22 @@ class TestMinimize:
         assert all(width <= 16 for width in minimize._merge_cache)
         minimize_minterms([3], 9)
         assert 9 in minimize._merge_cache
+
+
+def _module_state():
+    """A copy of each module-level container and cache size in the equation
+    stage's modules, the merge masks aside."""
+    state = {}
+    for module in (minimize, table_module):
+        for name, value in vars(module).items():
+            if name.startswith("__") or value is minimize._merge_cache:
+                continue
+            if isinstance(value, (dict, list, set, bytearray)):
+                state[module.__name__, name] = copy.copy(value)
+            elif hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                state[module.__name__, name] = value.cache_info().currsize
+        state[module.__name__] = sorted(vars(module))
+    return state
 
 
 def _with_free_variables(rng, width, max_support):
