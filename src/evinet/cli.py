@@ -80,7 +80,18 @@ def _max_places_option(func):
     )(func)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group. A failed write to standard output ends in one
+    ``error:`` line; click itself ends a broken pipe quietly with status 1."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, **kwargs)
+        except OSError as exc:
+            _fail(f"cannot write standard output: {exc.strerror or exc}")
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="evinet")
 def main():
     """Evidential state estimation for single-token Petri nets."""
@@ -157,16 +168,19 @@ def run(net_path: str, initial: str, input_path: str, form: str):
     _run_stream(net, mass, input_path, form)
 
 
-def _record(net: PetriNet, form: str, index: int, bits, mass: MassVector) -> str:
-    r_text = "".join(map(str, bits)) if bits is not None else "-"
-    if form == "dense":
-        body = dsl.serialize_mass(mass, net.places, form="dense")
-        return f"step={index} r={r_text} mass={body}"
-    body = dsl.serialize_mass(mass, net.places, form="sparse")
-    line = f"step={index} r={r_text} mass={body}"
+def _records(net: PetriNet, form: str):
+    """The record of each step of one run, from mass writers built once per run,
+    so each mass value is printed once (see :func:`dsl._mass_serializer`)."""
+    body = dsl._mass_serializer(net.places, "dense" if form == "dense" else "sparse")
     if form == "log" and net.place_count <= dsl.DENSE_PLACE_LIMIT:
-        line += f" dense={dsl.serialize_mass(mass, net.places, form='dense')}"
-    return line
+        sparse, dense = body, dsl._mass_serializer(net.places, "dense")
+        body = lambda mass: f"{sparse(mass)} dense={dense(mass)}"
+
+    def record(index: int, bits, mass: MassVector) -> str:
+        r_text = "".join(map(str, bits)) if bits is not None else "-"
+        return f"step={index} r={r_text} mass={body(mass)}"
+
+    return record
 
 
 def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> None:
@@ -182,12 +196,17 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
             handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
+    record = _records(net, form)
     try:
-        print(_record(net, form, 0, None, mass), flush=True)
+        print(record(0, None, mass), flush=True)
         index = 0
         line_no = 0
         while True:
-            line = handle.readline()
+            try:
+                line = handle.readline()
+            except OSError as exc:  # such as EIO; the command group would blame stdout
+                source = "standard input" if input_path == "-" else input_path
+                _fail(f"cannot read {source}: {exc.strerror or exc}")
             if not line:
                 break
             line_no += 1
@@ -210,7 +229,7 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
                     f" conflicting transitions at {details}"
                 )
             index += 1
-            print(_record(net, form, index, bits, mass), flush=True)
+            print(record(index, bits, mass), flush=True)
     finally:
         if input_path != "-":
             handle.close()

@@ -258,8 +258,18 @@ def format_place_set(places: PlaceSet, names: int | Sequence[str]) -> str:
 
 
 # Masses lie in [0, 1], so 0 and 1 are the only whole numbers a record
-# prints: ``_WHOLE.get(v) or repr(v)`` prints them without a fraction.
+# prints, without a fraction; every other mass prints as its repr.
 _WHOLE = {0.0: "0", 1.0: "1"}
+
+
+class _MassTexts(dict):
+    """The record text of each mass value, made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
 
 
 @functools.lru_cache(maxsize=4)
@@ -289,6 +299,39 @@ def _all_mask_labels(names: Sequence[str]) -> list[str]:
     return ["{" + text + "}" for text in inner]
 
 
+def _mass_serializer(
+    places: int | Sequence[str], form: str
+) -> Callable[[MassVector], str]:
+    """:func:`serialize_mass` with ``places`` and ``form`` fixed, for the records
+    of one run; each mass value's text is made once, in a dict of its own.
+
+    That dict stays small: each source set has exactly one image, so a step
+    merging m sources drops the focal count by m - 1 and makes one new float,
+    and ``0.0 + v == v`` carries every other mass over unchanged. A run from k
+    focal sets meets at most 2k - 1 distinct masses, plus the two seeds.
+    """
+    names = _place_names(places)
+    n = len(names)
+    texts = _MassTexts(_WHOLE)
+    if form == "sparse":
+        label = _mask_labels(names)
+
+        def sparse(mass: MassVector) -> str:
+            try:
+                return " ".join([f"{label(x)}:{texts[v]}" for x, v in mass._masses.items()])
+            except IndexError:  # a focal set holds a place with no name
+                raise ValueError(f"mass vector has place indices beyond {n} places") from None
+
+        return sparse
+    if form == "dense":
+        if n > DENSE_PLACE_LIMIT:
+            raise ValueError(
+                f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
+            )
+        return lambda mass: "[" + ",".join(map(texts.__getitem__, mass.dense(n))) + "]"
+    raise ValueError(f"unknown mass record form {form!r}")
+
+
 def serialize_mass(
     mass: MassVector, places: int | Sequence[str], form: str = "sparse"
 ) -> str:
@@ -298,23 +341,7 @@ def serialize_mass(
     ``dense`` is the full canonical-order vector, available for up to
     ``DENSE_PLACE_LIMIT`` places.
     """
-    names = _place_names(places)
-    n = len(names)
-    if form == "sparse":
-        label = _mask_labels(names)
-        try:
-            return " ".join(
-                [f"{label(x)}:{_WHOLE.get(v) or repr(v)}" for x, v in mass._masses.items()]
-            )
-        except IndexError:  # a focal set holds a place with no name
-            raise ValueError(f"mass vector has place indices beyond {n} places") from None
-    if form == "dense":
-        if n > DENSE_PLACE_LIMIT:
-            raise ValueError(
-                f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
-            )
-        return "[" + ",".join([_WHOLE.get(v) or repr(v) for v in mass.dense(n)]) + "]"
-    raise ValueError(f"unknown mass record form {form!r}")
+    return _mass_serializer(places, form)(mass)
 
 
 def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> MassVector:

@@ -99,21 +99,27 @@ def _dense_masks(n: int) -> tuple[int, ...]:
     return tuple(_canonical_masks(n))
 
 
+# Each byte value with its eight bits reversed, then complemented.
+_REV_NOT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 @functools.lru_cache(maxsize=4)
 def _canonical_key(width: int) -> Callable[[int], int]:
     """Int sort key putting masks below ``2**width`` in canonical order.
 
     The popcount leads; below it sits the mask with its bits reversed, then
     complemented, so that of two sets of one size the one holding the
-    smallest index where they differ sorts first. Keys are cached per mask,
-    at most 8192 per width for four widths, and hold no set.
+    smallest index where they differ sorts first. Reversal and complement go
+    a byte at a time through ``_REV_NOT``, so a key costs a few bytes per 8
+    places and no text. Keys are cached per mask, at most 8192 per width for
+    four widths, and hold no set.
     """
-    full = (1 << width) - 1
+    size = (width + 7) // 8
 
     @functools.lru_cache(maxsize=1 << 13)
     def key(mask: int) -> int:
-        reversed_bits = int(format(mask, f"0{width}b")[::-1], 2)
-        return (mask.bit_count() << width) | (full ^ reversed_bits)
+        count = mask.bit_count().to_bytes(8, "big")
+        return int.from_bytes(count + mask.to_bytes(size, "little").translate(_REV_NOT), "big")
 
     return key
 

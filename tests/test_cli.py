@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -498,3 +499,68 @@ class TestUndecodableBytes:
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == "step=0 r=- mass={P1,P2,P3}:1\nstep=1 r=010 mass={P1,P3}:1\n"
         assert result.stderr == "error: line 2: non-binary token '\\udcff'\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A standard output whose every write fails with ``code``."""
+
+    def __init__(self, code: int):
+        super().__init__()
+        self.code = code
+
+    def write(self, text: str) -> int:
+        raise OSError(self.code, os.strerror(self.code))
+
+
+class TestStdoutWriteFailures:
+    """A write to a full standard output ends in one ``error:`` line and status
+    1; a broken pipe (``| head``) keeps click's silent status 1."""
+
+    COMMANDS = {
+        "run": ["run", "--net", "fig1.evinet", "--input", "-"],
+        "equations": ["equations", "--net", "fig1.evinet"],
+        "validate": ["validate", "--net", "fig1.evinet"],
+        "conflicts": ["conflicts", "--net", "fig2.evinet"],
+        "table": ["table", "--net", "fig1.evinet", "--output", "table.csv"],
+    }
+
+    def _invoke(self, monkeypatch, tmp_path, data_dir, name, code):
+        args = [
+            str(data_dir / arg) if arg.endswith(".evinet") else
+            str(tmp_path / arg) if arg.endswith(".csv") else arg
+            for arg in self.COMMANDS[name]
+        ]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0 1 0\n"))
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(code))
+        with pytest.raises(SystemExit) as exit_:
+            main.main(args=args, prog_name="evinet")
+        return exit_.value.code
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_full_device_is_one_error_line(self, monkeypatch, tmp_path, data_dir, capsys, name):
+        code = self._invoke(monkeypatch, tmp_path, data_dir, name, errno.ENOSPC)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_broken_pipe_is_silent(self, monkeypatch, tmp_path, data_dir, capsys, name):
+        code = self._invoke(monkeypatch, tmp_path, data_dir, name, errno.EPIPE)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_a_failing_read_is_not_blamed_on_standard_output(self, monkeypatch, data_dir, capsys):
+        class FailingStdin:
+            def readline(self):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(sys, "stdin", FailingStdin())
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(SystemExit) as exit_:
+            main.main(args=["run", "--net", str(data_dir / "fig1.evinet")], prog_name="evinet")
+        assert exit_.value.code == 1
+        assert sys.stdout.getvalue() == "step=0 r=- mass={P1,P2,P3}:1\n"
+        assert capsys.readouterr().err == (
+            f"error: cannot read standard input: {os.strerror(errno.EIO)}\n"
+        )

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from evinet import (
@@ -16,8 +19,25 @@ from evinet import (
     parse_receptivity_stream,
     serialize_mass,
     serialize_net,
+    step,
 )
-from _nets import FIG1_POST, FIG1_PRE, FIG2_POST, FIG2_PRE, random_net
+from evinet import cli, dsl
+from evinet.cli import _records
+from evinet.dsl import _mass_serializer
+from evinet.engine import DENSE_PLACE_LIMIT
+from _nets import (
+    FIG1_POST,
+    FIG1_PRE,
+    FIG2_POST,
+    FIG2_PRE,
+    cycle_net,
+    fig1_net,
+    fig2_net,
+    random_admissible_receptivity,
+    random_mass,
+    random_net,
+)
+from _oracle import serialize_mass_frozensets
 
 
 class TestParseNet:
@@ -223,3 +243,98 @@ class TestMassRecords:
     def test_library_pairs_naming_one_set_are_merged(self):
         merged = MassVector([({0}, 0.25), ({1}, 0.5), ({0}, 0.25)])
         assert merged == MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
+
+
+def _writer_texts(writer) -> dict:
+    """The mass-text dict a per-run writer keeps."""
+    return inspect.getclosurevars(writer).nonlocals["texts"]
+
+
+def _random_runs():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        net = random_net(rng, max_places=12, max_transitions=14)
+        mass = random_mass(rng, net.place_count, max_focals=rng.choice((1, 4, 40)))
+        stream = [random_admissible_receptivity(rng, net) for _ in range(rng.randint(0, 12))]
+        yield net, mass, stream
+
+
+class TestPerRunWriters:
+    """The writers of one run print each mass value once and keep nothing
+    between runs; their records are those of :func:`serialize_mass`."""
+
+    @pytest.mark.parametrize("net, mass, stream", list(_random_runs()))
+    def test_records_match_serialize_mass_and_the_oracle(self, net, mass, stream):
+        forms = ["sparse"] + (["dense"] if net.place_count <= DENSE_PLACE_LIMIT else [])
+        writers = {form: _mass_serializer(net.places, form) for form in forms}
+        record = _records(net, "log")
+        masses = [mass]
+        for bits in stream:
+            masses.append(step(net, masses[-1], bits))
+        for index, (bits, m) in enumerate(zip([None, *stream], masses)):
+            expected = {form: serialize_mass_frozensets(m, net.places, form) for form in forms}
+            for form in forms:
+                assert writers[form](m) == serialize_mass(m, net.places, form) == expected[form]
+            r_text = "".join(map(str, bits)) if bits is not None else "-"
+            dense = f" dense={expected['dense']}" if "dense" in expected else ""
+            assert record(index, bits, m) == f"step={index} r={r_text} mass={expected['sparse']}{dense}"
+
+    @pytest.mark.parametrize(
+        "net, k", [(fig1_net(), 7), (fig2_net(), 7), (cycle_net(7), 60)],
+        ids=["fig1", "fig2", "cycle7"],
+    )
+    def test_a_long_run_keeps_at_most_2k_plus_1_texts(self, net, k):
+        rng = random.Random(net.name)
+        mass = random_mass(rng, net.place_count, max_focals=k)
+        while len(mass) < k:
+            mass = random_mass(rng, net.place_count, max_focals=k)
+        writers = [_mass_serializer(net.places, "sparse"), _mass_serializer(net.places, "dense")]
+        for line in range(2001):
+            if line:
+                mass = step(net, mass, random_admissible_receptivity(rng, net))
+            for writer in writers:
+                writer(mass)
+        assert len(mass) < k  # masses merged, so new floats were made
+        for writer in writers:
+            assert len(_writer_texts(writer)) <= 2 * k + 1
+
+    def test_serialize_mass_starts_each_call_afresh(self):
+        # its dict is the call's own: one call's values do not reach the next
+        mass = MassVector({frozenset({0}): 0.25, frozenset({1}): 0.75})
+        writer = _mass_serializer(3, "sparse")
+        assert writer(mass) == serialize_mass(mass, 3) == "{P1}:0.25 {P2}:0.75"
+        assert _writer_texts(writer) == {0.0: "0", 1.0: "1", 0.25: "0.25", 0.75: "0.75"}
+        assert _writer_texts(_mass_serializer(3, "sparse")) == {0.0: "0", 1.0: "1"}
+
+    def test_form_errors_come_before_the_mass_is_read(self):
+        # None is no mass vector: reading it would raise AttributeError
+        with pytest.raises(ValueError, match="dense records are limited to 10 places"):
+            serialize_mass(None, 11, "dense")
+        with pytest.raises(ValueError, match="unknown mass record form 'jsonl'"):
+            serialize_mass(None, 3, "jsonl")
+
+    def test_a_run_leaves_the_dsl_and_cli_modules_as_they_were(self, data_dir):
+        args = ["run", "--net", str(data_dir / "fig1.evinet"), "--format", "log", "--input", "-"]
+        stream = "0 1 0\n1 0 0\n0 0 1\n1 1 1\n"
+        runner = CliRunner()
+        assert runner.invoke(cli.main, args, input=stream).exit_code == 0  # warms the label cache
+        before = _module_state()
+        result = runner.invoke(cli.main, args, input=stream)
+        assert result.exit_code == 0
+        assert result.output.count("\n") == 5
+        assert _module_state() == before
+
+
+def _module_state():
+    """A copy of each module-level container and cache size in dsl and cli."""
+    state = {}
+    for module in (dsl, cli):
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set, bytearray)):
+                state[module.__name__, name] = copy.deepcopy(value)
+            elif hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                state[module.__name__, name] = value.cache_info().currsize
+        state[module.__name__] = sorted(vars(module))
+    return state

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from evinet import (
     TrajectoryError,
     classic_step,
     ignorance_mass,
+    place_set_key,
     place_sets,
     run,
     step,
@@ -140,6 +142,27 @@ class TestMassVector:
         assert _dense_masks.cache_info().currsize == cached
         assert len(wide) == 2 ** (DENSE_PLACE_LIMIT + 2) - 1
         assert wide[DENSE_PLACE_LIMIT + 2 + 1] == 1.0  # {0, 2} follows {0, 1}
+
+    @pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 16, 34, 65, 100])
+    def test_the_sort_key_orders_masks_as_place_set_key(self, width):
+        from evinet.engine import _canonical_key, _members
+
+        rng = random.Random(width)
+        masks = list({rng.getrandbits(width) or 1 for _ in range(300)})
+        by_key = sorted(masks, key=_canonical_key(width))
+        assert by_key == sorted(masks, key=lambda x: place_set_key(frozenset(_members(x))))
+
+    def test_a_far_place_index_costs_memory_by_the_mask_not_by_its_text(self):
+        # the masks are 1.2 MiB each; a key built from a 10**7-character text
+        # peaked at 24 MiB
+        tracemalloc.start()
+        try:
+            m = MassVector({(10**7,): 0.5, (10**7 - 1,): 0.5})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.focal_sets() == (frozenset({10**7 - 1}), frozenset({10**7}))
+        assert peak < 8 * 2**20
 
     def test_place_sets_enumeration(self):
         assert list(place_sets(3)) == [
