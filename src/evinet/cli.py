@@ -81,10 +81,12 @@ def _max_places_option(func):
 
 
 class _Main(click.Group):
-    """The command group. A failed write to standard output ends in one
+    """The command group. A closed or failing standard output ends in one
     ``error:`` line; click itself ends a broken pipe quietly with status 1."""
 
     def main(self, *args, **kwargs):
+        if sys.stdout is None:  # the process started with file descriptor 1 closed
+            _fail("cannot write standard output: it is closed")
         try:
             return super().main(*args, **kwargs)
         except OSError as exc:
@@ -160,12 +162,11 @@ def run(net_path: str, initial: str, input_path: str, form: str):
             mass = dsl.parse_mass(initial, net.places)
         except EvinetError as exc:
             _fail(f"--initial: {exc}")
-    if form == "dense" and net.place_count > dsl.DENSE_PLACE_LIMIT:
-        _fail(
-            f"dense output needs at most {dsl.DENSE_PLACE_LIMIT} places,"
-            f" net has {net.place_count}"
-        )
-    _run_stream(net, mass, input_path, form)
+    try:
+        record = _records(net, form)
+    except ValueError as exc:  # a dense record of too many places
+        _fail(str(exc))
+    _run_stream(net, mass, input_path, record)
 
 
 def _records(net: PetriNet, form: str):
@@ -183,8 +184,8 @@ def _records(net: PetriNet, form: str):
     return record
 
 
-def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> None:
-    """Print one record per receptivity line of ``input_path`` ("-" is stdin)."""
+def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> None:
+    """Print ``record`` of each receptivity line of ``input_path`` ("-" is stdin)."""
     if input_path == "-":
         handle = sys.stdin
         if handle is None:  # the process started with file descriptor 0 closed
@@ -196,7 +197,6 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, form: str) -> 
             handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
-    record = _records(net, form)
     try:
         print(record(0, None, mass), flush=True)
         index = 0

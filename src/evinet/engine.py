@@ -23,14 +23,7 @@ from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
-from .net import (
-    PetriNet,
-    Receptivity,
-    _integral,
-    _successors,
-    coerce_receptivity,
-    require_admissible,
-)
+from .net import PetriNet, Receptivity, _integral, _successors, coerce_receptivity
 
 # Masses must sum to 1 within this tolerance; inputs outside it are rejected
 # rather than renormalized, so caller bugs stay visible.
@@ -298,9 +291,9 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
     is never empty, and never commits a token to two places at once because
     conflicting receptivities are rejected.
     """
-    bits = require_admissible(net, r)
+    successors = _successors(net, coerce_receptivity(net, r))
     members = _coerce_place_set(x, net.place_count)
-    return frozenset(map(_successors(net, bits).__getitem__, members))
+    return frozenset(map(successors.__getitem__, members))
 
 
 def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
@@ -329,12 +322,13 @@ def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVecto
 
 @functools.lru_cache(maxsize=64)
 def _image(net: PetriNet, bits: Receptivity) -> Callable[[int], int]:
-    """The image of a place mask under an admissible receptivity, by table lookup.
+    """The image of a place mask under a coerced receptivity, by table lookup.
 
     Each byte of the mask indexes a 256-entry table of the union of its
     places' successors (:func:`~evinet.net._successors`), and the image is the
-    union over the bytes. Cached for 64 (net, receptivity) pairs, each about
-    10 KB per 8 places.
+    union over the bytes. The firing rule raises for a conflicting
+    receptivity, so every one of the 64 cached (net, receptivity) pairs has
+    passed the conflict check; each takes about 10 KB per 8 places.
     """
     successors = _successors(net, bits)
     tables = []
@@ -363,11 +357,12 @@ def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
     each source set has exactly one image.
     """
     mass = _as_mass_vector(mass)
-    return _advance(mass, _image(net, require_admissible(net, r)), net.place_count)
+    return _advance(mass, _image(net, coerce_receptivity(net, r)), net.place_count)
 
 
 def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
-    """Fold :func:`step` over a receptivity sequence, keeping every intermediate mass.
+    """Step through a receptivity sequence as :func:`step` does, coercing each
+    receptivity once and keeping its bits and every intermediate mass.
 
     The first rejected receptivity aborts the run; the raised
     :class:`~evinet.errors.TrajectoryError` carries its position and cause.
@@ -378,7 +373,7 @@ def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
     for index, r in enumerate(inputs):
         try:
             bits = coerce_receptivity(net, r)
-            current = step(net, current, bits)
+            current = _advance(current, _image(net, bits), net.place_count)
         except Exception as exc:
             raise TrajectoryError(index, exc) from exc
         steps.append((bits, current))

@@ -210,12 +210,6 @@ def validate_net(net: PetriNet) -> ValidationReport:
     return _validate(net)
 
 
-def _require_valid(net: PetriNet) -> None:
-    report = _validate(net)
-    if not report.ok:
-        raise InvalidNetError(report)
-
-
 @dataclass(frozen=True)
 class _Structure:
     """Derived wiring of a valid net: unique pre/post place per transition."""
@@ -227,7 +221,9 @@ class _Structure:
 
 @functools.lru_cache(maxsize=1024)
 def _structure(net: PetriNet) -> _Structure:
-    _require_valid(net)
+    report = _validate(net)
+    if not report.ok:
+        raise InvalidNetError(report)
     n, m = net.place_count, net.transition_count
     pre_place = tuple(next(i for i in range(n) if net.pre[i][j]) for j in range(m))
     post_place = tuple(next(i for i in range(n) if net.post[i][j]) for j in range(m))
@@ -239,13 +235,18 @@ def _structure(net: PetriNet) -> _Structure:
 
 @functools.lru_cache(maxsize=1024)
 def _successors(net: PetriNet, bits: Receptivity) -> tuple[int, ...]:
-    """Each place's successor under an admissible receptivity.
+    """Each place's successor under a coerced receptivity: the firing rule.
 
-    A place moves through its true output transition, of which the conflict
-    check leaves at most one, and stays put when it has none. Memoized: a
-    stream repeats a few receptivities, and on a small net building the list
-    costs as much as the step's own loop.
+    A receptivity that fires two outputs of one place raises
+    :class:`ConflictError`. Otherwise a place moves through its one true
+    output transition and stays put when it has none. Memoized, so an
+    admissible receptivity is checked once per cached (net, receptivity)
+    pair; the cache keeps no exception, so a rejected one is checked again on
+    every call.
     """
+    violations = check_receptivity(net, bits)
+    if violations:
+        raise ConflictError(violations)
     s = _structure(net)
     succ = list(range(net.place_count))
     for t, place in enumerate(s.pre_place):
@@ -309,33 +310,21 @@ def detect_conflicts(net: PetriNet) -> tuple[ConflictSet, ...]:
     )
 
 
-def _is_normalized(net: PetriNet, r) -> bool:
-    return type(r) is tuple and len(r) == net.transition_count and set(r) <= {0, 1}
-
-
 def check_receptivity(net: PetriNet, r: Sequence[int]) -> tuple[ReceptivityConflict, ...]:
     """Report every conflict set with two or more simultaneously true members.
 
     The constraint is global: a vector is rejected even when no token sits at
-    the conflict place, matching the classic-net firing rule. A tuple of 0/1
-    bits of the right length is checked as it is, without a coerced copy.
+    the conflict place, matching the classic-net firing rule. ``r`` is
+    coerced first. The firing rule (:func:`_successors`) runs this check on
+    every receptivity it has not cached.
     """
-    bits = r if _is_normalized(net, r) else coerce_receptivity(net, r)
+    bits = coerce_receptivity(net, r)
     violations = []
     for cs in detect_conflicts(net):
         true = frozenset(t for t in cs.transitions if bits[t])
         if len(true) >= 2:
             violations.append(ReceptivityConflict(place=cs.place, true_transitions=true))
     return tuple(violations)
-
-
-def require_admissible(net: PetriNet, r: Sequence[int]) -> Receptivity:
-    """Coerce ``r`` once and raise :class:`ConflictError` unless it passes the conflict check."""
-    bits = coerce_receptivity(net, r)
-    violations = check_receptivity(net, bits)
-    if violations:
-        raise ConflictError(violations)
-    return bits
 
 
 def enabled_transitions(net: PetriNet, place: int, r: Sequence[int]) -> frozenset[int]:
@@ -370,7 +359,6 @@ def classic_step(net: PetriNet, marks: Sequence[int], r: Sequence[int]) -> Class
     marks negative, so the enabling restriction is part of the stepping rule.
     """
     vec = _coerce_marking(net, marks)
-    bits = require_admissible(net, r)
     out = [0] * net.place_count
-    out[_successors(net, bits)[vec.index(1)]] = 1
+    out[_successors(net, coerce_receptivity(net, r))[vec.index(1)]] = 1
     return tuple(out)

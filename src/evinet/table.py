@@ -50,7 +50,6 @@ from .net import (
     Receptivity,
     DEFAULT_SIZE_CAP,
     _coerce_bits,
-    _require_valid,
     _structure,
     check_receptivity,
     coerce_receptivity,
@@ -137,29 +136,27 @@ def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -
     Work and memory grow as 2**n times the admissible count; builds with more than
     ``max_places`` places or transitions, or whose mask array would exceed
     ``ROWS_CELL_LIMIT`` cells, raise :class:`~evinet.errors.TableCapError`
-    carrying the cell count that would be required.
+    carrying the number of cells the build would allocate.
     """
-    _require_valid(net)
+    structure = _structure(net)  # raises InvalidNetError first
     n, m = net.place_count, net.transition_count
+    # a combination is admissible when each place has at most one true output
+    # transition, so a place with k outputs allows k + 1 of its bit patterns
+    count = math.prod(len(outputs) + 1 for outputs in structure.outputs)
+    allocated = count << n
     if n > max_places or m > max_places:
-        required = ((1 << n) - 1) * (1 << m)
         raise TableCapError(
             f"net has {n} places and {m} transitions, over the cap of"
             f" {max_places} places and {max_places} transitions;"
-            f" the full table would need {required} cells",
-            required_cells=required,
+            f" the full table would need {allocated} cells",
+            required_cells=allocated,
         )
     if n > MASK_PLACE_LIMIT:
         raise TableCapError(
             f"net has {n} places; tables are limited to {MASK_PLACE_LIMIT} places,"
             f" one bit per place in a 32-bit mask",
-            required_cells=((1 << n) - 1) * (1 << m),
+            required_cells=allocated,
         )
-    structure = _structure(net)
-    # a combination is admissible when each place has at most one true output
-    # transition, so a place with k outputs allows k + 1 of its bit patterns
-    count = math.prod(len(outputs) + 1 for outputs in structure.outputs)
-    allocated = count << n
     if allocated > ROWS_CELL_LIMIT:
         raise TableCapError(
             f"net has {n} places and {count} admissible combinations;"

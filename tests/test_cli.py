@@ -248,6 +248,7 @@ class TestRun:
         )
         assert result.exit_code == 1
         assert "dense" in combined_output(result)
+        assert "limited to 10 places, got 11" in combined_output(result)
 
     def test_cycle_wider_than_a_machine_word(self, runner, tmp_path):
         path = tmp_path / "cycle34.evinet"
@@ -317,7 +318,8 @@ class TestTable:
             ["table", "--net", str(path), "--output", str(tmp_path / "t.csv")],
         )
         assert result.exit_code == 1
-        assert str(((1 << 17) - 1) * (1 << 17)) in combined_output(result)
+        # 2**17 admissible combinations, one cell per subset mask each
+        assert str((1 << 17) << 17) in combined_output(result)
 
     def test_more_places_than_mask_bits(self, runner, tmp_path):
         path = tmp_path / "wide.evinet"
@@ -524,12 +526,15 @@ class TestStdoutWriteFailures:
         "table": ["table", "--net", "fig1.evinet", "--output", "table.csv"],
     }
 
-    def _invoke(self, monkeypatch, tmp_path, data_dir, name, code):
-        args = [
+    def _args(self, tmp_path, data_dir, name):
+        return [
             str(data_dir / arg) if arg.endswith(".evinet") else
             str(tmp_path / arg) if arg.endswith(".csv") else arg
             for arg in self.COMMANDS[name]
         ]
+
+    def _invoke(self, monkeypatch, tmp_path, data_dir, name, code):
+        args = self._args(tmp_path, data_dir, name)
         monkeypatch.setattr(sys, "stdin", io.StringIO("0 1 0\n"))
         monkeypatch.setattr(sys, "stdout", _FailingStdout(code))
         with pytest.raises(SystemExit) as exit_:
@@ -564,3 +569,20 @@ class TestStdoutWriteFailures:
         assert capsys.readouterr().err == (
             f"error: cannot read standard input: {os.strerror(errno.EIO)}\n"
         )
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_closed_stdout_is_one_error_line(self, tmp_path, data_dir, name):
+        # with file descriptor 1 closed, Python starts with sys.stdout None,
+        # and print and click.echo would drop every line without an error
+        args = self._args(tmp_path, data_dir, name)
+        src = str(Path(evinet.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "evinet.cli", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            input="0 1 0\n",
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: cannot write standard output: it is closed\n"
+        assert not (tmp_path / "table.csv").exists()  # ended before any work

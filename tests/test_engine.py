@@ -386,6 +386,31 @@ class TestRun:
         assert _canonical_key.cache_info().misses <= 2
 
 
+class TestCoercion:
+    """Each call coerces each receptivity once; on a cached (net, receptivity)
+    pair nothing else coerces it again."""
+
+    def test_each_receptivity_is_coerced_once(self, fig1, count_calls):
+        import evinet.engine as engine_module
+        import evinet.net as net_module
+
+        inputs = [(0, 1, 0), (1, 0, 0), (0, 1, 0)]
+        run(fig1, ignorance_mass(fig1), inputs)  # fills the firing rule's cache
+        in_engine = count_calls(engine_module, "coerce_receptivity")
+        in_net = count_calls(net_module, "coerce_receptivity")
+        calls = [
+            (lambda: run(fig1, ignorance_mass(fig1), inputs), 3, 0),
+            (lambda: step(fig1, ignorance_mass(fig1), (0, 1, 0)), 1, 0),
+            (lambda: transform(fig1, {0, 2}, (1, 0, 0)), 1, 0),
+            (lambda: classic_step(fig1, (1, 0, 0), (1, 0, 0)), 0, 1),
+        ]
+        for call, engine_count, net_count in calls:
+            in_engine.clear()
+            in_net.clear()
+            call()
+            assert (len(in_engine), len(in_net)) == (engine_count, net_count)
+
+
 class TestLongRuns:
     """Each focal set has one image, so masses move and merge but never split:
     a run merges at most (focal count - 1) times and then only moves floats,

@@ -195,21 +195,39 @@ class TestCheckReceptivity:
                   np.array([1, 0, 0]), np.array([True, False, False])):
             assert coerce_receptivity(fig1, r) == (1, 0, 0)
 
-    def test_step_checks_and_coerces_once(self, fig2, monkeypatch):
+    def test_step_checks_and_coerces_once(self, fig2, count_calls):
+        import evinet.engine as engine_module
         import evinet.net as net_module
         from evinet import ignorance_mass, step
 
-        calls = []
-        for name in ("check_receptivity", "coerce_receptivity"):
-            original = getattr(net_module, name)
+        # cleared, so the first step misses both caches whatever ran before
+        engine_module._image.cache_clear()
+        net_module._successors.cache_clear()
+        coercions = count_calls(engine_module, "coerce_receptivity")
+        checks = count_calls(net_module, "check_receptivity")
+        mass = step(fig2, ignorance_mass(fig2), (0, 1, 0, 0))
+        step(fig2, mass, (0, 1, 0, 0))
+        # each step coerces; the firing rule checks once per cached pair
+        assert len(coercions) == 2
+        assert len(checks) == 1
 
-            def counted(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
+    def test_a_rejected_receptivity_is_checked_on_every_call(self, fig2, count_calls):
+        import evinet.engine as engine_module
+        import evinet.net as net_module
+        from evinet import ignorance_mass, step
 
-            monkeypatch.setattr(net_module, name, counted)
-        step(fig2, ignorance_mass(fig2), (0, 1, 0, 0))
-        assert sorted(calls) == ["check_receptivity", "coerce_receptivity"]
+        engine_module._image.cache_clear()
+        net_module._successors.cache_clear()
+        expected = check_receptivity(fig2, (1, 1, 0, 0))
+        assert expected
+        checks = count_calls(net_module, "check_receptivity")
+        for _ in range(3):
+            with pytest.raises(ConflictError) as err:
+                step(fig2, ignorance_mass(fig2), (1, 1, 0, 0))
+            assert err.value.conflicts == expected
+        assert len(checks) == 3  # the cache keeps no exception
+        assert net_module._successors.cache_info().currsize == 0
+        assert engine_module._image.cache_info().currsize == 0
 
 
 class TestEnabledTransitions:

@@ -118,8 +118,21 @@ class TestBuild:
         net = cycle_net(17)
         with pytest.raises(TableCapError) as err:
             build_transfer_table(net)
-        assert err.value.required_cells == ((1 << 17) - 1) * (1 << 17)
+        # the cells the build would allocate: one per admissible combination
+        # and subset mask, not one per combination of all 2**17
+        assert err.value.required_cells == (1 << 17) << 17
         assert str(err.value.required_cells) in str(err.value)
+
+    def test_cap_error_counts_only_admissible_combinations(self):
+        # 20 transitions but 11 * 11 admissible combinations; 2**20 would
+        # overstate the build 6,500-fold
+        net = net_from_transitions(2, [(0, 1)] * 10 + [(1, 0)] * 10)
+        with pytest.raises(TableCapError, match="need 484 cells") as err:
+            build_transfer_table(net)
+        assert err.value.required_cells == 484
+        built = build_transfer_table(net, max_places=20)
+        assert len(built.admissible) << 2 == 484
+        assert built.rows.nbytes == 484 * 4
 
     def test_cap_override(self):
         net = cycle_net(5)
@@ -168,7 +181,7 @@ class TestBuild:
         # checked before the 2**33 receptivity combinations are enumerated
         with pytest.raises(TableCapError, match="33 places") as err:
             build_transfer_table(cycle_net(33), max_places=40)
-        assert err.value.required_cells == ((1 << 33) - 1) * (1 << 33)
+        assert err.value.required_cells == (1 << 33) << 33
 
     def test_rows_are_a_read_only_view(self, fig1_table):
         rows = fig1_table.rows
