@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -299,20 +301,26 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
 def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
     """Transfer each focal set's mass to its image; the one loop behind every step.
 
-    ``image`` maps a source mask to its image mask. Sources are walked in
-    canonical order, so masses sharing an image add up in the same order, and
-    bit for bit the same floats, whatever computes the image. The sources are
+    ``image`` maps a source mask to its image mask. The sources are
     range-checked against ``n`` places first, and the merged masses against
-    [0, 1].
+    [0, 1]. When no two sources share an image, the images are zipped with the
+    masses as they stand: merging would add each mass to 0.0 once, and
+    ``0.0 + v == v`` bit for bit for every mass in (0, 1], so the result is the
+    merge's, in the merge's first-occurrence order. Otherwise sources are
+    walked in canonical order, so masses sharing an image add up in the same
+    order, and bit for bit the same floats, whatever computes the image.
     """
     masses = mass._masses
     if max(masses) >> n:
         x = next(x for x in masses if x >> n)
         raise ValueError(f"place set {_members(x)} out of range for {n} places")
-    out: dict[int, float] = {}
-    get = out.get
-    for y, value in zip(map(image, masses), masses.values()):
-        out[y] = get(y, 0.0) + value
+    images = list(map(image, masses))
+    out = dict(zip(images, masses.values()))
+    if len(out) < len(images):
+        out = {}
+        get = out.get
+        for y, value in zip(images, masses.values()):
+            out[y] = get(y, 0.0) + value
     merged = out.values()
     if not (0.0 <= min(merged) and max(merged) <= 1.0):
         y, value = next((y, v) for y, v in out.items() if not 0.0 <= v <= 1.0)
@@ -320,17 +328,58 @@ def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVecto
     return MassVector._of_masks(out, n)
 
 
+# Nets of at most this many places step through one flat table of image masks.
+_FLAT_PLACE_LIMIT = 12
+
+
+@functools.cache
+def _with_bit(k: int) -> bytes:
+    """A translation table that sets bit ``k`` of every byte."""
+    return bytes(b | 1 << k for b in range(256))
+
+
+def _flat_images(successors: tuple[int, ...]) -> array:
+    """The image mask of every subset mask of ``len(successors)`` places, at
+    most 16, as an array of 16-bit lanes.
+
+    The kernel's recurrence, ``flat[x | unit] = flat[x] | succ`` for a place
+    ``unit`` above every place of ``x``, doubles the table once per place. It
+    runs on the low and the high bytes of the images as two planes, so setting
+    the successor's bit in every image of the lower half is one C-level
+    ``translate``; the planes are interleaved into lanes at the end.
+    """
+    low = high = b"\0"
+    for place in successors:
+        if place < 8:
+            low += low.translate(_with_bit(place))
+            high += high
+        else:
+            high += high.translate(_with_bit(place - 8))
+            low += low
+    lanes = bytearray(2 << len(successors))
+    first = sys.byteorder == "big"  # the offset of a lane's low byte
+    lanes[first::2] = low
+    lanes[1 - first :: 2] = high
+    return array("H", lanes)
+
+
 @functools.lru_cache(maxsize=64)
 def _image(net: PetriNet, bits: Receptivity) -> Callable[[int], int]:
     """The image of a place mask under a coerced receptivity, by table lookup.
 
-    Each byte of the mask indexes a 256-entry table of the union of its
-    places' successors (:func:`~evinet.net._successors`), and the image is the
-    union over the bytes. The firing rule raises for a conflicting
-    receptivity, so every one of the 64 cached (net, receptivity) pairs has
-    passed the conflict check; each takes about 10 KB per 8 places.
+    The successors come from the firing rule (:func:`~evinet.net._successors`).
+    Up to ``_FLAT_PLACE_LIMIT`` places the image is one C-level index into the
+    :func:`_flat_images` array, 8 KiB at 12 places, so no mask costs a Python
+    frame and the 64 cached tables hold about 0.5 MiB. Wider masks are read a
+    byte at a time: each byte indexes a 256-entry list of the union of its
+    places' successors, and the image is the union over the bytes; the lists
+    take about 35 KB per receptivity at 34 places, 2.2 MiB for the whole
+    cache. The firing rule raises for a conflicting receptivity, so every
+    cached (net, receptivity) pair has passed the conflict check.
     """
     successors = _successors(net, bits)
+    if len(successors) <= _FLAT_PLACE_LIMIT:
+        return _flat_images(successors).__getitem__
     tables = []
     for base in range(0, len(successors), 8):
         table = [0]

@@ -198,10 +198,16 @@ def invert_table(
 
 
 def table_step(table: TransferTable, mass, r: Sequence[int]) -> MassVector:
-    """Advance a mass distribution by table lookup; equals the direct step."""
+    """Advance a mass distribution by table lookup; equals the direct step.
+
+    The image of ``x`` is ``rows[x, k]``, read through a strided view of
+    column ``k`` so that, as in :func:`~evinet.engine.step`, each lookup is a
+    C-level index.
+    """
     mass = _as_mass_vector(mass)
     k = table._row(r)
-    return _advance(mass, lambda x: table.rows[x, k], table.net.place_count)
+    column = table.rows.cast("B").cast("I")[k :: len(table.admissible)]
+    return _advance(mass, column.__getitem__, table.net.place_count)
 
 
 @dataclass(frozen=True)

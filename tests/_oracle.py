@@ -10,7 +10,8 @@ on cycle nets by index arithmetic. The canonical order of place sets is stated
 here a second time, as frozensets from ``itertools.combinations`` sorted by
 (size, sorted members), so the package's int-mask order is checked against an
 order it does not compute; the brute inversion of a table lists its cells in
-that order.
+that order. The byte-table step is the package's step before its flat image
+tables, kept to diff the new step against bit for bit.
 
 The per-cell output stage at the end is the exception: it is the package's
 first CSV writer, equation emitter and renderer, and its first, tabular
@@ -94,6 +95,49 @@ def step_brute(pre, post, mass, r):
         y = transform_brute(pre, post, frozenset(x), r)
         out[y] = out.get(y, 0.0) + value
     return out
+
+
+def byte_table_image(pre, post, r):
+    """The image of a place mask, one 256-entry table lookup per byte of it.
+
+    The package's image before flat tables: each table holds the union of the
+    successors of every subset of its 8 places, and the image is the union
+    over the bytes. Successors are read off the raw matrices; ``r`` must be
+    admissible.
+    """
+    n, m = dims(pre)
+    successors = list(range(n))
+    for t in range(m):
+        if r[t]:
+            (src,) = [i for i in range(n) if pre[i][t]]
+            (successors[src],) = [i for i in range(n) if post[i][t]]
+    tables = []
+    for base in range(0, n, 8):
+        table = [0]
+        for place in successors[base : base + 8]:
+            unit = 1 << place
+            table += [y | unit for y in table]
+        tables.append(table)
+
+    def image(x):
+        y = 0
+        for table in tables:
+            y |= table[x & 0xFF]
+            x >>= 8
+        return y
+
+    return image
+
+
+def step_byte_tables(net, mass, r):
+    """The package's step before flat tables: every focal set's mass added into
+    its byte-table image, sources in canonical order, then put in order."""
+    image = byte_table_image(net.pre, net.post, coerce_receptivity(net, r))
+    out = {}
+    for x, value in mass._masses.items():
+        y = image(x)
+        out[y] = out.get(y, 0.0) + value
+    return MassVector._of_masks(out, net.place_count)
 
 
 def classic_step_brute(pre, post, marks, r):

@@ -27,13 +27,20 @@ from evinet.net import PetriNet
 from _nets import (
     all_admissible_receptivities,
     cycle_net,
+    net_from_transitions,
     random_admissible_receptivity,
     random_cycle,
     random_mass,
     random_net,
     ring_with_chords,
 )
-from _oracle import sequential_step_check, step_brute, transform_brute
+from _oracle import (
+    sequential_step_check,
+    set_key,
+    step_brute,
+    step_byte_tables,
+    transform_brute,
+)
 
 
 class TestMassVector:
@@ -435,6 +442,131 @@ class TestLongRuns:
         for _ in range(5_000):
             mass = step(net, mass, random_admissible_receptivity(rng, net))
             assert abs(math.fsum(mass.values()) - 1.0) <= NORMALIZATION_TOL
+
+
+def _net_of(rng: random.Random, n: int):
+    """A random net of exactly ``n >= 2`` places: every transition moves a
+    token to another place, so no valid net has one."""
+    pairs = []
+    for _ in range(rng.randint(1, n + 3)):
+        src = rng.randrange(n)
+        pairs.append((src, rng.choice([i for i in range(n) if i != src])))
+    return net_from_transitions(n, pairs)
+
+
+def _bits_of(mass: MassVector) -> list[tuple[int, str]]:
+    return [(x, value.hex()) for x, value in mass._masses.items()]
+
+
+class TestFlatImages:
+    """``step`` takes images from one flat table per receptivity up to 12 places
+    and skips the merge when no two images collide. It must give the byte-table
+    step's dict, in its key order and to the bit, and the incidence oracle's
+    masses, on both sides of 12 places and with and without collisions."""
+
+    def check(self, net, mass, r) -> bool:
+        """Assert the three steps agree; True when two sources shared an image."""
+        got = step(net, mass, r)
+        assert _bits_of(got) == _bits_of(step_byte_tables(net, mass, r))
+        brute = step_brute(net.pre, net.post, dict(mass.items()), r)
+        expected = sorted(brute.items(), key=lambda item: set_key(item[0]))
+        assert [(x, v.hex()) for x, v in got.items()] == [
+            (x, v.hex()) for x, v in expected
+        ]
+        return len(got) < len(mass)
+
+    def test_the_flat_table_of_1_to_12_places(self):
+        from evinet.engine import _flat_images
+
+        rng = random.Random(12)
+        for n in range(1, 13):
+            successors = tuple(rng.randrange(n) for _ in range(n))
+            images = [
+                sum(1 << y for y in {successors[i] for i in range(n) if x >> i & 1})
+                for x in range(1 << n)
+            ]
+            assert list(_flat_images(successors)) == images
+
+    def test_random_nets_of_2_to_14_places(self):
+        rng = random.Random(20131016)
+        collided = []
+        for n in range(2, 15):
+            for _ in range(6):
+                net = _net_of(rng, n)
+                mass = random_mass(rng, n, max_focals=40)
+                r = random_admissible_receptivity(rng, net)
+                collided.append(self.check(net, mass, r))
+        assert any(collided) and not all(collided)
+
+    @pytest.mark.parametrize("n", [12, 34])
+    def test_cycles_with_and_without_collisions(self, n):
+        rng = random.Random(n)
+        net = cycle_net(n)
+        mass = random_mass(rng, n, max_focals=300 if n == 12 else 40)
+        # with every singleton focal, a receptivity firing place i but not its
+        # successor merges {i} into {i + 1}
+        weights = {x: value / 2 for x, value in mass.items()}
+        for i in range(n):
+            key = frozenset({i})
+            weights[key] = weights.get(key, 0.0) + 1 / (2 * n)
+        mass = MassVector(weights)
+        # a receptivity that fires all or none of a cycle permutes the places
+        for r in ((1,) * n, (0,) * n):
+            assert not self.check(net, mass, r)
+        collisions = [
+            self.check(net, mass, tuple(rng.randint(0, 1) for _ in range(n)))
+            for _ in range(4)
+        ]
+        assert any(collisions)
+
+    def test_a_shared_image_merges(self, fig1):
+        # under 100, {P1} moves to {P2} and {P2} stays there
+        mass = MassVector({frozenset({0}): 0.1, frozenset({1}): 0.2, frozenset({2}): 0.7})
+        assert self.check(fig1, mass, (1, 0, 0))
+        assert _bits_of(step(fig1, mass, (1, 0, 0))) == [
+            (0b010, (0.0 + 0.1 + 0.2).hex()),
+            (0b100, (0.0 + 0.7).hex()),
+        ]
+
+    def test_a_run_agrees_with_the_byte_table_step(self, fig2):
+        rng = random.Random(7)
+        net = cycle_net(12)
+        mass = expected = random_mass(rng, 12, max_focals=300)
+        inputs = [tuple(rng.randint(0, 1) for _ in range(12)) for _ in range(20)]
+        inputs += [(1,) * 12, (0,) * 12]
+        for r, (_, mass) in zip(inputs, run(net, mass, inputs).steps):
+            expected = step_byte_tables(net, expected, r)
+            assert _bits_of(mass) == _bits_of(expected)
+
+
+class TestImageCache:
+    """The 64 cached image functions bound what they hold: an 8 KiB array
+    per receptivity up to 12 places, byte tables of Python ints above."""
+
+    @pytest.mark.parametrize("n, bound_mib", [(12, 1.0), (34, 2.5)])
+    def test_64_receptivities_hold_a_bounded_cache(self, n, bound_mib):
+        from evinet.engine import _image
+        from evinet.net import _successors, coerce_receptivity
+
+        rng = random.Random(n)
+        net = cycle_net(n)
+        distinct = {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(80)}
+        receptivities = [coerce_receptivity(net, r) for r in sorted(distinct)[:64]]
+        assert len(receptivities) == 64
+        _image.cache_clear()
+        _successors.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for bits in receptivities:
+                _image(net, bits)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert _image.cache_info().currsize == 64
+        # measured: 0.54 MiB at 12 places (flat Python lists took 9.3 MiB),
+        # 2.2 MiB at 34 places
+        assert held < bound_mib * 2**20
 
 
 class TestSequentialCheck:

@@ -305,6 +305,25 @@ class TestTableStep:
             r = random_admissible_receptivity(rng, net)
             assert table_step(table, mass, r) == step(net, mass, r)
 
+    def test_equals_step_bit_for_bit_where_images_collide(self):
+        rng = random.Random(1016)
+        collided = 0
+        for _ in range(25):
+            net = random_net(rng, max_places=8, max_transitions=10)
+            table = build_transfer_table(net)
+            mass = random_mass(rng, net.place_count, max_focals=40)
+            colliding = [
+                r for r in table.admissible if len(step(net, mass, r)) < len(mass)
+            ]
+            collided += bool(colliding)
+            # the all-zeros row first: it moves nothing, so nothing collides
+            for r in [table.admissible[0]] + colliding[:3]:
+                got, expected = table_step(table, mass, r), step(net, mass, r)
+                assert [(x, v.hex()) for x, v in got._masses.items()] == [
+                    (x, v.hex()) for x, v in expected._masses.items()
+                ]
+        assert collided >= 20
+
 
 # the seven update equations of the 3-place cycle, entered by hand;
 # cube slots follow transition order, None marks an eliminated variable
