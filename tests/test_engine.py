@@ -528,13 +528,14 @@ class TestFlatImages:
             (0b100, (0.0 + 0.7).hex()),
         ]
 
-    def test_a_run_agrees_with_the_byte_table_step(self, fig2):
+    def test_a_run_agrees_with_the_byte_table_step(self):
         rng = random.Random(7)
         net = cycle_net(12)
-        mass = expected = random_mass(rng, 12, max_focals=300)
+        expected = random_mass(rng, 12, max_focals=300)
         inputs = [tuple(rng.randint(0, 1) for _ in range(12)) for _ in range(20)]
         inputs += [(1,) * 12, (0,) * 12]
-        for r, (_, mass) in zip(inputs, run(net, mass, inputs).steps):
+        trajectory = run(net, expected, inputs)
+        for r, (_, mass) in zip(inputs, trajectory.steps):
             expected = step_byte_tables(net, expected, r)
             assert _bits_of(mass) == _bits_of(expected)
 
