@@ -35,8 +35,14 @@ one the full search returns, byte for byte:
 - every prime covers 2**free times as many minterms after lifting, so the
   greedy key (count, -value, dashes) ranks the primes the same.
 
+A cofactor of one minterm is its own only prime, so its cover is that
+minterm with the free variables dashed, and no search runs.
+
 Cubes stay (value, dashes) ints until the result is built, and the result is
 sorted by fixed-slot count, then slot by slot with 0 < 1 < eliminated.
+``minimize_minterms`` checks its arguments and ORs the minterms into an
+on-set int; ``_minimize_on`` is the rest, for callers that already hold a
+nonempty on-set int of ``width`` variables, and checks nothing.
 
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
 variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
@@ -182,8 +188,12 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
         return ()
     if min(minterms) < 0 or max(minterms) >> width:
         raise ValueError(f"minterm out of range for {width} variables")
-    on = functools.reduce(operator.or_, map((1).__lshift__, minterms))
+    # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
+    return _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)), width)
 
+
+def _minimize_on(on: int, width: int) -> tuple[Cube, ...]:
+    """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked."""
     # A variable is free when flipping it maps the on-set onto itself. The
     # search runs on the cofactor where every free variable is 0, so it never
     # merges along one, and each chosen prime takes them back as dashes.
@@ -193,6 +203,8 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
             free |= shift
             cofactor &= low
     del on  # 2 MiB at WIDTH_LIMIT, which the search can use
+    if not cofactor & (cofactor - 1):  # one minterm is its cofactor's only prime
+        return (_to_cube(cofactor.bit_length() - 1, free, width),)
     chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
     cubes = [_to_cube(value, dashes | free, width) for value, dashes in chosen]
     return tuple(sorted(cubes, key=_int_sort_key))

@@ -44,7 +44,7 @@ from .engine import (
     _set_of,
     place_set_key,
 )
-from .minimize import WIDTH_LIMIT, Cube, _cover, _int_sort_key, _to_cube, minimize_minterms
+from .minimize import WIDTH_LIMIT, Cube, _cover, _int_sort_key, _minimize_on, _to_cube
 from .net import (
     PetriNet,
     Receptivity,
@@ -254,11 +254,15 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
         )
     masks = table._masks
     # each source column is read in minterm order, so every (target, source)
-    # list holds one coefficient's minterms (or raw cubes) in ascending order,
-    # and sources reach each target in canonical order
+    # list holds one coefficient's raw cubes in ascending order, or, minimized,
+    # its on-set bits 1 << minterm, and sources reach each target in canonical
+    # order
     # a valid net has a transition, so two rows or more: the pick is a tuple
     pick = operator.itemgetter(*sorted(range(len(masks)), key=masks.__getitem__))
-    items = sorted(masks) if minimize else [_to_cube(mask, 0, m) for mask in sorted(masks)]
+    if minimize:
+        items = [1 << mask for mask in sorted(masks)]
+    else:
+        items = [_to_cube(mask, 0, m) for mask in sorted(masks)]
     grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
         column = pick(table._column(xmask))
@@ -273,7 +277,8 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     for ymask in sorted(grouped, key=_canonical_key(n)):
         terms: list[tuple[Cube, PlaceSet]] = []
         for xmask, group in grouped[ymask].items():
-            cubes = minimize_minterms(group, m) if minimize else group
+            # a group's bits are distinct, so their sum is the on-set
+            cubes = _minimize_on(sum(group), m) if minimize else group
             terms.extend(zip(cubes, repeat(sets(xmask))))
         equations.append(
             MassEquation(target=sets(ymask), transition_count=m, terms=tuple(terms))

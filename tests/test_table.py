@@ -32,7 +32,7 @@ from evinet import (
 from evinet import minimize
 from evinet import table as table_module
 from evinet.dsl import _mask_labels
-from evinet.minimize import WIDTH_LIMIT, _prime_implicants, minimize_minterms
+from evinet.minimize import WIDTH_LIMIT, _minimize_on, _prime_implicants, minimize_minterms
 from evinet.table import EQUATION_CELL_LIMIT, _on_sets
 from _nets import (
     all_admissible_receptivities,
@@ -693,6 +693,52 @@ class TestMinimize:
             assert peak < 8 * on_set_bytes
         assert all(cube[11] is None for cube in cubes)
 
+    def test_one_minterm_cofactors_match_the_tabular_oracle(self):
+        # one minterm on the support crossed with every value of the free
+        # variables: the cofactor is a single minterm, so no search runs
+        rng = random.Random(470)
+        for width in range(13):
+            for _ in range(6 if width < 10 else 2):
+                free = rng.sample(range(width), rng.randint(0, min(width, 6)))
+                on, cube = _one_minterm_cofactor(rng.getrandbits(width), free, width)
+                assert minimize_minterms(on, width) == (cube,)
+                assert _minimize_on(sum(1 << v for v in on), width) == (cube,)
+                assert minimize_minterms_tabular(on, width) == (cube,)
+
+    @pytest.mark.parametrize(
+        "value, free", [(0, (23,)), (0xA04009, (0, 11, 23)), (0xFFFFFF, (4, 5, 6, 7))]
+    )
+    def test_one_minterm_cofactors_at_the_width_limit(self, value, free):
+        on, cube = _one_minterm_cofactor(value, free, WIDTH_LIMIT)
+        tracemalloc.start()
+        try:
+            cubes = minimize_minterms(on, WIDTH_LIMIT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cubes == (cube,) == minimize_minterms_tabular(on, WIDTH_LIMIT)
+        assert peak < 8 * (1 << WIDTH_LIMIT) // 8
+        if value == 0:
+            assert on == [0, 1 << 23] and cube == (0,) * 23 + (None,)
+
+    def test_emitted_on_sets_match_the_tabular_oracle(self, monkeypatch):
+        # every on-set the equations benchmark net (seed 1) minimizes
+        equations_net = ring_with_chords(random.Random("equations:1"), 7, 2)
+        table = build_transfer_table(equations_net)
+        width = equations_net.transition_count
+        seen = []
+
+        def record(on, width):
+            seen.append(on)
+            return _minimize_on(on, width)
+
+        monkeypatch.setattr(table_module, "_minimize_on", record)
+        emit_equations(table, minimize=True)
+        assert width == 9 and len(seen) == 2254
+        for on in seen:
+            minterms = [v for v in range(1 << width) if on >> v & 1]
+            assert _minimize_on(on, width) == minimize_minterms_tabular(minterms, width)
+
     def test_module_caches_stay_within_their_bounds(self):
         # the equation stage keeps no state between calls but the merge masks
         equations_net = ring_with_chords(random.Random("equations:1"), 7, 2)
@@ -749,6 +795,18 @@ def _with_free_variables(rng, width, max_support):
         for f in range(1 << len(free))
     ]
     return on, free
+
+
+def _one_minterm_cofactor(value, free, width):
+    """``value`` with the ``free`` variables cleared, crossed with every value
+    of them; returns that on-set and the one cube covering it."""
+    value &= ~sum(1 << j for j in free)
+    on = [
+        value | sum(1 << j for k, j in enumerate(free) if f >> k & 1)
+        for f in range(1 << len(free))
+    ]
+    cube = tuple(None if j in free else value >> j & 1 for j in range(width))
+    return on, cube
 
 
 class TestCsv:
