@@ -717,7 +717,8 @@ class TestMinimize:
         finally:
             tracemalloc.stop()
         assert cubes == (cube,) == minimize_minterms_tabular(on, WIDTH_LIMIT)
-        assert peak < 8 * (1 << WIDTH_LIMIT) // 8
+        on_set_bytes = (1 << WIDTH_LIMIT) // 8
+        assert peak < 8 * on_set_bytes
         if value == 0:
             assert on == [0, 1 << 23] and cube == (0,) * 23 + (None,)
 
