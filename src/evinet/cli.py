@@ -228,6 +228,8 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
                     f"line {line_no}: receptivity {''.join(map(str, bits))} enables"
                     f" conflicting transitions at {details}"
                 )
+            except EvinetError as exc:  # such as a merged mass above 1
+                _fail(f"line {line_no}: {exc}")
             index += 1
             print(record(index, bits, mass), flush=True)
     finally:

@@ -171,15 +171,12 @@ def parse_net(text: str) -> PetriNet:
         if violation.transition is not None:
             t = doc.transitions[violation.transition]
             lines = [ln for (a, b), ln in arc_lines.items() if t in (a, b)]
-            if lines:
-                return min(lines)
-            return decl_line["transitions"] or 1
-        if violation.place is not None:
-            p = doc.places[violation.place]
-            lines = [ln for (a, b), ln in arc_lines.items() if p in (a, b)]
-            if lines:
-                return min(lines)
-        return decl_line["places"] or 1
+            return min(lines, default=decl_line["transitions"])
+        # no transitions, or a repeated name: places are checked first, so the
+        # first repeat is a place's when any place name repeats
+        if violation.kind == "duplicate-name" and len(set(doc.places)) < len(doc.places):
+            return decl_line["places"]
+        return decl_line["transitions"]
 
     first = report.violations[0]
     rest = len(report.violations) - 1

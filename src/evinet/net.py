@@ -217,6 +217,7 @@ class _Structure:
     pre_place: tuple[int, ...]
     post_place: tuple[int, ...]
     outputs: tuple[frozenset[int], ...]  # per place, its output transitions
+    conflicts: tuple[ConflictSet, ...]  # the places with two or more outputs
 
 
 @functools.lru_cache(maxsize=1024)
@@ -230,28 +231,29 @@ def _structure(net: PetriNet) -> _Structure:
     outputs = tuple(
         frozenset(j for j in range(m) if pre_place[j] == i) for i in range(n)
     )
-    return _Structure(pre_place, post_place, outputs)
+    conflicts = tuple(
+        ConflictSet(place=i, transitions=outs) for i, outs in enumerate(outputs) if len(outs) >= 2
+    )
+    return _Structure(pre_place, post_place, outputs, conflicts)
 
 
 @functools.lru_cache(maxsize=1024)
 def _successors(net: PetriNet, bits: Receptivity) -> tuple[int, ...]:
     """Each place's successor under a coerced receptivity: the firing rule.
 
-    A receptivity that fires two outputs of one place raises
-    :class:`ConflictError`. Otherwise a place moves through its one true
-    output transition and stays put when it has none. Memoized, so an
-    admissible receptivity is checked once per cached (net, receptivity)
-    pair; the cache keeps no exception, so a rejected one is checked again on
-    every call.
+    A place moves through its one true output transition and stays put when
+    it has none. A second true output of a place that has already moved is a
+    conflict: the receptivity raises :class:`ConflictError`, with every
+    conflict :func:`check_receptivity` reports. Memoized; the cache keeps no
+    exception, so a rejected receptivity is rejected again on every call.
     """
-    violations = check_receptivity(net, bits)
-    if violations:
-        raise ConflictError(violations)
     s = _structure(net)
     succ = list(range(net.place_count))
-    for t, place in enumerate(s.pre_place):
-        if bits[t]:
-            succ[place] = s.post_place[t]
+    for place, target, bit in zip(s.pre_place, s.post_place, bits):
+        if bit:
+            if succ[place] != place:  # a valid net has no self-loop
+                raise ConflictError(check_receptivity(net, bits))
+            succ[place] = target
     return tuple(succ)
 
 
@@ -299,15 +301,9 @@ def coerce_receptivity(net: PetriNet, r: Sequence[int]) -> Receptivity:
     return _coerce_bits(r, net.transition_count, "net has {} transitions")
 
 
-@functools.lru_cache(maxsize=1024)
 def detect_conflicts(net: PetriNet) -> tuple[ConflictSet, ...]:
     """All places whose token is contested by two or more output transitions."""
-    s = _structure(net)
-    return tuple(
-        ConflictSet(place=i, transitions=outs)
-        for i, outs in enumerate(s.outputs)
-        if len(outs) >= 2
-    )
+    return _structure(net).conflicts
 
 
 def check_receptivity(net: PetriNet, r: Sequence[int]) -> tuple[ReceptivityConflict, ...]:
@@ -315,8 +311,8 @@ def check_receptivity(net: PetriNet, r: Sequence[int]) -> tuple[ReceptivityConfl
 
     The constraint is global: a vector is rejected even when no token sits at
     the conflict place, matching the classic-net firing rule. ``r`` is
-    coerced first. The firing rule (:func:`_successors`) runs this check on
-    every receptivity it has not cached.
+    coerced first. The firing rule (:func:`_successors`) finds conflicts on
+    its own and calls this only to report a receptivity it rejects.
     """
     bits = coerce_receptivity(net, r)
     violations = []

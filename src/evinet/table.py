@@ -170,7 +170,16 @@ def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -
     choices = [(0, *(1 << (2 * m - 1 - t) | 1 << t for t in outs)) for outs in structure.outputs]
     masks = tuple(value & ((1 << m) - 1) for value in sorted(map(sum, product(*choices))))
     admissible = tuple(tuple(mask >> t & 1 for t in range(m)) for mask in masks)
-    rows = _backend.fill_rows(n, structure.pre_place, structure.post_place, masks)
+    # the firing rule, one 32-bit lane per combination and place: the token
+    # follows the one output the combination fires, or stays put; moves maps
+    # the fired output's bit, or 0, to the successor's bit
+    lanes = []
+    for place, outs in enumerate(structure.outputs):
+        own = sum(1 << t for t in outs)
+        moves = {0: 1 << place, **{1 << t: 1 << structure.post_place[t] for t in outs}}
+        lane = array("I", map(moves.__getitem__, map(own.__and__, masks)))
+        lanes.append(int.from_bytes(lane, "little"))
+    rows = _backend.fill_rows(count, lanes)
     return TransferTable(net=net, admissible=admissible, rows=rows, _masks=masks)
 
 

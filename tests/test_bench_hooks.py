@@ -3,7 +3,8 @@
 ``evibench/run.py --trace 1`` wraps functions such as ``_backend.fill_rows``,
 ``dsl.serialize_mass`` and ``net.check_receptivity`` in every evinet module
 that binds them, and restores them afterwards. Renaming one of them breaks the
-traced benchmark, so installing and uninstalling the hooks is tested here.
+traced benchmark, so installing the hooks, calling through them and
+uninstalling them is tested here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _evinet_bindings() -> dict[tuple[str, str], object]:
     }
 
 
-def test_trace_hooks_install_and_uninstall(monkeypatch):
+def test_trace_hooks_install_and_uninstall(monkeypatch, fig2):
     monkeypatch.syspath_prepend(str(EVIBENCH))
     spec = importlib.util.spec_from_file_location("evibench_run", EVIBENCH / "run.py")
     bench = importlib.util.module_from_spec(spec)
@@ -45,6 +46,21 @@ def test_trace_hooks_install_and_uninstall(monkeypatch):
         for module, name in ((_backend, "fill_rows"), (dsl, "serialize_mass"),
                              (net, "check_receptivity"), (net, "coerce_receptivity")):
             assert getattr(module, name) is not before[(module.__name__, name)]
+
+        # the wrappers are called as evinet calls the functions they replace,
+        # so a hook whose signature drifts from its caller fails here
+        from evinet import ignorance_mass, step
+        from evinet import table as table_module
+
+        tracer.begin_op(1)
+        built = table_module.build_transfer_table(fig2)
+        step(fig2, ignorance_mass(fig2), (0, 1, 0, 0))
+        emitted = table_module.emit_equations(built, minimize=True)
+        tracer.end_op()
+        assert emitted == before[("evinet.table", "emit_equations")](built, minimize=True)
+        for name in ("table.build", "table.kernel", "engine.step", "table.emit_min"):
+            assert tracer.in_op.calls[name] == 1, name
+        assert tracer.facts["cells"] == built.defined_cell_count
     finally:
         tracer.uninstall()
     after = _evinet_bindings()

@@ -287,6 +287,28 @@ class TestRun:
         assert result.stdout == ""
         assert result.stderr == "error: --initial: line 1: focal set {P1} is named twice\n"
 
+    def test_a_merged_mass_above_one_is_one_error_line(self, runner, data_dir):
+        # the two masses sum to 1 + 2**-52, inside the normalization tolerance,
+        # and t1 merges them on {P2} into a mass above 1
+        result = invoke(
+            runner,
+            ["run", "--net", str(data_dir / "fig1.evinet"), "--input", "-",
+             "--initial", "{P1}:0.13436424411240122 {P2}:0.865635755887599"],
+            input="1 0 0\n",
+        )
+        assert result.exit_code == 1
+        assert result.stdout == "step=0 r=- mass={P1}:0.13436424411240122 {P2}:0.865635755887599\n"
+        assert result.stderr == "error: line 1: mass 1.0000000000000002 for {1} outside [0, 1]\n"
+
+    def test_a_missing_input_file_is_one_error_line(self, runner, data_dir, tmp_path):
+        missing = tmp_path / "absent.txt"
+        result = invoke(
+            runner, ["run", "--net", str(data_dir / "fig1.evinet"), "--input", str(missing)]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot read {missing}: No such file or directory\n"
+
 
 class TestTable:
     def test_fig1_row_count_and_cells(self, runner, data_dir, tmp_path):
@@ -384,6 +406,30 @@ class TestTable:
             "error: EVINET_MAX_PLACES must be a non-negative integer, got '-3'\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["table", "equations"])
+    def test_non_integer_env_cap_is_rejected(
+        self, runner, data_dir, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.setenv("EVINET_MAX_PLACES", "abc")
+        out = tmp_path / "t.csv"
+        args = [command, "--net", str(data_dir / "fig1.evinet")]
+        if command == "table":
+            args += ["--output", str(out)]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: EVINET_MAX_PLACES must be an integer, got 'abc'\n"
+        assert not out.exists()
+
+    def test_output_into_a_missing_directory(self, runner, data_dir, tmp_path):
+        out = tmp_path / "absent" / "t.csv"
+        result = invoke(
+            runner, ["table", "--net", str(data_dir / "fig1.evinet"), "--output", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
 
     def test_zero_cap_is_a_cap_not_an_error_of_its_own(self, runner, data_dir, tmp_path):
         result = invoke(

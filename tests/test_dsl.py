@@ -109,6 +109,79 @@ class TestParseNet:
         assert doc.arcs[0] == ("P1", "t1")
         assert doc.arcs[2] == ("P1", "t2")
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (
+                "net x\nplaces: P1, P2\ntransitions: t1, t2\narc: P1 -> t1\narc: t1 -> P2\n",
+                "column 1 of pre has 0 nonzero entries, expected exactly one 1"
+                " (and 1 more violation)",
+                3,
+            ),
+            (
+                "net x\nplaces: P1, P1, P2\ntransitions: t1\narc: P1 -> t1\narc: t1 -> P2\n",
+                "name 'P1' declared more than once",
+                2,
+            ),
+            (
+                "net x\nplaces: P1, P2\ntransitions: t1, t1\narc: P1 -> t1\narc: t1 -> P2\n",
+                "name 't1' declared more than once (and 2 more violations)",
+                3,
+            ),
+            ("net x\nplaces: P1, P2\ntransitions:\n", "net has no transitions", 3),
+        ],
+        ids=["unconnected-transition", "duplicate-place", "duplicate-transition",
+             "no-transitions"],
+    )
+    def test_a_violation_without_an_arc_points_at_its_declaration(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_net(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: invalid net: {message}"
+
+    @pytest.mark.parametrize(
+        "parse, text, message, line",
+        [
+            (parse_net, "net x\nplaces: P1\nplaces: P2\n", "places declared twice", 3),
+            (
+                parse_net,
+                "net x\nplaces: P1\ntransitions: t1\ntransitions: t2\n",
+                "transitions declared twice",
+                4,
+            ),
+            (
+                parse_net,
+                "net x\nplaces: P1, P2\narc: P1 -> t1\ntransitions: t1\n",
+                "arcs must come after the places and transitions declarations",
+                3,
+            ),
+            (
+                parse_net,
+                "net x\nplaces: P1, P2\ntransitions: t1\narc: P1 t1\n",
+                "expected 'arc: A -> B', got 'P1 t1'",
+                4,
+            ),
+            (
+                parse_net,
+                "# a comment\n\n",
+                "empty document, expected a 'net <name>' header",
+                1,
+            ),
+            (parse_net, "net x\ntransitions: t1\n", "missing places declaration", 1),
+            (parse_net, "net x\nplaces: P1\n", "missing transitions declaration", 1),
+            (lambda text: parse_mass(text, 3), "{}:1", "a focal set cannot be empty", 1),
+            (lambda text: parse_mass(text, 3), "{P1}:x", "bad mass value 'x'", 1),
+        ],
+        ids=["places-twice", "transitions-twice", "arc-before-declarations",
+             "malformed-arc", "empty-document", "missing-places", "missing-transitions",
+             "empty-focal-set", "bad-mass-value"],
+    )
+    def test_parse_errors_name_their_line(self, parse, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
 
 class TestSerializeNet:
     def test_fig1_canonical_document(self, fig1):

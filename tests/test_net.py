@@ -10,11 +10,15 @@ from evinet import (
     ConflictError,
     ConflictSet,
     DimensionError,
+    InvalidNetError,
     PetriNet,
+    build_transfer_table,
     check_receptivity,
     classic_step,
     detect_conflicts,
     enabled_transitions,
+    ignorance_mass,
+    step,
     validate_net,
 )
 from _nets import (
@@ -143,6 +147,25 @@ class TestDetectConflicts:
         )
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [
+        build_transfer_table,
+        lambda net: step(net, ignorance_mass(net), (0, 1, 0)),
+        detect_conflicts,
+    ],
+    ids=["build_transfer_table", "step", "detect_conflicts"],
+)
+def test_an_invalid_net_raises_with_its_report(operation):
+    # t1 loops on P1
+    net = net_from_transitions(2, [(0, 0), (0, 1), (1, 0)])
+    report = validate_net(net)
+    assert [v.kind for v in report.violations] == ["self-loop"]
+    with pytest.raises(InvalidNetError) as err:
+        operation(net)
+    assert err.value.report == report
+
+
 class TestCheckReceptivity:
     def test_fig2_simultaneous_conflict_pair(self, fig2):
         violations = check_receptivity(fig2, (1, 1, 0, 0))
@@ -207,9 +230,10 @@ class TestCheckReceptivity:
         checks = count_calls(net_module, "check_receptivity")
         mass = step(fig2, ignorance_mass(fig2), (0, 1, 0, 0))
         step(fig2, mass, (0, 1, 0, 0))
-        # each step coerces; the firing rule checks once per cached pair
+        # each step coerces; the firing rule finds conflicts in its own loop and
+        # calls check_receptivity only to report a rejected receptivity
         assert len(coercions) == 2
-        assert len(checks) == 1
+        assert len(checks) == 0
 
     def test_a_rejected_receptivity_is_checked_on_every_call(self, fig2, count_calls):
         import evinet.engine as engine_module
