@@ -22,6 +22,10 @@ from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts, validate_net
 
 ENV_MAX_PLACES = "EVINET_MAX_PLACES"
 
+# A receptivity's 0/1 ints as the bytes "0" and "1", so ``bytes(bits)`` translates
+# to its text in one call.
+_BIT_TEXT = bytes.maketrans(b"\0\1", b"01")
+
 
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
@@ -178,7 +182,7 @@ def _records(net: PetriNet, form: str):
         body = lambda mass: f"{sparse(mass)} dense={dense(mass)}"
 
     def record(index: int, bits, mass: MassVector) -> str:
-        r_text = "".join(map(str, bits)) if bits is not None else "-"
+        r_text = bytes(bits).translate(_BIT_TEXT).decode() if bits is not None else "-"
         return f"step={index} r={r_text} mass={body(mass)}"
 
     return record
@@ -225,7 +229,8 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
                     for v in exc.conflicts
                 )
                 _fail(
-                    f"line {line_no}: receptivity {''.join(map(str, bits))} enables"
+                    f"line {line_no}: receptivity"
+                    f" {bytes(bits).translate(_BIT_TEXT).decode()} enables"
                     f" conflicting transitions at {details}"
                 )
             except EvinetError as exc:  # such as a merged mass above 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError
-from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _mask, _members
+from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _dense_masks, _mask, _members
 from .net import PetriNet, Receptivity, validate_net
 
 FORMAT_HEADER = "# format: evinet v1"
@@ -50,7 +50,7 @@ def _strip_comment(line: str) -> str:
 
 
 def _split_names(body: str, line_no: int, what: str) -> tuple[str, ...]:
-    names = [t for t in re.split(r"[,\s]+", body.strip()) if t]
+    names = body.replace(",", " ").split()
     for name in names:
         if not _IDENT.match(name):
             raise ParseError(f"invalid {what} name {name!r}", line_no)
@@ -83,6 +83,8 @@ def _parse_lines(text: str):
             if places is not None:
                 raise ParseError("places declared twice", line_no)
             places = _split_names(body, line_no, "place")
+            if not places:
+                raise ParseError("a net needs at least one place", line_no)
             decl_line["places"] = line_no
         elif directive == "transitions":
             if transitions is not None:
@@ -202,6 +204,9 @@ def serialize_net(net: PetriNet) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BITS = {"0": 0, "1": 1}
+
+
 def parse_receptivity_line(
     line: str, transition_count: int, line_no: int = 1
 ) -> Receptivity | None:
@@ -209,17 +214,16 @@ def parse_receptivity_line(
     body = _strip_comment(line).strip()
     if not body:
         return None
-    tokens = [t for t in re.split(r"[,\s]+", body) if t]
+    # commas and whitespace separate tokens; ``str.split`` drops the empties
+    tokens = body.replace(",", " ").split()
     if len(tokens) != transition_count:
         raise ParseError(
             f"expected {transition_count} receptivity bits, got {len(tokens)}", line_no
         )
-    bits = []
-    for token in tokens:
-        if token not in ("0", "1"):
-            raise ParseError(f"non-binary token {token!r}", line_no)
-        bits.append(int(token))
-    return tuple(bits)
+    try:
+        return tuple(map(_BITS.__getitem__, tokens))
+    except KeyError as exc:  # the first token that is not a bit
+        raise ParseError(f"non-binary token {exc.args[0]!r}", line_no) from None
 
 
 def parse_receptivity_stream(
@@ -300,7 +304,9 @@ def _mass_serializer(
     places: int | Sequence[str], form: str
 ) -> Callable[[MassVector], str]:
     """:func:`serialize_mass` with ``places`` and ``form`` fixed, for the records
-    of one run; each mass value's text is made once, in a dict of its own.
+    of one run; each mass value's text is made once, in a dict of its own. A
+    dense record copies a row of ``"0"`` texts and fills the slot of each focal
+    set, so it costs one write per focal set, not one per column.
 
     That dict stays small: each source set has exactly one image, so a step
     merging m sources drops the focal count by m - 1 and makes one new float,
@@ -325,7 +331,19 @@ def _mass_serializer(
             raise ValueError(
                 f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
             )
-        return lambda mass: "[" + ",".join(map(texts.__getitem__, mass.dense(n))) + "]"
+        slots = _dense_masks(n)
+        zeros = ["0"] * len(slots)
+
+        def dense(mass: MassVector) -> str:
+            masses = mass._masses
+            if max(masses) >> n:
+                raise ValueError(f"mass vector has place indices beyond {n} places")
+            row = zeros.copy()
+            for x, v in masses.items():
+                row[slots[x]] = texts[v]
+            return "[" + ",".join(row) + "]"
+
+        return dense
     raise ValueError(f"unknown mass record form {form!r}")
 
 

@@ -88,10 +88,12 @@ def _canonical_masks(n: int) -> Iterator[int]:
 
 
 # A dense record reads the order once per step, so it is kept for four place
-# counts of at most DENSE_PLACE_LIMIT places: under 4 * 2**10 ints in all.
+# counts of at most DENSE_PLACE_LIMIT places: under 4 * 2**10 entries in all.
 @functools.lru_cache(maxsize=4)
-def _dense_masks(n: int) -> tuple[int, ...]:
-    return tuple(_canonical_masks(n))
+def _dense_masks(n: int) -> dict[int, int]:
+    """Each nonempty mask of n places with its slot in a dense record, in
+    canonical order."""
+    return {mask: slot for slot, mask in enumerate(_canonical_masks(n))}
 
 
 # Each byte value with its eight bits reversed, then complemented.

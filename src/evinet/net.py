@@ -273,6 +273,9 @@ def _integral(raw: tuple | frozenset) -> tuple | frozenset | None:
     return ints if ints == raw else None
 
 
+_BINARY = frozenset((0, 1))
+
+
 def _coerce_bits(r: Sequence[int], width: int, spans: str) -> Receptivity:
     """Normalize a receptivity to a tuple of ``width`` 0/1 bits.
 
@@ -284,12 +287,12 @@ def _coerce_bits(r: Sequence[int], width: int, spans: str) -> Receptivity:
     """
     raw = tuple(r)
     try:
-        bits = tuple(int(b) for b in raw)
+        bits = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
         bits = None
     if len(raw) != width:
         raise DimensionError(f"receptivity has {len(raw)} bits, {spans.format(width)}")
-    if bits is None or any(b not in (0, 1) for b in bits) or (
+    if bits is None or not _BINARY.issuperset(bits) or (
         bits != raw and any(type(b) is not str and b != c for b, c in zip(raw, bits))
     ):
         raise ValueError(f"receptivity bits must be 0 or 1, got {raw}")

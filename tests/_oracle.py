@@ -19,16 +19,21 @@ Quine-McCluskey, kept verbatim so that the mask-based and bitset versions can
 be diffed against them byte for byte. So is the frozenset mass-record
 serializer, against which the mask-keyed one is diffed. Both walk place sets
 in this module's own canonical order, and the CSV writer reads the table's
-``rows`` by admissible index, not through ``TransferTable.cells``.
+``rows`` by admissible index, not through ``TransferTable.cells``. The
+receptivity line parser with its regex split and per-token loop, and the bit
+coercion with its generator and per-bit ``any``, are kept verbatim as well, to
+diff the one-split parser and the C-level coercion against.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from collections import defaultdict
 from itertools import combinations
 
 from evinet import MassEquation, MassVector
+from evinet.errors import DimensionError, ParseError
 from evinet.net import coerce_receptivity
 
 
@@ -447,3 +452,41 @@ def serialize_mass_frozensets(mass, places, form="sparse"):
             )
         return "[" + ",".join(_format_number(v) for v in dense_frozensets(mass, n)) + "]"
     raise ValueError(f"unknown mass record form {form!r}")
+
+
+# --- receptivity text and bits ------------------------------------------------
+# Tokens split by the regex rule, one loop per token, and bits coerced by a
+# generator and a per-bit ``any``.
+
+
+def parse_receptivity_line_regex(line, transition_count, line_no=1):
+    cut = line.find("#")
+    body = (line if cut < 0 else line[:cut]).strip()
+    if not body:
+        return None
+    tokens = [t for t in re.split(r"[,\s]+", body) if t]
+    if len(tokens) != transition_count:
+        raise ParseError(
+            f"expected {transition_count} receptivity bits, got {len(tokens)}", line_no
+        )
+    bits = []
+    for token in tokens:
+        if token not in ("0", "1"):
+            raise ParseError(f"non-binary token {token!r}", line_no)
+        bits.append(int(token))
+    return tuple(bits)
+
+
+def coerce_bits_generator(r, width, spans):
+    raw = tuple(r)
+    try:
+        bits = tuple(int(b) for b in raw)
+    except (TypeError, ValueError, OverflowError):
+        bits = None
+    if len(raw) != width:
+        raise DimensionError(f"receptivity has {len(raw)} bits, {spans.format(width)}")
+    if bits is None or any(b not in (0, 1) for b in bits) or (
+        bits != raw and any(type(b) is not str and b != c for b, c in zip(raw, bits))
+    ):
+        raise ValueError(f"receptivity bits must be 0 or 1, got {raw}")
+    return bits

@@ -93,6 +93,23 @@ class TestValidate:
         assert "line 2" in combined_output(result)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["conflicts"], ["run", "--input", "-"], ["table", "--output", "t.csv"],
+     ["equations"]],
+    ids=lambda command: command[0],
+)
+def test_an_empty_places_line_is_one_error_line(runner, tmp_path, command):
+    path = tmp_path / "empty.evinet"
+    path.write_text("net a\nplaces:\ntransitions: t1\n")
+    extra = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in command[1:]]
+    result = invoke(runner, [command[0], "--net", str(path), *extra], input="1\n")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}: line 2: a net needs at least one place\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 class TestConflicts:
     def test_fig2(self, runner, data_dir):
         result = invoke(runner, ["conflicts", "--net", str(data_dir / "fig2.evinet")])
@@ -204,6 +221,36 @@ class TestRun:
         from_stdin = invoke(runner, args + ["--input", "-"], input=stream)
         assert from_file.exit_code == from_stdin.exit_code == 0
         assert from_file.output == from_stdin.output
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            b"0 1 0 0\r\n0 0 1 1\r\n# note\r\n\r\n1 0 0 0\r\n0 0 0 1\r\n",
+            b"0 1 0 0\n0 0 1 1\n1 0 0 0\n0 0 0 1",
+            b"0,1,0,0\n0, 0, 1, 1\n1,0 ,0,0\n,0,0,0,1,\n",
+            b"0\t1\t0\t0\n\t0\t0\t1\t1\t\r\n1\t0,0\t0\n0 0\t0 1",
+        ],
+        ids=["crlf", "no-final-newline", "commas", "tabs"],
+    )
+    def test_separators_and_line_ends_give_the_spaced_records(self, data_dir, stream):
+        src = str(Path(evinet.__file__).resolve().parent.parent)
+
+        def run(data: bytes):
+            return subprocess.run(
+                [sys.executable, "-m", "evinet.cli", "run", "--net",
+                 str(data_dir / "fig2.evinet"), "--initial", "{P1}:0.25 {P2,P3}:0.75",
+                 "--format", "log", "--input", "-"],
+                env={**os.environ, "PYTHONPATH": src},
+                input=data,
+                capture_output=True,
+            )
+
+        spaced = run(b"0 1 0 0\n0 0 1 1\n1 0 0 0\n0 0 0 1\n")
+        result = run(stream)
+        assert spaced.returncode == result.returncode == 0
+        assert result.stderr == b""
+        assert result.stdout == spaced.stdout
+        assert result.stdout.count(b"\n") == 5
 
     def test_closed_stdin_is_one_error_line(self, data_dir):
         # with file descriptor 0 closed, Python starts with sys.stdin None

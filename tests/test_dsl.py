@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import inspect
 import random
+import re
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -23,8 +25,8 @@ from evinet import (
 )
 from evinet import cli, dsl
 from evinet.cli import _records
-from evinet.dsl import _mass_serializer
-from evinet.engine import DENSE_PLACE_LIMIT
+from evinet.dsl import _mass_serializer, parse_receptivity_line
+from evinet.engine import DENSE_PLACE_LIMIT, _dense_masks
 from _nets import (
     FIG1_POST,
     FIG1_PRE,
@@ -37,7 +39,7 @@ from _nets import (
     random_mass,
     random_net,
 )
-from _oracle import serialize_mass_frozensets
+from _oracle import parse_receptivity_line_regex, serialize_mass_frozensets
 
 
 class TestParseNet:
@@ -169,12 +171,24 @@ class TestParseNet:
             ),
             (parse_net, "net x\ntransitions: t1\n", "missing places declaration", 1),
             (parse_net, "net x\nplaces: P1\n", "missing transitions declaration", 1),
+            (
+                parse_net,
+                "net a\nplaces:\ntransitions: t1\n",
+                "a net needs at least one place",
+                2,
+            ),
+            (
+                parse_document,
+                "net a\n# none yet\nplaces: , \ntransitions: t1\n",
+                "a net needs at least one place",
+                3,
+            ),
             (lambda text: parse_mass(text, 3), "{}:1", "a focal set cannot be empty", 1),
             (lambda text: parse_mass(text, 3), "{P1}:x", "bad mass value 'x'", 1),
         ],
         ids=["places-twice", "transitions-twice", "arc-before-declarations",
              "malformed-arc", "empty-document", "missing-places", "missing-transitions",
-             "empty-focal-set", "bad-mass-value"],
+             "empty-places", "empty-places-document", "empty-focal-set", "bad-mass-value"],
     )
     def test_parse_errors_name_their_line(self, parse, text, message, line):
         with pytest.raises(ParseError) as err:
@@ -239,6 +253,79 @@ class TestReceptivityStream:
         with pytest.raises(ParseError) as err:
             parse_receptivity_stream("0 1 0\n0 1\n", 3)
         assert err.value.line == 2
+
+
+def _outcome(parse, line: str, count: int):
+    """The bits a line parser returns, or the message and line of its ParseError."""
+    try:
+        return parse(line, count, 7)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _same_outcome(line: str, count: int):
+    expected = _outcome(parse_receptivity_line_regex, line, count)
+    assert _outcome(parse_receptivity_line, line, count) == expected, repr(line)
+    return expected
+
+
+def _whitespace() -> list[str]:
+    """Every code point the regex rule or ``str.split`` treats as whitespace."""
+    points = "".join(map(chr, range(0x110000)))
+    return sorted(set(re.findall(r"\s", points)) | {c for c in points if c.isspace()})
+
+
+class TestReceptivityTokens:
+    """The one-split tokenizer against the regex rule it replaced (kept in
+    ``_oracle``): the same bits, or the same ParseError message and line."""
+
+    def test_every_code_point_separates_as_under_the_regex_rule(self):
+        # digits flank each code point, so a line splits once per separator;
+        # a batch the regex rule leaves whole is one token under both rules
+        # only if neither splits it, and any other batch is checked per point
+        codes = [c for c in range(0x110000) if c != ord("#")]
+        for start in range(0, len(codes), 64):
+            points = [chr(c) for c in codes[start:start + 64]]
+            count = len(points) + 1
+            line = "1" + "".join(p + "1" for p in points)
+            whole = (f"line 7: expected {count} receptivity bits, got 1", 7)
+            if _same_outcome(line, count) != whole:
+                for point in points:
+                    _same_outcome("1" + point + "0", 2)
+        assert _same_outcome("1#0", 2) == ("line 7: expected 2 receptivity bits, got 1", 7)
+
+    @pytest.mark.parametrize("space", _whitespace(), ids=lambda c: f"U+{ord(c):04X}")
+    def test_every_whitespace_code_point_inside_a_line(self, space):
+        assert _same_outcome(f"{space}0{space}1{space}{space}0{space}", 3) == (0, 1, 0)
+        assert _same_outcome(f"1{space},{space}0,{space}1", 3) == (1, 0, 1)
+        assert _same_outcome(f"1{space}2", 2) == ("line 7: non-binary token '2'", 7)
+        assert _same_outcome(space * 3, 2) is None
+
+    @pytest.mark.parametrize(
+        "line, count",
+        [("0,1,0", 3), ("0\t1\t0", 3), ("0 1 0\r\n", 3), ("0,,1 ,\t0", 3),
+         (",0,1,0,", 3), (",", 3), (", ,\t", 1), ("\x1c0\x1d1\x1e0\x1f", 3),
+         ("0\x851\xa00", 3), ("0\u20281\u30000", 3), ("0\u200b1 0", 3),
+         ("0\ufeff 1 0", 3), ("0 1 0 # 1 1", 3), ("# 0 1 0", 3), ("0 1", 3),
+         ("0 1 2 x", 4), ("0 1 2 x", 3), ("01 1 0", 3)],
+    )
+    def test_separators_and_bad_tokens(self, line, count):
+        _same_outcome(line, count)
+
+    def test_random_lines(self):
+        rng = random.Random(19)
+        tokens = ["0", "1", "0", "1", "2", "01", "x", "1\u200b", "\ufeff0", "-1"]
+        seps = [",", " ", "\t", "\r\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                "\u2028", "\u3000", ",,", " , ", "\x0b\x0c"]
+        for _ in range(3000):
+            words = [rng.choice(tokens) for _ in range(rng.randint(0, 20))]
+            parts = [rng.choice(["", *seps])]
+            for word in words:
+                parts += [word, rng.choice(seps)]
+            if rng.random() < 0.1:
+                parts.append("# 1 0")
+            line = "".join(parts)
+            _same_outcome(line, len(words) + rng.choice((0, 0, 0, -1, 1)))
 
 
 class TestMassRecords:
@@ -316,6 +403,65 @@ class TestMassRecords:
     def test_library_pairs_naming_one_set_are_merged(self):
         merged = MassVector([({0}, 0.25), ({1}, 0.5), ({0}, 0.25)])
         assert merged == MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
+
+
+def _dense_reference(mass: MassVector, n: int) -> str:
+    """A dense record as the texts of every column of ``mass.dense(n)``."""
+    texts = {0.0: "0", 1.0: "1"}
+    return "[" + ",".join(texts.get(v) or repr(v) for v in mass.dense(n)) + "]"
+
+
+def _random_dense_masses():
+    rng = random.Random(1019)
+    for n in range(1, DENSE_PLACE_LIMIT + 1):
+        for _ in range(12):
+            yield n, random_mass(rng, n, max_focals=rng.choice((1, 4, 40, (1 << n) - 1)))
+    for count in (200, 512, 1023):  # hundreds of focal sets at 10 places
+        masks = rng.sample(range(1, 1 << 10), count)
+        weights = [rng.randint(1, 50) for _ in masks]
+        total = sum(weights)
+        yield 10, MassVector._of_masks({x: w / total for x, w in zip(masks, weights)}, 10)
+
+
+class TestDenseRecords:
+    """The slot-filled dense writer against every column of ``mass.dense``."""
+
+    def test_random_masses_at_every_width(self):
+        for n, mass in _random_dense_masses():
+            for width in {n, DENSE_PLACE_LIMIT}:
+                expected = _dense_reference(mass, width)
+                assert _mass_serializer(width, "dense")(mass) == expected
+                assert serialize_mass(mass, width, "dense") == expected
+
+    def test_one_writer_over_many_masses(self):
+        writer = _mass_serializer(DENSE_PLACE_LIMIT, "dense")
+        for n, mass in _random_dense_masses():
+            assert writer(mass) == _dense_reference(mass, DENSE_PLACE_LIMIT)
+
+    @pytest.mark.parametrize("places", [{3}, {0, 9}, {70}])
+    def test_a_place_beyond_the_width_is_the_same_value_error(self, places):
+        mass = MassVector({frozenset({0}): 0.5, frozenset(places): 0.5})
+        with pytest.raises(ValueError) as old:
+            mass.dense(3)
+        with pytest.raises(ValueError) as new:
+            _mass_serializer(3, "dense")(mass)
+        assert str(new.value) == str(old.value) == "mass vector has place indices beyond 3 places"
+
+    def test_slot_maps_are_cached_and_stay_under_a_mebibyte(self):
+        _dense_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in (7, 8, 9, 10):
+                serialize_mass(MassVector.categorical({0}), n, "dense")
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1 << 20
+        info = _dense_masks.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        # a one-shot record reads the cached map, it does not rebuild it
+        serialize_mass(MassVector.categorical({1}), 10, "dense")
+        assert _dense_masks.cache_info().misses == 4
 
 
 def _writer_texts(writer) -> dict:

@@ -31,7 +31,7 @@ from _nets import (
     random_admissible_receptivity,
     random_net,
 )
-from _oracle import classic_step_brute
+from _oracle import classic_step_brute, coerce_bits_generator
 
 
 class TestValidateNet:
@@ -252,6 +252,68 @@ class TestCheckReceptivity:
         assert len(checks) == 3  # the cache keeps no exception
         assert net_module._successors.cache_info().currsize == 0
         assert engine_module._image.cache_info().currsize == 0
+
+
+def _coercion(coerce, make, width):
+    """The bits and their types, or the exception type and message."""
+    try:
+        bits = coerce(make(), width, "net has {} transitions")
+    except Exception as exc:  # every exception type is compared
+        return type(exc), str(exc)
+    return bits, tuple(map(type, bits))
+
+
+def _bit_values():
+    import numpy as np
+
+    return [
+        0, 1, True, False, 2, -1, 10**30, np.int64(1), np.int8(0), np.uint8(1),
+        np.bool_(True), np.int64(2), np.float64(1.0), np.float32(0.0), np.float64(0.5),
+        1.0, 0.0, -0.0, 0.5, 1.0000001, float("inf"), float("-inf"), float("nan"),
+        "0", "1", "2", " 1", "1 ", "1.0", "", b"1", None, [1], (0,), 1j,
+    ]
+
+
+class TestCoerceBits:
+    """The C-level coercion against the generator form it replaced (kept in
+    ``_oracle``): the same tuple, or the same exception type and message."""
+
+    def test_each_value_in_each_position(self):
+        from evinet.net import _coerce_bits
+
+        for value in _bit_values():
+            for r in ((value, 0, 1), (1, value, 0), (0, 1, value), (value,), (value, value)):
+                for width in (len(r), 3):
+                    make = lambda r=r: r  # noqa: E731
+                    expected = _coercion(coerce_bits_generator, make, width)
+                    assert _coercion(_coerce_bits, make, width) == expected, r
+
+    def test_sequences_generators_and_wrong_lengths(self):
+        from evinet.net import _coerce_bits
+
+        makers = [
+            lambda: [1, 0, 1], lambda: (b for b in (1, 0, 1)), lambda: iter("101"),
+            lambda: "101", lambda: range(2), lambda: (), lambda: [0, 1],
+            lambda: [0, 1, 0, 1], lambda: (b for b in (0.5, 1)), lambda: [float("nan")] * 4,
+            lambda: (b for b in ("1", None, 0)),
+        ]
+        for make in makers:
+            for width in (0, 2, 3, 4):
+                expected = _coercion(coerce_bits_generator, make, width)
+                assert _coercion(_coerce_bits, make, width) == expected
+
+    def test_random_receptivities(self):
+        from evinet.net import _coerce_bits
+
+        rng = random.Random(119)
+        values = _bit_values() + [0, 1] * 20
+        for _ in range(3000):
+            r = tuple(rng.choice(values) for _ in range(rng.randint(0, 6)))
+            width = len(r) + rng.choice((0, 0, 0, -1, 1))
+            make = lambda r=r: r  # noqa: E731
+            assert _coercion(_coerce_bits, make, width) == _coercion(
+                coerce_bits_generator, make, width
+            ), r
 
 
 class TestEnabledTransitions:
