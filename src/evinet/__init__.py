@@ -57,25 +57,11 @@ from .dsl import (
 
 __version__ = "0.1.0"
 
-# Served from ``evinet.table`` on first access, so ``run`` never compiles the
-# table and minimizer modules, about 17 ms of a cold ``import evinet.cli``.
-_TABLE_NAMES = frozenset({
-    "MassEquation",
-    "TransferTable",
-    "build_transfer_table",
-    "emit_equations",
-    "equations_semantically_equal",
-    "evaluate_equation",
-    "invert_table",
-    "render_equation",
-    "render_equations",
-    "table_step",
-    "write_table_csv",
-})
-
-
+# The names of ``__all__`` not imported above are served from ``evinet.table``
+# on first access, so ``run`` never compiles the table and minimizer modules,
+# about 17 ms of a cold ``import evinet.cli``.
 def __getattr__(name: str):
-    if name in _TABLE_NAMES:
+    if name in __all__:
         from . import table
 
         return getattr(table, name)

@@ -17,7 +17,7 @@ import click
 
 from . import dsl
 from .engine import MassVector, ignorance_mass, step
-from .errors import ConflictError, EvinetError, ParseError
+from .errors import ConflictError, EvinetError
 from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts, validate_net
 
 ENV_MAX_PLACES = "EVINET_MAX_PLACES"
@@ -85,14 +85,18 @@ def _max_places_option(func):
 
 
 class _Main(click.Group):
-    """The command group. A closed or failing standard output ends in one
-    ``error:`` line; click itself ends a broken pipe quietly with status 1."""
+    """The command group: the one boundary where a library error that no
+    command adds context to, and a closed or failing standard output, end in
+    one ``error:`` line and status 1. Other exceptions are bugs and keep their
+    tracebacks; click itself ends a broken pipe quietly with status 1."""
 
     def main(self, *args, **kwargs):
         if sys.stdout is None:  # the process started with file descriptor 1 closed
             _fail("cannot write standard output: it is closed")
         try:
             return super().main(*args, **kwargs)
+        except EvinetError as exc:
+            _fail(str(exc))
         except OSError as exc:
             _fail(f"cannot write standard output: {exc.strerror or exc}")
 
@@ -214,10 +218,7 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             if not line:
                 break
             line_no += 1
-            try:
-                bits = dsl.parse_receptivity_line(line, net.transition_count, line_no)
-            except ParseError as exc:
-                _fail(str(exc))
+            bits = dsl.parse_receptivity_line(line, net.transition_count, line_no)
             if bits is None:
                 continue
             try:
@@ -255,11 +256,7 @@ def table(net_path: str, output_path: str, max_places: int | None):
     from .table import build_transfer_table, write_table_csv
 
     net = _read_net(net_path)
-    cap = _size_cap(max_places)
-    try:
-        built = build_transfer_table(net, max_places=cap)
-    except EvinetError as exc:
-        _fail(str(exc))
+    built = build_transfer_table(net, max_places=_size_cap(max_places))
     try:
         with open(output_path, "w", encoding="utf-8") as handle:
             count = write_table_csv(built, handle)
@@ -277,12 +274,8 @@ def equations(net_path: str, minimize: bool, max_places: int | None):
     from .table import build_transfer_table, emit_equations, render_equations
 
     net = _read_net(net_path)
-    cap = _size_cap(max_places)
-    try:
-        emitted = emit_equations(build_transfer_table(net, max_places=cap), minimize=minimize)
-    except EvinetError as exc:
-        _fail(str(exc))
-    click.echo(render_equations(emitted), nl=False)
+    built = build_transfer_table(net, max_places=_size_cap(max_places))
+    click.echo(render_equations(emit_equations(built, minimize=minimize)), nl=False)
 
 
 if __name__ == "__main__":

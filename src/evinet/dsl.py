@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ParseError
+from .errors import InvalidNetError, ParseError
 from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _dense_masks, _mask, _members
-from .net import PetriNet, Receptivity, validate_net
+from .net import PetriNet, Receptivity, _structure
 
 FORMAT_HEADER = "# format: evinet v1"
 
@@ -165,9 +165,11 @@ def parse_net(text: str) -> PetriNet:
     """
     doc, arc_lines, decl_line = _parse_lines(text)
     net = document_to_net(doc)
-    report = validate_net(net)
-    if report.ok:
+    try:
+        _structure(net)  # the one validation: steps and tables reuse the cached wiring
         return net
+    except InvalidNetError as exc:
+        report = exc.report
 
     def blame(violation) -> int:
         if violation.transition is not None:

@@ -172,6 +172,7 @@ class MassVector(Mapping):
             if value:
                 collected[mask] = collected.get(mask, 0.0) + value
         self._masses = _settle(collected, max(collected, default=0).bit_length())
+        _bound_merged(self._masses)  # pairs naming one set add up
 
     @classmethod
     def _of_masks(cls, masses: dict[int, float], n: int) -> "MassVector":
@@ -203,9 +204,6 @@ class MassVector(Mapping):
 
     def __len__(self) -> int:
         return len(self._masses)
-
-    def __contains__(self, key) -> bool:
-        return self._mask_within(_key_members(key)) in self._masses
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MassVector):
@@ -266,6 +264,14 @@ def _settle(masses: dict[int, float], width: int) -> dict[int, float]:
     return dict(zip(order, map(masses.__getitem__, order)))
 
 
+def _bound_merged(masses: dict[int, float]) -> None:
+    """Reject a merged mass above 1. Stored masses lie in (0, 1], so a sum of
+    them is positive, and only where they add up can one exceed 1."""
+    if max(masses.values()) > 1.0:
+        y, value = next((y, v) for y, v in masses.items() if v > 1.0)
+        raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
+
+
 def _as_mass_vector(mass) -> MassVector:
     return mass if isinstance(mass, MassVector) else MassVector(mass)
 
@@ -303,14 +309,14 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
 def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
     """Transfer each focal set's mass to its image; the one loop behind every step.
 
-    ``image`` maps a source mask to its image mask. The sources are
-    range-checked against ``n`` places first, and the merged masses against
-    [0, 1]. When no two sources share an image, the images are zipped with the
-    masses as they stand: merging would add each mass to 0.0 once, and
-    ``0.0 + v == v`` bit for bit for every mass in (0, 1], so the result is the
-    merge's, in the merge's first-occurrence order. Otherwise sources are
-    walked in canonical order, so masses sharing an image add up in the same
-    order, and bit for bit the same floats, whatever computes the image.
+    ``image`` maps a source mask to its image mask, once the sources are
+    range-checked against ``n`` places. When no two sources share an image,
+    the images are zipped with the input's masses, already in (0, 1]: merging
+    would add each mass to 0.0 once, and ``0.0 + v == v`` bit for bit, so the
+    result is the merge's, in the merge's first-occurrence order. Otherwise
+    sources are walked in canonical order, so masses sharing an image add up
+    in the same order, and bit for bit the same floats, whatever computes the
+    image, and each sum is bounded by :func:`_bound_merged`.
     """
     masses = mass._masses
     if max(masses) >> n:
@@ -323,10 +329,7 @@ def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVecto
         get = out.get
         for y, value in zip(images, masses.values()):
             out[y] = get(y, 0.0) + value
-    merged = out.values()
-    if not (0.0 <= min(merged) and max(merged) <= 1.0):
-        y, value = next((y, v) for y, v in out.items() if not 0.0 <= v <= 1.0)
-        raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
+        _bound_merged(out)
     return MassVector._of_masks(out, n)
 
 

@@ -54,8 +54,8 @@ class PetriNet:
 
     Construction only checks shapes; structural soundness is reported by
     :func:`validate_net` so that candidate matrices can be inspected. The
-    hash is computed once: nets key the memoized derived wiring, looked up
-    several times per step.
+    hash is computed once: nets key the memoized derived wiring, and a step
+    looks its net up once, in ``engine._image``.
     """
 
     places: tuple[str, ...]
@@ -134,8 +134,8 @@ class ReceptivityConflict:
     true_transitions: frozenset[int]
 
 
-@functools.lru_cache(maxsize=1024)
-def _validate(net: PetriNet) -> ValidationReport:
+def validate_net(net: PetriNet) -> ValidationReport:
+    """Check every structural invariant; violations are returned, never raised."""
     n, m = net.place_count, net.transition_count
     found: list[Violation] = []
 
@@ -205,11 +205,6 @@ def _validate(net: PetriNet) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-def validate_net(net: PetriNet) -> ValidationReport:
-    """Check every structural invariant; violations are returned, never raised."""
-    return _validate(net)
-
-
 @dataclass(frozen=True)
 class _Structure:
     """Derived wiring of a valid net: unique pre/post place per transition."""
@@ -222,7 +217,7 @@ class _Structure:
 
 @functools.lru_cache(maxsize=1024)
 def _structure(net: PetriNet) -> _Structure:
-    report = _validate(net)
+    report = validate_net(net)
     if not report.ok:
         raise InvalidNetError(report)
     n, m = net.place_count, net.transition_count

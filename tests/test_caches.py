@@ -1,0 +1,39 @@
+"""The inventory of evinet's module-level caches.
+
+Each cache holds memory for the life of the process and decides when work is
+skipped, so adding one, resizing one, or stacking a second on the key of an
+existing one (two caches keyed by the same net, say) changes this inventory
+and is a reviewed change.
+"""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import evinet
+
+CACHES = {
+    # (defining module, name): maxsize, None when unbounded
+    ("evinet.dsl", "_mask_labels"): 4,
+    ("evinet.engine", "_canonical_key"): 4,
+    ("evinet.engine", "_dense_masks"): 4,
+    ("evinet.engine", "_image"): 64,
+    ("evinet.engine", "_with_bit"): None,
+    ("evinet.net", "_structure"): 1024,
+    ("evinet.net", "_successors"): 1024,
+}
+
+
+def test_module_level_caches_are_pinned():
+    modules = [evinet] + [
+        importlib.import_module(f"evinet.{info.name}")
+        for info in pkgutil.iter_modules(evinet.__path__)
+    ]
+    found = {
+        (value.__module__, value.__qualname__): value.cache_parameters()["maxsize"]
+        for module in modules
+        for value in vars(module).values()
+        if hasattr(value, "cache_info")
+    }
+    assert found == CACHES

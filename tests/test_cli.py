@@ -679,3 +679,55 @@ class TestStdoutWriteFailures:
         assert result.returncode == 1
         assert result.stderr == "error: cannot write standard output: it is closed\n"
         assert not (tmp_path / "table.csv").exists()  # ended before any work
+
+
+class TestLibraryErrorBoundary:
+    """A library error that no command adds context to ends at the command
+    group in one ``error:`` line and status 1; any other exception is a bug
+    and escapes with its traceback."""
+
+    @staticmethod
+    def _args(data_dir, tmp_path, command):
+        net = ["--net", str(data_dir / "fig1.evinet")]
+        if command == "table":
+            return ["table", *net, "--output", str(tmp_path / "t.csv")]
+        return ["equations", *net]
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("table", "build_transfer_table"), ("equations", "build_transfer_table"),
+         ("equations", "emit_equations")],
+    )
+    def test_a_library_error_is_one_error_line(
+        self, runner, data_dir, tmp_path, monkeypatch, command, target
+    ):
+        from evinet import table as table_module
+
+        def fail(*args, **kwargs):
+            raise evinet.DimensionError("x")
+
+        monkeypatch.setattr(table_module, target, fail)
+        result = invoke(runner, self._args(data_dir, tmp_path, command))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: x\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("table", "build_transfer_table"), ("equations", "emit_equations")],
+    )
+    def test_a_bug_keeps_its_traceback(
+        self, runner, data_dir, tmp_path, monkeypatch, command, target
+    ):
+        from evinet import table as table_module
+
+        bug = RuntimeError("a bug")
+
+        def fail(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(table_module, target, fail)
+        result = invoke(runner, self._args(data_dir, tmp_path, command))
+        assert result.exception is bug
+        assert "error:" not in result.stderr

@@ -657,3 +657,27 @@ class TestClassicEquivalence:
                     assert evidential.focal_sets() == (
                         frozenset(k for k in range(n) if after[k]),
                     )
+
+
+class TestMappingProtocol:
+    def test_a_mass_vector_is_never_equal_to_a_dict(self):
+        m = MassVector({frozenset({0}): 1.0})
+        assert (m == {frozenset({0}): 1.0}) is False
+        assert m != {frozenset({0}): 1.0}
+
+    def test_membership(self):
+        m = MassVector({frozenset({0}): 0.5, frozenset({1, 2}): 0.5})
+        assert {0} in m and (2, 1) in m
+        assert {1} not in m and frozenset() not in m  # not focal
+        assert {0, 9} not in m and {40} not in m  # beyond every focal set
+        with pytest.raises(MassError, match="place indices must be integers"):
+            (0.5,) in m
+        with pytest.raises(TypeError):
+            5 in m
+
+    def test_pairs_naming_one_set_merge_within_the_bound(self):
+        # the pairs sum to 1 + 1e-10, inside the normalization tolerance, but
+        # merge on {0} into a mass above 1
+        with pytest.raises(MassError, match=r"^mass 1\.0000000001 for \{0\} outside \[0, 1\]$"):
+            MassVector([({0}, 0.6), ({0}, 0.4000000001)])
+        assert MassVector([({0}, 0.5), ({0}, 0.5)]) == MassVector.categorical({0})

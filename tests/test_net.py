@@ -441,3 +441,51 @@ class TestHash:
             capture_output=True,
         )
         assert result.returncode == 0, result.stderr.decode()
+
+
+class TestValidateOnce:
+    """``parse_net`` validates through the cached wiring, so a parsed net is
+    scanned once, whatever steps or tables use it next."""
+
+    @pytest.mark.parametrize("use", ["step", "table"])
+    def test_parse_then_use_scans_once(self, data_dir, count_calls, use):
+        import evinet.engine as engine_module
+        import evinet.net as net_module
+        from evinet import parse_net
+
+        # cleared, so the step reaches the wiring however earlier tests ran
+        net_module._structure.cache_clear()
+        net_module._successors.cache_clear()
+        engine_module._image.cache_clear()
+        scans = count_calls(net_module, "validate_net")
+        net = parse_net((data_dir / "fig2.evinet").read_text())
+        if use == "step":
+            step(net, ignorance_mass(net), (0, 1, 0, 0))
+        else:
+            build_transfer_table(net)
+        assert len(scans) == 1
+
+
+class TestShapeErrors:
+    def test_a_net_needs_a_place(self):
+        with pytest.raises(ValueError, match=r"^a net needs at least one place$"):
+            PetriNet(places=(), transitions=(), pre=(), post=())
+
+    def test_a_row_of_the_wrong_length(self):
+        with pytest.raises(
+            ValueError, match=r"^pre row 1 has 1 entries, expected 2 \(one per transition\)$"
+        ):
+            PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
+                     pre=((1, 0), (1,)), post=((0, 1), (1, 0)))
+        with pytest.raises(
+            ValueError, match=r"^post row 0 has 3 entries, expected 2 \(one per transition\)$"
+        ):
+            PetriNet(places=("P1", "P2"), transitions=("t1", "t2"),
+                     pre=((1, 0), (0, 1)), post=((0, 1, 0), (1, 0)))
+
+    def test_the_wrong_number_of_rows(self):
+        with pytest.raises(ValueError, match=r"^pre has 1 rows, expected 2 \(one per place\)$"):
+            PetriNet(places=("P1", "P2"), transitions=("t1",), pre=((1,),), post=((0,), (1,)))
+        with pytest.raises(ValueError, match=r"^post has 3 rows, expected 2 \(one per place\)$"):
+            PetriNet(places=("P1", "P2"), transitions=("t1",),
+                     pre=((1,), (0,)), post=((0,), (1,), (0,)))
