@@ -16,9 +16,9 @@ import sys
 import click
 
 from . import dsl
-from .engine import MassVector, ignorance_mass, step
-from .errors import ConflictError, EvinetError
-from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts, validate_net
+from .engine import MassVector, _walk, ignorance_mass
+from .errors import ConflictError, EvinetError, InvalidNetError, MassError
+from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts
 
 ENV_MAX_PLACES = "EVINET_MAX_PLACES"
 
@@ -112,8 +112,10 @@ def main():
 def validate(net_path: str):
     """Check a net document; report violations and conflict sets."""
     net = dsl.document_to_net(_read_net(net_path, dsl.parse_document))
-    report = validate_net(net)
-    if not report.ok:
+    try:
+        detect_conflicts(net)  # the one scan: the net's wiring is cached or rejected
+    except InvalidNetError as exc:
+        report = exc.report
         click.echo(f"invalid: {len(report.violations)} violation(s)", err=True)
         for violation in report.violations:
             click.echo(f"- {violation.message}", err=True)
@@ -193,7 +195,8 @@ def _records(net: PetriNet, form: str):
 
 
 def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> None:
-    """Print ``record`` of each receptivity line of ``input_path`` ("-" is stdin)."""
+    """Write ``record`` of each receptivity line of ``input_path`` ("-" is stdin), in
+    one write and one flush; the parser's bits are exactly what coercion returns."""
     if input_path == "-":
         handle = sys.stdin
         if handle is None:  # the process started with file descriptor 0 closed
@@ -205,10 +208,10 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
-    try:
-        print(record(0, None, mass), flush=True)
-        index = 0
-        line_no = 0
+    line_no, bits = 0, None  # the line read last: a step reads no line past its own
+
+    def receptivities():
+        nonlocal line_no, bits
         while True:
             try:
                 line = handle.readline()
@@ -216,28 +219,32 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
                 source = "standard input" if input_path == "-" else input_path
                 _fail(f"cannot read {source}: {exc.strerror or exc}")
             if not line:
-                break
+                return
             line_no += 1
             bits = dsl.parse_receptivity_line(line, net.transition_count, line_no)
-            if bits is None:
-                continue
-            try:
-                mass = step(net, mass, bits)
-            except ConflictError as exc:
-                details = "; ".join(
-                    f"{net.places[v.place]} with "
-                    + ", ".join(net.transitions[t] for t in sorted(v.true_transitions))
-                    for v in exc.conflicts
-                )
-                _fail(
-                    f"line {line_no}: receptivity"
-                    f" {bytes(bits).translate(_BIT_TEXT).decode()} enables"
-                    f" conflicting transitions at {details}"
-                )
-            except EvinetError as exc:  # such as a merged mass above 1
-                _fail(f"line {line_no}: {exc}")
-            index += 1
-            print(record(index, bits, mass), flush=True)
+            if bits is not None:
+                yield bits
+
+    write, flush = sys.stdout.write, sys.stdout.flush
+    try:
+        write(record(0, None, mass) + "\n")
+        flush()
+        for index, (r, after) in enumerate(_walk(net, mass, receptivities()), 1):
+            write(record(index, r, after) + "\n")
+            flush()
+    except ConflictError as exc:
+        details = "; ".join(
+            f"{net.places[v.place]} with "
+            + ", ".join(net.transitions[t] for t in sorted(v.true_transitions))
+            for v in exc.conflicts
+        )
+        _fail(
+            f"line {line_no}: receptivity"
+            f" {bytes(bits).translate(_BIT_TEXT).decode()} enables"
+            f" conflicting transitions at {details}"
+        )
+    except MassError as exc:  # a merged mass above 1; a ParseError names its line itself
+        _fail(f"line {line_no}: {exc}")
     finally:
         if input_path != "-":
             handle.close()

@@ -172,7 +172,7 @@ class MassVector(Mapping):
             if value:
                 collected[mask] = collected.get(mask, 0.0) + value
         self._masses = _settle(collected, max(collected, default=0).bit_length())
-        _bound_merged(self._masses)  # pairs naming one set add up
+        _check_merged(self._masses)  # pairs naming one set add up
 
     @classmethod
     def _of_masks(cls, masses: dict[int, float], n: int) -> "MassVector":
@@ -247,26 +247,26 @@ class MassVector(Mapping):
 
 
 def _settle(masses: dict[int, float], width: int) -> dict[int, float]:
-    """``masses``, all below ``2**width``, in canonical order once their sum is 1
-    within the tolerance.
+    """``masses``, all below ``2**width``, in canonical order.
 
     Steps pass their net's place count as the width, so one sort key serves a
     whole run however its widest focal set moves.
     """
-    total = math.fsum(masses.values())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise MassError(
-            f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-        )
     if len(masses) < 2:
         return masses
     order = sorted(masses, key=_canonical_key(width))
     return dict(zip(order, map(masses.__getitem__, order)))
 
 
-def _bound_merged(masses: dict[int, float]) -> None:
-    """Reject a merged mass above 1. Stored masses lie in (0, 1], so a sum of
-    them is positive, and only where they add up can one exceed 1."""
+def _check_merged(masses: dict[int, float]) -> None:
+    """Reject masses not summing to 1 within the tolerance, or a mass above 1.
+    Stored masses lie in (0, 1] and sum to 1, and ``math.fsum`` is correctly
+    rounded, so only where masses add up can one exceed 1 or the sum change."""
+    total = math.fsum(masses.values())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise MassError(
+            f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
+        )
     if max(masses.values()) > 1.0:
         y, value = next((y, v) for y, v in masses.items() if v > 1.0)
         raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
@@ -307,21 +307,26 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
 
 
 def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
-    """Transfer each focal set's mass to its image; the one loop behind every step.
-
-    ``image`` maps a source mask to its image mask, once the sources are
-    range-checked against ``n`` places. When no two sources share an image,
-    the images are zipped with the input's masses, already in (0, 1]: merging
-    would add each mass to 0.0 once, and ``0.0 + v == v`` bit for bit, so the
-    result is the merge's, in the merge's first-occurrence order. Otherwise
-    sources are walked in canonical order, so masses sharing an image add up
-    in the same order, and bit for bit the same floats, whatever computes the
-    image, and each sum is bounded by :func:`_bound_merged`.
-    """
+    """:func:`_transfer`, once the focal sets of ``mass`` lie within ``n`` places."""
     masses = mass._masses
     if max(masses) >> n:
         x = next(x for x in masses if x >> n)
         raise ValueError(f"place set {_members(x)} out of range for {n} places")
+    return _transfer(mass, image, n)
+
+
+def _transfer(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
+    """Transfer each focal set's mass to its image; the one loop behind every step.
+
+    ``image`` maps a source mask of ``n`` places to its image mask. When no
+    two sources share an image, the images are zipped with the input's
+    masses: merging would add each to 0.0 once, and ``0.0 + v == v`` bit for
+    bit, so this is the merge, in its first-occurrence order, with the
+    input's checked sum. Otherwise sources are walked in canonical order, so
+    masses sharing an image add up to the same floats whatever computes the
+    image, and the merged masses are checked.
+    """
+    masses = mass._masses
     images = list(map(image, masses))
     out = dict(zip(images, masses.values()))
     if len(out) < len(images):
@@ -329,7 +334,7 @@ def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVecto
         get = out.get
         for y, value in zip(images, masses.values()):
             out[y] = get(y, 0.0) + value
-        _bound_merged(out)
+        _check_merged(out)
     return MassVector._of_masks(out, n)
 
 
@@ -414,6 +419,20 @@ def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
     return _advance(mass, _image(net, coerce_receptivity(net, r)), net.place_count)
 
 
+def _walk(
+    net: PetriNet, mass: MassVector, inputs: Iterable[Receptivity]
+) -> Iterator[tuple[Receptivity, MassVector]]:
+    """Each coerced receptivity of ``inputs`` with the mass after its step; the
+    one run loop. Only the first step range-checks its mass, as :func:`step`
+    does: every later mass is an image under the same net."""
+    n = net.place_count
+    advance = _advance
+    for bits in inputs:
+        mass = advance(mass, _image(net, bits), n)
+        advance = _transfer
+        yield bits, mass
+
+
 def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
     """Step through a receptivity sequence as :func:`step` does, coercing each
     receptivity once and keeping its bits and every intermediate mass.
@@ -423,12 +442,9 @@ def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
     """
     current = _as_mass_vector(initial)
     steps: list[tuple[Receptivity, MassVector]] = []
-    trajectory_initial = current
-    for index, r in enumerate(inputs):
-        try:
-            bits = coerce_receptivity(net, r)
-            current = _advance(current, _image(net, bits), net.place_count)
-        except Exception as exc:
-            raise TrajectoryError(index, exc) from exc
-        steps.append((bits, current))
-    return Trajectory(initial=trajectory_initial, steps=tuple(steps))
+    try:
+        for pair in _walk(net, current, map(coerce_receptivity, repeat(net), inputs)):
+            steps.append(pair)
+    except Exception as exc:
+        raise TrajectoryError(len(steps), exc) from exc
+    return Trajectory(initial=current, steps=tuple(steps))

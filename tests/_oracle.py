@@ -11,7 +11,9 @@ here a second time, as frozensets from ``itertools.combinations`` sorted by
 (size, sorted members), so the package's int-mask order is checked against an
 order it does not compute; the brute inversion of a table lists its cells in
 that order. The byte-table step is the package's step before its flat image
-tables, kept to diff the new step against bit for bit.
+tables, kept to diff the new step against bit for bit. So is the step's
+mass-transfer loop as it was before the one run loop: it range-checks and
+sums the masses of every step, merged or not.
 
 The per-cell output stage at the end is the exception: it is the package's
 first CSV writer, equation emitter and renderer, and its first, tabular
@@ -28,12 +30,14 @@ diff the one-split parser and the C-level coercion against.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import defaultdict
 from itertools import combinations
 
 from evinet import MassEquation, MassVector
-from evinet.errors import DimensionError, ParseError
+from evinet.engine import NORMALIZATION_TOL, _canonical_key, _members
+from evinet.errors import DimensionError, MassError, ParseError
 from evinet.net import coerce_receptivity
 
 
@@ -143,6 +147,42 @@ def step_byte_tables(net, mass, r):
         y = image(x)
         out[y] = out.get(y, 0.0) + value
     return MassVector._of_masks(out, net.place_count)
+
+
+def settle_every_step(masses, width):
+    """The package's ``_settle`` before the one run loop: the sum check on every
+    step, then canonical order."""
+    total = math.fsum(masses.values())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise MassError(
+            f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
+        )
+    if len(masses) < 2:
+        return masses
+    order = sorted(masses, key=_canonical_key(width))
+    return dict(zip(order, map(masses.__getitem__, order)))
+
+
+def advance_every_step(mass, image, n):
+    """The package's ``_advance`` before the one run loop: a range check on every
+    step, a merge only where two images collide, and the merged masses bounded."""
+    masses = mass._masses
+    if max(masses) >> n:
+        x = next(x for x in masses if x >> n)
+        raise ValueError(f"place set {_members(x)} out of range for {n} places")
+    images = list(map(image, masses))
+    out = dict(zip(images, masses.values()))
+    if len(out) < len(images):
+        out = {}
+        get = out.get
+        for y, value in zip(images, masses.values()):
+            out[y] = get(y, 0.0) + value
+        if max(out.values()) > 1.0:
+            y, value = next((y, v) for y, v in out.items() if v > 1.0)
+            raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
+    after = MassVector.__new__(MassVector)
+    after._masses = settle_every_step(out, n)
+    return after
 
 
 def classic_step_brute(pre, post, marks, r):

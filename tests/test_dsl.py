@@ -27,11 +27,13 @@ from evinet import cli, dsl
 from evinet.cli import _records
 from evinet.dsl import _mass_serializer, parse_receptivity_line
 from evinet.engine import DENSE_PLACE_LIMIT, _dense_masks
+from evinet.net import coerce_receptivity
 from _nets import (
     FIG1_POST,
     FIG1_PRE,
     FIG2_POST,
     FIG2_PRE,
+    alternating_net,
     cycle_net,
     fig1_net,
     fig2_net,
@@ -326,6 +328,17 @@ class TestReceptivityTokens:
                 parts.append("# 1 0")
             line = "".join(parts)
             _same_outcome(line, len(words) + rng.choice((0, 0, 0, -1, 1)))
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    @pytest.mark.parametrize("sep", [" ", ",", "\t"], ids=["space", "comma", "tab"])
+    def test_parsed_bits_are_the_coerced_bits(self, width, sep):
+        # ``run`` steps the parser's bits without coercing them again
+        net = alternating_net(width)
+        for value in range(1 << width):
+            tokens = format(value, f"0{width}b")
+            bits = parse_receptivity_line(sep.join(tokens) + "\n", width)
+            assert bits == coerce_receptivity(net, tokens) == coerce_receptivity(net, bits)
+            assert type(bits) is tuple and all(type(b) is int for b in bits)
 
 
 class TestMassRecords:
