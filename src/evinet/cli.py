@@ -17,7 +17,7 @@ import click
 
 from . import dsl
 from .engine import MassVector, _walk, ignorance_mass
-from .errors import ConflictError, EvinetError, InvalidNetError, MassError
+from .errors import ConflictError, EvinetError, InvalidNetError
 from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts
 
 ENV_MAX_PLACES = "EVINET_MAX_PLACES"
@@ -243,8 +243,6 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             f" {bytes(bits).translate(_BIT_TEXT).decode()} enables"
             f" conflicting transitions at {details}"
         )
-    except MassError as exc:  # a merged mass above 1; a ParseError names its line itself
-        _fail(f"line {line_no}: {exc}")
     finally:
         if input_path != "-":
             handle.close()

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidNetError, ParseError
+from .errors import InvalidNetError, MassError, ParseError
 from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _dense_masks, _mask, _members
 from .net import PetriNet, Receptivity, _structure
 
@@ -313,7 +313,8 @@ def _mass_serializer(
     That dict stays small: each source set has exactly one image, so a step
     merging m sources drops the focal count by m - 1 and makes one new float,
     and ``0.0 + v == v`` carries every other mass over unchanged. A run from k
-    focal sets meets at most 2k - 1 distinct masses, plus the two seeds.
+    focal sets meets at most 2k - 1 distinct masses, plus the two seeds. No
+    writer checks a place range: a run writes only masses of its own net.
     """
     names = _place_names(places)
     n = len(names)
@@ -322,10 +323,7 @@ def _mass_serializer(
         label = _mask_labels(names)
 
         def sparse(mass: MassVector) -> str:
-            try:
-                return " ".join([f"{label(x)}:{texts[v]}" for x, v in mass._masses.items()])
-            except IndexError:  # a focal set holds a place with no name
-                raise ValueError(f"mass vector has place indices beyond {n} places") from None
+            return " ".join([f"{label(x)}:{texts[v]}" for x, v in mass._masses.items()])
 
         return sparse
     if form == "dense":
@@ -337,11 +335,8 @@ def _mass_serializer(
         zeros = ["0"] * len(slots)
 
         def dense(mass: MassVector) -> str:
-            masses = mass._masses
-            if max(masses) >> n:
-                raise ValueError(f"mass vector has place indices beyond {n} places")
             row = zeros.copy()
-            for x, v in masses.items():
+            for x, v in mass._masses.items():
                 row[slots[x]] = texts[v]
             return "[" + ",".join(row) + "]"
 
@@ -358,7 +353,9 @@ def serialize_mass(
     ``dense`` is the full canonical-order vector, available for up to
     ``DENSE_PLACE_LIMIT`` places.
     """
-    return _mass_serializer(places, form)(mass)
+    write = _mass_serializer(places, form)
+    mass._check_places(len(_place_names(places)))
+    return write(mass)
 
 
 def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> MassVector:
@@ -392,5 +389,5 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
         masses[focal] = value
     try:
         return MassVector(masses)
-    except Exception as exc:
+    except MassError as exc:
         raise ParseError(f"bad mass record: {exc}", line_no) from exc

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import MassError, TrajectoryError
 from .net import PetriNet, Receptivity, _integral, _successors, coerce_receptivity
 
-# Masses must sum to 1 within this tolerance; inputs outside it are rejected
-# rather than renormalized, so caller bugs stay visible.
+# Masses must sum to 1, and each lie in [0, 1], within this tolerance; inputs
+# outside it are rejected rather than renormalized, so caller bugs stay visible.
 NORMALIZATION_TOL = 1e-9
 
 PlaceSet = frozenset[int]
@@ -155,6 +155,9 @@ class MassVector(Mapping):
     elements, and pairs naming the same set are merged by adding their
     masses. Instances are immutable; iteration is in canonical set order.
     Masses are stored by set mask, in that order.
+
+    The constructor alone checks the mass rule (see ``NORMALIZATION_TOL``): a
+    step only adds stored masses, so every mass it makes is part of that sum.
     """
 
     __slots__ = ("_masses",)
@@ -167,12 +170,14 @@ class MassVector(Mapping):
             if not mask:
                 raise MassError("the empty set cannot carry mass")
             value = float(value)
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= value <= 1.0 + NORMALIZATION_TOL:
                 raise MassError(f"mass {value!r} for {set(_members(mask))} outside [0, 1]")
             if value:
                 collected[mask] = collected.get(mask, 0.0) + value
-        self._masses = _settle(collected, max(collected, default=0).bit_length())
-        _check_merged(self._masses)  # pairs naming one set add up
+        total = math.fsum(collected.values())
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise MassError(f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}")
+        self._masses = _settle(collected, max(collected).bit_length())
 
     @classmethod
     def _of_masks(cls, masses: dict[int, float], n: int) -> "MassVector":
@@ -181,6 +186,12 @@ class MassVector(Mapping):
         out = cls.__new__(cls)
         out._masses = _settle(masses, n)
         return out
+
+    def _check_places(self, n: int) -> None:
+        """Reject a focal set holding a place beyond ``n`` places; the one range
+        check before a mass meets a net's tables or names."""
+        if max(self._masses) >> n:
+            raise ValueError(f"mass vector has place indices beyond {n} places")
 
     def _mask_within(self, members: PlaceSet) -> int:
         """The mask of ``members``, or 0 when one lies beyond every focal set.
@@ -226,7 +237,7 @@ class MassVector(Mapping):
 
     def is_categorical(self) -> bool:
         """True when all belief sits on a single set."""
-        return len(self._masses) == 1 and next(iter(self._masses.values())) == 1.0
+        return len(self._masses) == 1
 
     def allclose(self, other: "MassVector", tol: float = NORMALIZATION_TOL) -> bool:
         mine, theirs = self._masses, other._masses
@@ -236,8 +247,7 @@ class MassVector(Mapping):
 
     def dense(self, n: int) -> tuple[float, ...]:
         """Masses over all nonempty subsets of ``range(n)`` in canonical order."""
-        if max(self._masses) >> n:
-            raise ValueError(f"mass vector has place indices beyond {n} places")
+        self._check_places(n)
         masks = _dense_masks(n) if n <= DENSE_PLACE_LIMIT else _canonical_masks(n)
         return tuple(map(self._masses.get, masks, repeat(0.0)))
 
@@ -256,20 +266,6 @@ def _settle(masses: dict[int, float], width: int) -> dict[int, float]:
         return masses
     order = sorted(masses, key=_canonical_key(width))
     return dict(zip(order, map(masses.__getitem__, order)))
-
-
-def _check_merged(masses: dict[int, float]) -> None:
-    """Reject masses not summing to 1 within the tolerance, or a mass above 1.
-    Stored masses lie in (0, 1] and sum to 1, and ``math.fsum`` is correctly
-    rounded, so only where masses add up can one exceed 1 or the sum change."""
-    total = math.fsum(masses.values())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise MassError(
-            f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-        )
-    if max(masses.values()) > 1.0:
-        y, value = next((y, v) for y, v in masses.items() if v > 1.0)
-        raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
 
 
 def _as_mass_vector(mass) -> MassVector:
@@ -308,10 +304,7 @@ def transform(net: PetriNet, x: Iterable[int], r: Sequence[int]) -> PlaceSet:
 
 def _advance(mass: MassVector, image: Callable[[int], int], n: int) -> MassVector:
     """:func:`_transfer`, once the focal sets of ``mass`` lie within ``n`` places."""
-    masses = mass._masses
-    if max(masses) >> n:
-        x = next(x for x in masses if x >> n)
-        raise ValueError(f"place set {_members(x)} out of range for {n} places")
+    mass._check_places(n)
     return _transfer(mass, image, n)
 
 
@@ -321,10 +314,10 @@ def _transfer(mass: MassVector, image: Callable[[int], int], n: int) -> MassVect
     ``image`` maps a source mask of ``n`` places to its image mask. When no
     two sources share an image, the images are zipped with the input's
     masses: merging would add each to 0.0 once, and ``0.0 + v == v`` bit for
-    bit, so this is the merge, in its first-occurrence order, with the
-    input's checked sum. Otherwise sources are walked in canonical order, so
-    masses sharing an image add up to the same floats whatever computes the
-    image, and the merged masses are checked.
+    bit, so this is the merge, in its first-occurrence order. Otherwise
+    sources are walked in canonical order, so masses sharing an image add up
+    to the same floats whatever computes the image. Neither raises: the
+    constructor bounded the sum, and a merged mass is part of it.
     """
     masses = mass._masses
     images = list(map(image, masses))
@@ -334,7 +327,6 @@ def _transfer(mass: MassVector, image: Callable[[int], int], n: int) -> MassVect
         get = out.get
         for y, value in zip(images, masses.values()):
             out[y] = get(y, 0.0) + value
-        _check_merged(out)
     return MassVector._of_masks(out, n)
 
 

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evinet
-from evinet.cli import main
+from evinet.cli import ENV_MAX_PLACES, main
 from evinet import serialize_net
 from _nets import alternating_net, cycle_net, net_from_transitions
 
@@ -334,18 +336,22 @@ class TestRun:
         assert result.stdout == ""
         assert result.stderr == "error: --initial: line 1: focal set {P1} is named twice\n"
 
-    def test_a_merged_mass_above_one_is_one_error_line(self, runner, data_dir):
+    def test_a_merged_mass_above_one_runs_to_the_end(self, runner, data_dir):
         # the two masses sum to 1 + 2**-52, inside the normalization tolerance,
-        # and t1 merges them on {P2} into a mass above 1
+        # and t1 merges them on {P2} into that sum, which the constructor bounded
         result = invoke(
             runner,
             ["run", "--net", str(data_dir / "fig1.evinet"), "--input", "-",
              "--initial", "{P1}:0.13436424411240122 {P2}:0.865635755887599"],
-            input="1 0 0\n",
+            input="1 0 0\n0 1 0\n",
         )
-        assert result.exit_code == 1
-        assert result.stdout == "step=0 r=- mass={P1}:0.13436424411240122 {P2}:0.865635755887599\n"
-        assert result.stderr == "error: line 1: mass 1.0000000000000002 for {1} outside [0, 1]\n"
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "step=0 r=- mass={P1}:0.13436424411240122 {P2}:0.865635755887599\n"
+            "step=1 r=100 mass={P2}:1.0000000000000002\n"
+            "step=2 r=010 mass={P3}:1.0000000000000002\n"
+        )
+        assert result.stderr == ""
 
     def test_a_missing_input_file_is_one_error_line(self, runner, data_dir, tmp_path):
         missing = tmp_path / "absent.txt"
@@ -731,3 +737,103 @@ class TestLibraryErrorBoundary:
         result = invoke(runner, self._args(data_dir, tmp_path, command))
         assert result.exception is bug
         assert "error:" not in result.stderr
+
+
+# "Never a traceback", by search: every command on mutated documents, streams,
+# --initial records and caps ends in status 0, or in status 1 with a diagnostic.
+_DATA = Path(__file__).parent / "data"
+_DOCUMENTS = {
+    name: (_DATA / f"{name}.evinet").read_bytes().splitlines(keepends=True)
+    for name in ("fig1", "fig2", "broken")
+}
+_JUNK_LINES = [
+    b"arc: P1 -> t9\n", b"arc: P9 -> t1\n", b"arc: t1 -> t2\n", b"arc P1 t1\n",
+    b"places: P1, P1\n", b"places:\n", b"transitions:\n", b"net\n", b"# note\n", b"\n",
+]
+_JUNK_TOKENS = [b"->", b"P1", b"t1", b",", b":", b"{", b"\xff", b"\xc3", b"\xed\xa0\x80"]
+_STREAMS = {
+    "fig1": [b"0 0 0\n", b"1 0 0\n", b"0 1 0\n", b"0,0,1\n", b"1 1 1\n"],
+    "fig2": [b"0 0 0 0\n", b"1 0 0 0\n", b"0 1 0 1\n", b"1,0,1,1\n", b"0 0 1 1\n"],
+    "broken": [b"0 0\n", b"1 0\n"],
+}
+_JUNK_STREAM_LINES = [
+    b"1 1 0 0\n", b"1\t0\t0\r\n", b"# note\n", b"\n", b"2 0 0\n", b"1 0\n", b"x y z\n",
+    b"\xff 0 0\n", b"0.5 0 0\n", b"0 0 0 0 0\n",
+]
+_MASS_TOKENS = [
+    "{P1}:1", "{P1,P2}:1", "{P1}:0.5", "{P2}:0.5", "{P3}:0.5", "{P9}:1", "{}:1", "{P1}:x",
+    "P1=1", "{P1}:1.5", "{P1}:-0.1", "{P1}:nan", "{P1}:inf", "{P1}:1.000000001",
+    "{P1}:0.5000000005", "{P1}:0.500000001", "{P1}:0.499999999",
+    "{P1}:0.13436424411240122", "{P2}:0.865635755887599",
+]
+
+
+@st.composite
+def _mutated_lines(draw, lines, junk):
+    """``lines`` joined, most often as they are, else after up to four edits: a
+    line dropped, duplicated, swapped or inserted from ``junk``, or a junk token
+    appended to one."""
+    lines = list(lines)
+    count = draw(st.sampled_from((0, 0, 0, 1, 1, 2, 4)))
+    edits = st.sampled_from(["drop", "dup", "swap", "line", "token"])
+    for op in draw(st.lists(edits, min_size=count, max_size=count)):
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "line" or not lines:
+            lines.insert(at, draw(st.sampled_from(junk)))
+        elif op == "drop":
+            del lines[at]
+        elif op == "dup":
+            lines.insert(at, lines[at])
+        elif op == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            lines[at] = lines[at].rstrip(b"\n") + b" " + draw(st.sampled_from(_JUNK_TOKENS)) + b"\n"
+    return b"".join(lines)
+
+
+@st.composite
+def _invocations(draw, folder: Path):
+    """Arguments, standard input and environment of one CLI call."""
+    name = draw(st.sampled_from(["fig1", "fig2", "fig1", "fig2", "broken"]))
+    (folder / "net.evinet").write_bytes(draw(_mutated_lines(_DOCUMENTS[name], _JUNK_LINES)))
+    command = draw(st.sampled_from(["validate", "conflicts", "run", "table", "equations"]))
+    args, stdin = [command, "--net", str(folder / "net.evinet")], None
+    if command == "run":
+        lines = draw(st.lists(st.sampled_from(_STREAMS[name]), max_size=8))
+        stream = draw(_mutated_lines(lines, _JUNK_STREAM_LINES))
+        tokens = draw(st.lists(st.sampled_from(_MASS_TOKENS), max_size=3))
+        initial = draw(st.sampled_from(["ignorance", " ".join(tokens)]))
+        form = draw(st.sampled_from(["sparse", "dense", "log"]))
+        args += ["--initial", initial, "--format", form]
+        if draw(st.booleans()):
+            stdin = stream
+        else:
+            (folder / "stream.txt").write_bytes(stream)
+            args += ["--input", str(folder / "stream.txt")]
+    if command == "table":
+        args += ["--output", str(folder / "table.csv")]
+    if command == "equations" and draw(st.booleans()):
+        args.append("--minimize")
+    if command in ("table", "equations") and draw(st.booleans()):
+        args.append(f"--max-places={draw(st.integers())}")
+    # values an environment can hold: no NUL, no lone surrogate
+    text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"))
+    env = {ENV_MAX_PLACES: draw(st.none() | text | st.integers().map(str))}
+    return args, stdin, env
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_no_input_ends_in_a_traceback(fuzz_dir, data):
+    args, stdin, env = data.draw(_invocations(fuzz_dir))
+    result = CliRunner(env=env).invoke(main, args, input=stdin)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code in (0, 1)
+    if result.exit_code == 1:
+        assert result.stderr

@@ -397,6 +397,14 @@ class TestMassRecords:
         with pytest.raises(ParseError):
             parse_mass("{P1}:0.5", 3)
 
+    def test_a_bug_in_the_constructor_keeps_its_traceback(self, monkeypatch):
+        def broken(masses):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(dsl, "MassVector", broken)
+        with pytest.raises(RuntimeError, match="^a bug$"):
+            parse_mass("{P1}:1", 3)
+
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
             parse_mass("P1=0.5", 3)
@@ -457,7 +465,7 @@ class TestDenseRecords:
         with pytest.raises(ValueError) as old:
             mass.dense(3)
         with pytest.raises(ValueError) as new:
-            _mass_serializer(3, "dense")(mass)
+            serialize_mass(mass, 3, "dense")
         assert str(new.value) == str(old.value) == "mass vector has place indices beyond 3 places"
 
     def test_slot_maps_are_cached_and_stay_under_a_mebibyte(self):

@@ -56,6 +56,15 @@ class TestMassVector:
         m = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5 + 5e-10})
         assert m.mass({1}) == 0.5 + 5e-10
 
+    def test_one_set_within_the_tolerance_of_one(self):
+        # a lone mass may lie up to the tolerance either side of 1, and is
+        # then all the belief; beyond it the pair itself is out of range
+        for value in (1 - 5e-10, 1 + 5e-10):
+            m = MassVector({frozenset({0}): value})
+            assert m.mass({0}) == value and m.is_categorical()
+        with pytest.raises(MassError, match=r"^mass 1\.000000002 for \{0\} outside \[0, 1\]$"):
+            MassVector({frozenset({0}): 1 + 2e-9})
+
     def test_rejects_empty_set(self):
         with pytest.raises(MassError):
             MassVector({frozenset(): 1.0})
@@ -293,15 +302,16 @@ class TestStep:
         after = step(fig1, {frozenset({0}): 1.0}, (1, 0, 0))
         assert after.mass({1}) == 1.0
 
-    def test_merged_mass_above_one_rejected(self, fig1):
-        # each mass is in [0, 1] and the sum within the tolerance, but the
-        # merged mass on {P1} is above 1
+    def test_a_merged_mass_above_one_is_returned(self, fig1):
+        # each mass is in [0, 1] and the sum within the tolerance, so the
+        # merged mass on {P1}, that sum, is above 1 and stands
         mass = MassVector({frozenset({0}): 0.5 + 4e-10, frozenset({2}): 0.5 + 4e-10})
-        with pytest.raises(MassError, match=r"for \{0\} outside \[0, 1\]"):
-            step(fig1, mass, (0, 0, 1))
+        after = step(fig1, mass, (0, 0, 1))
+        assert after.focal_sets() == (frozenset({0}),)
+        assert after.mass({0}) == (0.5 + 4e-10) + (0.5 + 4e-10) > 1.0
 
     def test_focal_set_beyond_the_places_rejected(self, fig1):
-        with pytest.raises(ValueError, match="out of range for 3 places"):
+        with pytest.raises(ValueError, match="^mass vector has place indices beyond 3 places$"):
             step(fig1, MassVector.categorical({3}), (0, 0, 0))
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -676,8 +686,9 @@ class TestMappingProtocol:
             5 in m
 
     def test_pairs_naming_one_set_merge_within_the_bound(self):
-        # the pairs sum to 1 + 1e-10, inside the normalization tolerance, but
-        # merge on {0} into a mass above 1
-        with pytest.raises(MassError, match=r"^mass 1\.0000000001 for \{0\} outside \[0, 1\]$"):
-            MassVector([({0}, 0.6), ({0}, 0.4000000001)])
+        # the pairs sum to 1 + 1e-10, inside the normalization tolerance, and
+        # merge on {0} into that sum; a sum beyond the tolerance is rejected
+        assert MassVector([({0}, 0.6), ({0}, 0.4000000001)]).mass({0}) == 0.6 + 0.4000000001
+        with pytest.raises(MassError, match=r"^masses sum to 1\.2, expected 1 within 1e-09$"):
+            MassVector([({0}, 0.6), ({0}, 0.6)])
         assert MassVector([({0}, 0.5), ({0}, 0.5)]) == MassVector.categorical({0})

@@ -3,33 +3,41 @@
 The walk is diffed bit for bit against the step loop it replaced (kept in
 ``_oracle``), which range-checked and summed the masses of every step; the
 CLI's records are diffed against ``engine.run``'s trajectory; and the CLI's
-memory must not grow with the length of its input. ``evinet validate`` scans
-a net once.
+memory must not grow with the length of its input. A mass the constructor
+accepts, its sum at either edge of the tolerance, never fails a step, and each
+merge moves the sum by at most an ulp. ``evinet validate`` scans a net once.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evinet import (
     ConflictError,
     DimensionError,
+    MassError,
     MassVector,
     TrajectoryError,
+    build_transfer_table,
     ignorance_mass,
     run,
     serialize_mass,
     serialize_net,
+    step,
+    table_step,
 )
 from evinet import cli
 from evinet import net as net_module
 from evinet.cli import main
-from evinet.engine import DENSE_PLACE_LIMIT, _walk
+from evinet.engine import DENSE_PLACE_LIMIT, NORMALIZATION_TOL, _members, _walk
 from _nets import random_admissible_receptivity, random_mass, random_net
 from _oracle import advance_every_step, byte_table_image
 
@@ -70,7 +78,7 @@ def test_the_walk_is_the_step_loop_it_replaced():
     [
         ({0}, [(0, 1, 0), (0, 2, 0)], 1, ValueError, "must be 0 or 1"),
         ({0}, [(0, 1, 0), (1, 1)], 1, DimensionError, "has 2 bits"),
-        ({3}, [(0, 0, 0)], 0, ValueError, "out of range for 3 places"),
+        ({3}, [(0, 0, 0)], 0, ValueError, "mass vector has place indices beyond 3 places"),
         ({0}, [(1, 0, 0), (0, 1, 0), (0, 0, 0)], None, None, None),
         ({3}, [], None, None, None),  # an unchecked initial mass with no step to take
     ],
@@ -95,6 +103,63 @@ def test_the_firing_rule_comes_before_the_range_check(fig2):
         run(fig2, MassVector.categorical({3}), [(1, 1, 0, 0)])
     assert err.value.index == 0
     assert isinstance(err.value.cause, ConflictError)
+
+
+def _accepted_pairs(rng: random.Random, n: int, edge: int) -> list[tuple[int, float]]:
+    """(mask, mass) pairs over ``n`` places that the constructor accepts, their
+    sum within an ulp or so of ``1 + edge * NORMALIZATION_TOL``; some pairs name
+    one set twice."""
+    masks = rng.sample(range(1, 1 << n), min(rng.choice((1, 3, 12)), (1 << n) - 1))
+    weights = [rng.random() + 0.01 for _ in masks]
+    scale = (1.0 + edge * NORMALIZATION_TOL) / sum(weights)
+    pairs = []
+    for mask, weight in zip(masks, weights):
+        value = weight * scale
+        if rng.random() < 0.3:
+            part = value * rng.random()
+            pairs += [(mask, part), (mask, value - part)]
+        else:
+            pairs.append((mask, value))
+    while True:  # move the largest mass until the constructor's sum is accepted
+        merged: dict[int, float] = {}
+        for x, v in pairs:
+            merged[x] = merged.get(x, 0.0) + v
+        total = math.fsum(merged.values())
+        if abs(total - 1.0) <= NORMALIZATION_TOL:
+            return pairs
+        bound = 1.0 + math.copysign(NORMALIZATION_TOL, total - 1.0)
+        at = max(range(len(pairs)), key=lambda k: pairs[k][1])
+        x, v = pairs[at]
+        pairs[at] = (x, math.nextafter(v - (total - bound), 1.0 if total < 1 else 0.0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), edge=st.sampled_from((-1, 0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_an_accepted_mass_never_fails_a_step(seed, edge):
+    rng = random.Random(seed)
+    net = random_net(rng, max_places=8, max_transitions=8)
+    n = net.place_count
+    mass = MassVector([(_members(x), v) for x, v in _accepted_pairs(rng, n, edge)])
+    stream = [random_admissible_receptivity(rng, net) for _ in range(rng.randint(1, 12))]
+    table = build_transfer_table(net)
+    trajectory = run(net, mass, stream)
+    before = expected = mass
+    for bits, after in trajectory.steps:
+        assert _exact(step(net, before, bits)) == _exact(after)
+        assert _exact(table_step(table, before, bits)) == _exact(after)
+        # each merge is one float addition, which rounds by at most an ulp
+        merges = len(before) - len(after)
+        drift = abs(math.fsum(after._masses.values()) - math.fsum(before._masses.values()))
+        assert drift <= merges * 2**-52
+        if expected is not None:  # the oracle bounds every merge at 1, until it raises
+            image = byte_table_image(net.pre, net.post, bits)
+            try:
+                expected = advance_every_step(expected, image, n)
+            except MassError:
+                expected = None
+            else:
+                assert _exact(after) == _exact(expected)
+        before = after
 
 
 def _cli_cases():
@@ -132,17 +197,18 @@ def test_cli_records_are_the_trajectory(tmp_path, form):
 
 
 def test_a_failing_step_names_its_own_line(data_dir):
-    # the two masses sum to 1 + 2**-52 and merge on {P2} under t1 at line 5,
-    # after lines that step, a comment and a blank line
+    # t1 and t2 both leave P1, so line 5 conflicts, after lines that step, a
+    # comment and a blank line
     result = CliRunner().invoke(
         main,
-        ["run", "--net", str(data_dir / "fig1.evinet"),
-         "--initial", "{P1}:0.13436424411240122 {P2}:0.865635755887599"],
-        input="0 0 0\n# note\n\n0 0 0\n1 0 0\n0 0 0\n",
+        ["run", "--net", str(data_dir / "fig2.evinet")],
+        input="0 0 0 0\n# note\n\n0 0 0 0\n1 1 0 0\n0 0 0 0\n",
     )
     assert result.exit_code == 1
     assert result.stdout.count("\n") == 3
-    assert result.stderr == "error: line 5: mass 1.0000000000000002 for {1} outside [0, 1]\n"
+    assert result.stderr == (
+        "error: line 5: receptivity 1100 enables conflicting transitions at P1 with t1, t2\n"
+    )
 
 
 def _peak_bytes(monkeypatch, tmp_path, net_path, lines: int) -> int:

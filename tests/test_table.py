@@ -284,7 +284,7 @@ class TestTableStep:
             table_step(fig1_table, MassVector.categorical({0}), (1, 1))
 
     def test_focal_set_beyond_the_places_rejected(self, fig1_table):
-        with pytest.raises(ValueError, match="out of range for 3 places"):
+        with pytest.raises(ValueError, match="^mass vector has place indices beyond 3 places$"):
             table_step(fig1_table, MassVector.categorical({3}), (0, 0, 0))
 
     def test_equals_step_exactly_everywhere_small(self, fig1, fig2):
