@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidNetError, MassError, ParseError
-from .engine import DENSE_PLACE_LIMIT, MassVector, PlaceSet, _dense_masks, _mask, _members
+from .engine import (
+    _FLAT_PLACE_LIMIT,
+    DENSE_PLACE_LIMIT,
+    MassVector,
+    PlaceSet,
+    _dense_masks,
+    _mask,
+    _members,
+)
 from .net import PetriNet, Receptivity, _structure
 
 FORMAT_HEADER = "# format: evinet v1"
@@ -257,7 +265,7 @@ def format_place_set(places: PlaceSet, names: int | Sequence[str]) -> str:
     members = frozenset(places)
     if not all(0 <= i < len(labels) for i in members):
         raise ValueError(f"place set {sorted(members)} out of range for {len(labels)} places")
-    return _mask_labels(labels)(_mask(members))
+    return _mask_labels(labels)[_mask(members)]
 
 
 # Masses lie in [0, 1], so 0 and 1 are the only whole numbers a record
@@ -266,40 +274,74 @@ _WHOLE = {0.0: "0", 1.0: "1"}
 
 
 class _MassTexts(dict):
-    """The record text of each mass value, made on first use."""
+    """The record text of each mass value after ``prefix``, made on first use."""
 
-    __slots__ = ()
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str = ""):
+        super().__init__({value: prefix + text for value, text in _WHOLE.items()})
+        self.prefix = prefix
 
     def __missing__(self, value: float) -> str:
-        text = self[value] = repr(value)
+        text = self[value] = self.prefix + repr(value)
+        return text
+
+
+class _MaskLabels(dict):
+    """The set literal of each mask over ``names``, made on first use. At most
+    8192 are kept: a miss beyond them starts the dict afresh."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, mask: int) -> str:
+        if len(self) >= 1 << 13:
+            self.clear()
+        text = self[mask] = "{" + ",".join([self.names[i] for i in _members(mask)]) + "}"
         return text
 
 
 @functools.lru_cache(maxsize=4)
-def _mask_labels(names: tuple[str, ...]) -> Callable[[int], str]:
-    """The set literal of a place mask over ``names``, cached per mask.
+def _mask_labels(names: tuple[str, ...]) -> list[str] | _MaskLabels:
+    """The set literal of each place mask over ``names``, indexed by mask.
 
-    At most 8192 labels are kept per name tuple, and four name tuples.
+    Up to ``_FLAT_PLACE_LIMIT`` names this is :func:`_all_mask_labels`' list of
+    every label, 4096 at 12 places; wider, labels are made per mask and at most
+    8192 are kept. Four name tuples are kept.
     """
-
-    @functools.lru_cache(maxsize=1 << 13)
-    def label(mask: int) -> str:
-        return "{" + ",".join([names[i] for i in _members(mask)]) + "}"
-
-    return label
+    if len(names) <= _FLAT_PLACE_LIMIT:
+        return _all_mask_labels(names)
+    return _MaskLabels(names)
 
 
 def _all_mask_labels(names: Sequence[str]) -> list[str]:
     """The set literal of every mask over ``names``, indexed by mask.
 
-    A whole table labels each mask once, so these bypass :func:`_mask_labels`,
-    whose cache would evict the labels a run keeps.
+    A whole table of more than ``_FLAT_PLACE_LIMIT`` places labels each mask
+    once, so it calls this directly: through :func:`_mask_labels` it would
+    evict the labels a run keeps.
     """
-    inner = [""]
+    half = len(names) // 2
+    lows, highs = _member_texts(names[:half]), _member_texts(names[half:])
+    # each label is one string built from the texts of its low and high places
+    labels = ["{" + low + "}" for low in lows]
+    lows = ["", *[low + "," for low in lows[1:]]]
+    for high in highs[1:]:
+        labels += [f"{{{low}{high}}}" for low in lows]
+    return labels
+
+
+def _member_texts(names: Sequence[str]) -> list[str]:
+    """The comma-separated names of every mask over ``names``, indexed by mask."""
+    texts = [""]
     for name in names:
-        # the masks whose highest place is this one: each lower mask plus it
-        inner += [f"{rest},{name}" if rest else name for rest in inner]
-    return ["{" + text + "}" for text in inner]
+        # the masks whose highest place is this one: it alone, then each lower
+        # nonempty mask plus it
+        texts += [name, *[f"{rest},{name}" for rest in texts[1:]]]
+    return texts
 
 
 def _mass_serializer(
@@ -307,8 +349,10 @@ def _mass_serializer(
 ) -> Callable[[MassVector], str]:
     """:func:`serialize_mass` with ``places`` and ``form`` fixed, for the records
     of one run; each mass value's text is made once, in a dict of its own. A
-    dense record copies a row of ``"0"`` texts and fills the slot of each focal
-    set, so it costs one write per focal set, not one per column.
+    sparse record adds each focal set's label to its mass text, which holds the
+    ``:`` between them. A dense record copies a row of ``"0"`` texts and fills
+    the slot of each focal set, so it costs one write per focal set, not one
+    per column.
 
     That dict stays small: each source set has exactly one image, so a step
     merging m sources drops the focal count by m - 1 and makes one new float,
@@ -318,12 +362,11 @@ def _mass_serializer(
     """
     names = _place_names(places)
     n = len(names)
-    texts = _MassTexts(_WHOLE)
     if form == "sparse":
-        label = _mask_labels(names)
+        labels, texts = _mask_labels(names), _MassTexts(":")
 
         def sparse(mass: MassVector) -> str:
-            return " ".join([f"{label(x)}:{texts[v]}" for x, v in mass._masses.items()])
+            return " ".join([labels[x] + texts[v] for x, v in mass._masses.items()])
 
         return sparse
     if form == "dense":
@@ -331,7 +374,7 @@ def _mass_serializer(
             raise ValueError(
                 f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
             )
-        slots = _dense_masks(n)
+        slots, texts = _dense_masks(n), _MassTexts()
         zeros = ["0"] * len(slots)
 
         def dense(mass: MassVector) -> str:

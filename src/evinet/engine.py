@@ -12,6 +12,12 @@ only at the API edge, in the keys callers pass and in :meth:`focal_sets`.
 Masks are Python ints, so nets wider than a machine word step as well. The
 set-to-mask conversion, the canonical enumeration of masks and their sort key
 live here alone; :mod:`evinet.table` and :mod:`evinet.dsl` use them.
+
+Masks are ordered in two regimes. Up to ``_FLAT_PLACE_LIMIT`` places, where a
+step reads its images from one flat table, a mask's sort key is its index in
+canonical order, read from the table of every mask that dense records use too
+(:func:`_dense_masks`). Wider masks, whose tables would double per place, sort
+by :func:`_canonical_key`, computed and cached per mask.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
@@ -34,6 +40,10 @@ NORMALIZATION_TOL = 1e-9
 PlaceSet = frozenset[int]
 
 DENSE_PLACE_LIMIT = 10  # 2**10 - 1 columns is the most a dense record may carry
+
+# Nets of at most this many places step through one flat table of image masks,
+# and their masks are ranked and labelled through tables of every mask.
+_FLAT_PLACE_LIMIT = 12
 
 
 def place_set_key(places: PlaceSet) -> tuple[int, tuple[int, ...]]:
@@ -87,13 +97,28 @@ def _canonical_masks(n: int) -> Iterator[int]:
         yield from map(_mask, combinations(range(n), size))
 
 
-# A dense record reads the order once per step, so it is kept for four place
-# counts of at most DENSE_PLACE_LIMIT places: under 4 * 2**10 entries in all.
+# A step's sort and a dense record read the order once per step, so it is kept
+# for four place counts of at most _FLAT_PLACE_LIMIT places: under 4 * 2**12
+# entries in all.
 @functools.lru_cache(maxsize=4)
 def _dense_masks(n: int) -> dict[int, int]:
-    """Each nonempty mask of n places with its slot in a dense record, in
-    canonical order."""
-    return {mask: slot for slot, mask in enumerate(_canonical_masks(n))}
+    """Each nonempty mask of n places with its rank in canonical order, which
+    is its slot in a dense record, in that order.
+
+    The masks of each size are built as lists, adding one place at a time from
+    the highest down: of the sets of one size, those holding the new, lowest
+    place come first, each a set one smaller of the places above plus it, then
+    those without it, in the order they had. So no subset costs a call of its
+    own.
+    """
+    sizes = [[0]]  # sizes[k]: the k-place subsets of the places added so far
+    for place in reversed(range(n)):
+        unit = 1 << place
+        sizes.append([])
+        for k in range(len(sizes) - 1, 0, -1):
+            sizes[k] = [unit | mask for mask in sizes[k - 1]] + sizes[k]
+    order = list(chain.from_iterable(sizes[1:]))
+    return dict(zip(order, range(len(order))))
 
 
 # Each byte value with its eight bits reversed, then complemented.
@@ -109,7 +134,8 @@ def _canonical_key(width: int) -> Callable[[int], int]:
     smallest index where they differ sorts first. Reversal and complement go
     a byte at a time through ``_REV_NOT``, so a key costs a few bytes per 8
     places and no text. Keys are cached per mask, at most 8192 per width for
-    four widths, and hold no set.
+    four widths, and hold no set. :func:`_order_key` uses it only above
+    ``_FLAT_PLACE_LIMIT`` places, where no rank table is built.
     """
     size = (width + 7) // 8
 
@@ -119,6 +145,15 @@ def _canonical_key(width: int) -> Callable[[int], int]:
         return int.from_bytes(count + mask.to_bytes(size, "little").translate(_REV_NOT), "big")
 
     return key
+
+
+def _order_key(width: int) -> Callable[[int], int]:
+    """A sort key putting masks below ``2**width`` in canonical order: the rank
+    in :func:`_dense_masks` up to ``_FLAT_PLACE_LIMIT`` places, else
+    :func:`_canonical_key`."""
+    if width <= _FLAT_PLACE_LIMIT:
+        return _dense_masks(width).__getitem__
+    return _canonical_key(width)
 
 
 def _key_members(key: Iterable[int]) -> PlaceSet:
@@ -264,7 +299,7 @@ def _settle(masses: dict[int, float], width: int) -> dict[int, float]:
     """
     if len(masses) < 2:
         return masses
-    order = sorted(masses, key=_canonical_key(width))
+    order = sorted(masses, key=_order_key(width))
     return dict(zip(order, map(masses.__getitem__, order)))
 
 
@@ -328,10 +363,6 @@ def _transfer(mass: MassVector, image: Callable[[int], int], n: int) -> MassVect
         for y, value in zip(images, masses.values()):
             out[y] = get(y, 0.0) + value
     return MassVector._of_masks(out, n)
-
-
-# Nets of at most this many places step through one flat table of image masks.
-_FLAT_PLACE_LIMIT = 12
 
 
 @functools.cache

@@ -37,10 +37,10 @@ from .engine import (
     PlaceSet,
     _advance,
     _as_mass_vector,
-    _canonical_key,
     _canonical_masks,
     _coerce_place_set,
     _mask,
+    _order_key,
     _set_of,
     place_set_key,
 )
@@ -283,7 +283,7 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
 
     sets = cache(_set_of)
     equations = []
-    for ymask in sorted(grouped, key=_canonical_key(n)):
+    for ymask in sorted(grouped, key=_order_key(n)):
         terms: list[tuple[Cube, PlaceSet]] = []
         for xmask, group in grouped[ymask].items():
             # a group's bits are distinct, so their sum is the on-set

@@ -13,18 +13,23 @@ order it does not compute; the brute inversion of a table lists its cells in
 that order. The byte-table step is the package's step before its flat image
 tables, kept to diff the new step against bit for bit. So is the step's
 mass-transfer loop as it was before the one run loop: it range-checks and
-sums the masses of every step, merged or not.
+sums the masses of every step, merged or not. It puts the masses in order by
+this module's own key over frozensets, so the package's sort key is checked
+against it, not by construction.
 
 The per-cell output stage at the end is the exception: it is the package's
 first CSV writer, equation emitter and renderer, and its first, tabular
 Quine-McCluskey, kept verbatim so that the mask-based and bitset versions can
 be diffed against them byte for byte. So is the frozenset mass-record
-serializer, against which the mask-keyed one is diffed. Both walk place sets
-in this module's own canonical order, and the CSV writer reads the table's
-``rows`` by admissible index, not through ``TransferTable.cells``. The
-receptivity line parser with its regex split and per-token loop, and the bit
-coercion with its generator and per-bit ``any``, are kept verbatim as well, to
-diff the one-split parser and the C-level coercion against.
+serializer, against which the mask-keyed one is diffed, and the mask-keyed
+record writer as it was before its tables of every label and rank, which made
+each label from the mask's members and joined it to its mass in an f-string.
+All walk place sets in this module's own canonical order, and the CSV writer
+reads the table's ``rows`` by admissible index, not through
+``TransferTable.cells``. The receptivity line parser with its regex split and
+per-token loop, and the bit coercion with its generator and per-bit ``any``,
+are kept verbatim as well, to diff the one-split parser and the C-level
+coercion against.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from evinet import MassEquation, MassVector
-from evinet.engine import NORMALIZATION_TOL, _canonical_key, _members
+from evinet.engine import NORMALIZATION_TOL, _members
 from evinet.errors import DimensionError, MassError, ParseError
 from evinet.net import coerce_receptivity
 
@@ -149,9 +154,9 @@ def step_byte_tables(net, mass, r):
     return MassVector._of_masks(out, net.place_count)
 
 
-def settle_every_step(masses, width):
+def settle_every_step(masses):
     """The package's ``_settle`` before the one run loop: the sum check on every
-    step, then canonical order."""
+    step, then canonical order, here by ``set_key`` over each mask's set."""
     total = math.fsum(masses.values())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise MassError(
@@ -159,7 +164,7 @@ def settle_every_step(masses, width):
         )
     if len(masses) < 2:
         return masses
-    order = sorted(masses, key=_canonical_key(width))
+    order = sorted(masses, key=lambda mask: set_key(_set_of(mask)))
     return dict(zip(order, map(masses.__getitem__, order)))
 
 
@@ -181,7 +186,7 @@ def advance_every_step(mass, image, n):
             y, value = next((y, v) for y, v in out.items() if v > 1.0)
             raise MassError(f"mass {value!r} for {set(_members(y))} outside [0, 1]")
     after = MassVector.__new__(MassVector)
-    after._masses = settle_every_step(out, n)
+    after._masses = settle_every_step(out)
     return after
 
 
@@ -491,6 +496,33 @@ def serialize_mass_frozensets(mass, places, form="sparse"):
                 f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
             )
         return "[" + ",".join(_format_number(v) for v in dense_frozensets(mass, n)) + "]"
+    raise ValueError(f"unknown mass record form {form!r}")
+
+
+def format_place_set_per_mask(mask, names):
+    """The set literal of ``mask``, made from its members."""
+    labels = _place_names(names)
+    return "{" + ",".join([labels[i] for i in sorted(_set_of(mask))]) + "}"
+
+
+def serialize_mass_per_mask(mass, places, form="sparse"):
+    """The package's record writer before its tables of every label and rank:
+    each focal mask labelled from its members and joined to its mass text by an
+    f-string, the focal sets put in this module's canonical order first."""
+    names = _place_names(places)
+    n = len(names)
+    if form == "sparse":
+        items = sorted(mass._masses.items(), key=lambda item: set_key(_set_of(item[0])))
+        return " ".join(
+            [f"{format_place_set_per_mask(x, names)}:{_format_number(v)}" for x, v in items]
+        )
+    if form == "dense":
+        if n > DENSE_PLACE_LIMIT:
+            raise ValueError(
+                f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
+            )
+        masks = [sum(1 << i for i in x) for x in canonical_sets(n)]
+        return "[" + ",".join([_format_number(mass._masses.get(x, 0.0)) for x in masks]) + "]"
     raise ValueError(f"unknown mass record form {form!r}")
 
 

@@ -25,8 +25,8 @@ from evinet import (
 )
 from evinet import cli, dsl
 from evinet.cli import _records
-from evinet.dsl import _mass_serializer, parse_receptivity_line
-from evinet.engine import DENSE_PLACE_LIMIT, _dense_masks
+from evinet.dsl import _mask_labels, _mass_serializer, parse_receptivity_line
+from evinet.engine import _FLAT_PLACE_LIMIT, DENSE_PLACE_LIMIT, _dense_masks
 from evinet.net import coerce_receptivity
 from _nets import (
     FIG1_POST,
@@ -37,11 +37,17 @@ from _nets import (
     cycle_net,
     fig1_net,
     fig2_net,
+    net_from_transitions,
     random_admissible_receptivity,
     random_mass,
     random_net,
 )
-from _oracle import parse_receptivity_line_regex, serialize_mass_frozensets
+from _oracle import (
+    format_place_set_per_mask,
+    parse_receptivity_line_regex,
+    serialize_mass_frozensets,
+    serialize_mass_per_mask,
+)
 
 
 class TestParseNet:
@@ -485,6 +491,96 @@ class TestDenseRecords:
         assert _dense_masks.cache_info().misses == 4
 
 
+def _nets_around_the_table_limit():
+    """Seeded random nets of 11, 12 and 13 places, each with a mass of one or
+    hundreds of focal sets and a stream of admissible lines."""
+    rng = random.Random(20261020)
+    for n in (11, 12, 13):
+        for focals in (1, 300):
+            pairs = []
+            for _ in range(rng.randint(2, n + 3)):
+                src = rng.randrange(n)
+                pairs.append((src, rng.choice([i for i in range(n) if i != src])))
+            net = net_from_transitions(n, pairs)
+            mass = random_mass(rng, n, max_focals=focals)
+            stream = [random_admissible_receptivity(rng, net) for _ in range(12)]
+            yield pytest.param(net, mass, stream, id=f"{n}places-{len(mass)}sets")
+
+
+def _steps(net, mass, stream):
+    """Each line's bits with the mass after its step."""
+    out = []
+    for bits in stream:
+        mass = step(net, mass, bits)
+        out.append((bits, mass))
+    return out
+
+
+class TestRecordsAroundTheTableLimit:
+    """Up to 12 places a record reads its labels from one table of every label;
+    above, labels are made per mask. On both sides the bytes are those of the
+    per-mask f-string writer kept in ``_oracle``."""
+
+    @pytest.mark.parametrize("net, mass, stream", list(_nets_around_the_table_limit()))
+    def test_serialize_mass_and_format_place_set(self, net, mass, stream):
+        n = net.place_count
+        for m in [mass, *(after for _, after in _steps(net, mass, stream))]:
+            for places in (n, net.places):
+                assert serialize_mass(m, places) == serialize_mass_per_mask(m, places)
+                with pytest.raises(ValueError) as want:
+                    serialize_mass_per_mask(m, places, "dense")
+                with pytest.raises(ValueError) as got:
+                    serialize_mass(m, places, "dense")
+                assert str(got.value) == str(want.value)
+            for x in m._masses:
+                members = [i for i in range(n) if x >> i & 1]
+                assert format_place_set(members, n) == format_place_set_per_mask(x, n)
+        assert format_place_set({n - 1}, n) == format_place_set_per_mask(1 << n - 1, n)
+
+    @pytest.mark.parametrize("net, mass, stream", list(_nets_around_the_table_limit()))
+    @pytest.mark.parametrize("form", ["sparse", "dense", "log"])
+    def test_run_prints_the_per_mask_records(self, net, mass, stream, form, tmp_path):
+        path = tmp_path / "net.evinet"
+        path.write_text(serialize_net(net))
+        initial = serialize_mass_per_mask(mass, net.places)
+        lines = "".join(" ".join(map(str, bits)) + "\n" for bits in stream)
+        result = CliRunner().invoke(
+            cli.main,
+            ["run", "--net", str(path), "--initial", initial, "--format", form],
+            input=lines,
+        )
+        if form == "dense":
+            assert (result.exit_code, result.stdout) == (1, "")
+            n = net.place_count
+            assert result.stderr == f"error: dense records are limited to 10 places, got {n}\n"
+            return
+        records = [(None, mass), *_steps(net, mass, stream)]
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.stdout == "".join(
+            f"step={index} r={''.join(map(str, bits)) if bits else '-'}"
+            f" mass={serialize_mass_per_mask(m, net.places)}\n"
+            for index, (bits, m) in enumerate(records)
+        )
+
+    def test_four_rank_and_four_label_tables_stay_under_3_mib(self):
+        _dense_masks.cache_clear()
+        _mask_labels.cache_clear()
+        tracemalloc.start()
+        try:
+            _dense_masks(_FLAT_PLACE_LIMIT)
+            rank, _ = tracemalloc.get_traced_memory()
+            for prefix in "PQRS":
+                _mask_labels(tuple(f"{prefix}{i + 1}" for i in range(_FLAT_PLACE_LIMIT)))
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _mask_labels.cache_info().currsize == 4
+        # the rank cache is keyed by width alone: it holds four tables of at
+        # most this one's size
+        assert 4 * rank + (current - rank) < 3 << 20
+
+
 def _writer_texts(writer) -> dict:
     """The mass-text dict a per-run writer keeps."""
     return inspect.getclosurevars(writer).nonlocals["texts"]
@@ -543,8 +639,13 @@ class TestPerRunWriters:
         mass = MassVector({frozenset({0}): 0.25, frozenset({1}): 0.75})
         writer = _mass_serializer(3, "sparse")
         assert writer(mass) == serialize_mass(mass, 3) == "{P1}:0.25 {P2}:0.75"
-        assert _writer_texts(writer) == {0.0: "0", 1.0: "1", 0.25: "0.25", 0.75: "0.75"}
-        assert _writer_texts(_mass_serializer(3, "sparse")) == {0.0: "0", 1.0: "1"}
+        # a sparse text holds the ":" between a label and its mass
+        assert _writer_texts(writer) == {0.0: ":0", 1.0: ":1", 0.25: ":0.25", 0.75: ":0.75"}
+        assert _writer_texts(_mass_serializer(3, "sparse")) == {0.0: ":0", 1.0: ":1"}
+        dense = _mass_serializer(3, "dense")
+        assert dense(mass) == serialize_mass(mass, 3, "dense") == "[0.25,0.75,0,0,0,0,0]"
+        assert _writer_texts(dense) == {0.0: "0", 1.0: "1", 0.25: "0.25", 0.75: "0.75"}
+        assert _writer_texts(_mass_serializer(3, "dense")) == {0.0: "0", 1.0: "1"}
 
     def test_form_errors_come_before_the_mass_is_read(self):
         # None is no mass vector: reading it would raise AttributeError

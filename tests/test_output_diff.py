@@ -14,11 +14,13 @@ import pytest
 
 from evinet import (
     MassEquation,
+    MassVector,
     PetriNet,
     build_transfer_table,
     emit_equations,
     render_equation,
     render_equations,
+    serialize_mass,
     write_table_csv,
 )
 from evinet.table import EQUATION_FORMAT_VERSION
@@ -113,6 +115,21 @@ def test_csv_quoting_of_unusual_place_names():
     write_table_csv_per_cell(table, slow)
     assert_same_text(fast.getvalue(), slow.getvalue())
     assert '"{a,b,say ""hi""}",0000,"{a,b,say ""hi""}"\n' in fast.getvalue()
+
+
+def test_an_empty_place_name_is_joined_by_commas_as_in_the_reference():
+    # a library net may name a place with the empty string; a label joins the
+    # names of its members, so {P1,P2} of such a net reads "{,y}"
+    cycle = cycle_net(3)
+    net = PetriNet(places=("", "y", "x"), transitions=cycle.transitions, pre=cycle.pre,
+                   post=cycle.post)
+    table = build_transfer_table(net)
+    fast, slow = io.StringIO(), io.StringIO()
+    write_table_csv(table, fast)
+    write_table_csv_per_cell(table, slow)
+    assert_same_text(fast.getvalue(), slow.getvalue())
+    assert '"{,y}",000,"{,y}"\n' in fast.getvalue()
+    assert serialize_mass(MassVector.categorical({0, 1}), net.places) == "{,y}:1"
 
 
 def test_interleaved_hand_built_terms_render_identically():

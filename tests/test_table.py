@@ -374,6 +374,19 @@ class TestEquations:
         eqs = emit_equations(fig1_table, minimize=True)
         assert [eq.target for eq in eqs] == list(place_sets(3))
 
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_targets_in_canonical_order_around_the_table_limit(self, n):
+        # up to 12 places targets sort by rank, above by the per-mask key
+        rng = random.Random(n)
+        pairs = []
+        for _ in range(3):
+            src = rng.randrange(n)
+            pairs.append((src, rng.choice([i for i in range(n) if i != src])))
+        table = build_transfer_table(net_from_transitions(n, pairs))
+        targets = [eq.target for eq in emit_equations(table)]
+        assert targets == sorted(set(targets), key=lambda x: (len(x), sorted(x)))
+        assert set(targets) == {y for _, _, y in table.cells()}
+
     def test_minimized_matches_hand_entered_system(self, fig1_table):
         for eq in emit_equations(fig1_table, minimize=True):
             assert equations_semantically_equal(eq, _hand_equation(eq.target))
@@ -828,8 +841,8 @@ class TestCsv:
     def test_whole_table_labels_leave_the_label_cache_alone(self):
         # 2**14 labels, each built once, would evict every label a run keeps
         table = build_transfer_table(net_from_transitions(14, [(0, 1)]))
-        label = _mask_labels(table.net.places)
-        label(0b101)
-        before = label.cache_info().currsize
+        labels = _mask_labels(table.net.places)
+        assert labels[0b101] == "{P1,P3}"
+        before = dict(labels)
         assert write_table_csv(table, io.StringIO()) == 2 * ((1 << 14) - 1)
-        assert label.cache_info().currsize == before
+        assert labels == before
