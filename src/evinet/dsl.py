@@ -197,7 +197,15 @@ def parse_net(text: str) -> PetriNet:
 
 
 def serialize_net(net: PetriNet) -> str:
-    """Canonical document: declarations in order, arcs grouped per transition."""
+    """Canonical document: declarations in order, arcs grouped per transition.
+
+    Raises :class:`ValueError` naming the first name, in document order, that
+    the grammar cannot hold, such as ``""`` or ``"a b"``: :class:`PetriNet`
+    accepts any name, but :func:`parse_net` only identifiers.
+    """
+    for name in (net.name, *net.places, *net.transitions):
+        if not _IDENT.match(name):
+            raise ValueError(f"cannot serialize name {name!r}: not an identifier")
     lines = [
         FORMAT_HEADER,
         f"net {net.name}",

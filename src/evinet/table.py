@@ -13,7 +13,9 @@ mask array the kernel fills is bounded before it is allocated. Filling the
 masks is the cheap part; the cost is in turning cells into text. The output
 stage therefore works per mask, not per cell: each set's label and frozenset
 are built once, and both the CSV writer and the equation emitter read the
-table one subset column at a time, in canonical subset order.
+table one subset column at a time, in canonical subset order. The CSV writer
+builds no string per cell either: a subset's rows are one join over a list of
+three parts per row, which every subset reuses, and one write.
 """
 
 from __future__ import annotations
@@ -414,16 +416,19 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
 
     Rows run over subsets in canonical order and, within a subset, over the
     admissible combinations in binary order, as :meth:`TransferTable.cells`.
+    The header is one ``write`` and each subset's rows one more: a join over a
+    list of three parts per row (label, ``,bits``, ``,image\\n``) that every
+    subset reuses, so no string is built per cell.
     """
     labels = _csv_fields(_all_mask_labels(table.net.places))
     bits_fields = _csv_fields("".join(map(str, bits)) for bits in table.admissible)
-    middles = [f",{field}," for field in bits_fields]
-    images = [f"{label}\n" for label in labels]
+    images = [f",{label}\n" for label in labels]
+    count = len(bits_fields)
+    parts = [""] * (3 * count)
+    parts[1::3] = [f",{field}" for field in bits_fields]
     handle.write("subset,receptivity_bits,result_subset\n")
     for xmask in _canonical_masks(table.net.place_count):
-        subset = labels[xmask]
-        column = table._column(xmask).tolist()
-        handle.write(
-            "".join([subset + middle + images[y] for middle, y in zip(middles, column)])
-        )
+        parts[0::3] = [labels[xmask]] * count
+        parts[2::3] = map(images.__getitem__, table._column(xmask))
+        handle.write("".join(parts))
     return table.defined_cell_count

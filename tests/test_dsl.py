@@ -5,6 +5,7 @@ import inspect
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -237,6 +238,47 @@ class TestSerializeNet:
     @settings(max_examples=100, deadline=None)
     def test_round_trip_random_nets(self, seed):
         net = random_net(random.Random(seed))
+        assert parse_net(serialize_net(net)) == net
+
+    @pytest.mark.parametrize("bad", ["", "a b", "a,b"], ids=["empty", "space", "comma"])
+    @pytest.mark.parametrize("where", ["place", "transition", "net"])
+    def test_a_name_the_grammar_cannot_hold_is_refused(self, bad, where):
+        cycle = cycle_net(3)
+        if where == "place":
+            net = replace(cycle, places=("x", bad, "y"))
+        elif where == "transition":
+            net = replace(cycle, transitions=("u", "v", bad))
+        else:
+            net = replace(cycle, name=bad)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            serialize_net(net)
+
+    def test_the_first_bad_name_in_document_order_is_named(self):
+        # for places ("", "y", "x") the old document read "places: , y, x"
+        net = replace(cycle_net(3), places=("", "y", "x"), transitions=("t1", "a b", "t3"))
+        with pytest.raises(ValueError) as err:
+            serialize_net(net)
+        assert str(err.value) == "cannot serialize name '': not an identifier"
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_random_names(self, seed):
+        # random identifiers, some of them directive words, all distinct
+        rng = random.Random(seed)
+        base = random_net(rng)
+        first = "_abcxyzABCXYZ"
+        pool = {"net", "arc", "places", "transitions", "_", "P1", "t1"}
+        while len(pool) < 40:
+            pool.add(rng.choice(first) + "".join(
+                rng.choice(first + "0123456789") for _ in range(rng.randrange(6))
+            ))
+        names = rng.sample(sorted(pool), base.place_count + base.transition_count + 1)
+        net = replace(
+            base,
+            places=tuple(names[: base.place_count]),
+            transitions=tuple(names[base.place_count : -1]),
+            name=names[-1],
+        )
         assert parse_net(serialize_net(net)) == net
 
 

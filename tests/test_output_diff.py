@@ -7,10 +7,13 @@ tabular Quine-McCluskey kept there.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import random
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from evinet import (
     MassEquation,
@@ -18,11 +21,13 @@ from evinet import (
     PetriNet,
     build_transfer_table,
     emit_equations,
+    parse_net,
     render_equation,
     render_equations,
     serialize_mass,
     write_table_csv,
 )
+from evinet import cli
 from evinet.table import EQUATION_FORMAT_VERSION
 from _nets import (
     cycle_net,
@@ -130,6 +135,69 @@ def test_an_empty_place_name_is_joined_by_commas_as_in_the_reference():
     assert_same_text(fast.getvalue(), slow.getvalue())
     assert '"{,y}",000,"{,y}"\n' in fast.getvalue()
     assert serialize_mass(MassVector.categorical({0, 1}), net.places) == "{,y}:1"
+
+
+def _csv_pair(net) -> tuple[str, str]:
+    table = build_transfer_table(net)
+    fast, slow = io.StringIO(), io.StringIO()
+    assert write_table_csv(table, fast) == write_table_csv_per_cell(table, slow)
+    return fast.getvalue(), slow.getvalue()
+
+
+def test_csv_of_a_one_transition_net():
+    # two admissible combinations, so each subset's block holds two rows
+    fast, slow = _csv_pair(net_from_transitions(2, [(0, 1)]))
+    assert_same_text(fast, slow)
+    assert fast == (
+        "subset,receptivity_bits,result_subset\n"
+        "{P1},0,{P1}\n{P1},1,{P2}\n"
+        "{P2},0,{P2}\n{P2},1,{P2}\n"
+        '"{P1,P2}",0,"{P1,P2}"\n"{P1,P2}",1,{P2}\n'
+    )
+
+
+def test_csv_quotes_labels_that_are_both_subset_and_image():
+    cycle = cycle_net(3)
+    net = PetriNet(places=("a,b", 'c"d', "e"), transitions=cycle.transitions,
+                   pre=cycle.pre, post=cycle.post)
+    fast, slow = _csv_pair(net)
+    assert_same_text(fast, slow)
+    assert '"{a,b}",100,"{c""d}"\n' in fast
+    assert '"{c""d}",010,{e}\n' in fast
+    assert '{e},001,"{a,b}"\n' in fast
+
+
+def test_csv_of_non_ascii_names_through_the_cli_is_utf8(tmp_path, monkeypatch):
+    # the document grammar holds ASCII identifiers only, so the command reads
+    # a library net in place of a parsed one
+    cycle = cycle_net(3)
+    net = PetriNet(places=("Zürich", "東京", "a,ö"), transitions=cycle.transitions,
+                   pre=cycle.pre, post=cycle.post)
+    monkeypatch.setattr(cli, "_read_net", lambda path: net)
+    out = tmp_path / "table.csv"
+    result = CliRunner().invoke(cli.main, ["table", "--net", "unused", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "56 rows\n"
+    slow = io.StringIO()
+    write_table_csv_per_cell(build_transfer_table(net), slow)
+    assert out.read_bytes() == slow.getvalue().encode("utf-8")
+    assert '"{Zürich,東京}",110,"{東京,a,ö}"\n'.encode() in out.read_bytes()
+
+
+def _benchmark_generator():
+    path = Path(__file__).resolve().parent.parent / "evibench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("evibench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_csv_of_the_table_benchmark_nets(seed, tmp_path):
+    files = _benchmark_generator().generate("table", seed, tmp_path)
+    net = parse_net(files["net"].read_text(encoding="utf-8"))
+    assert (net.place_count, net.transition_count) == (8, 9)
+    assert_same_text(*_csv_pair(net))
 
 
 def test_interleaved_hand_built_terms_render_identically():

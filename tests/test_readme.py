@@ -1,6 +1,7 @@
 """The README's examples, run as they are written.
 
-The ``evinet run`` example's records are compared byte for byte, and the
+The ``evinet run`` example's records are compared byte for byte, the rows of
+the CSV example must be rows of ``evinet table`` on fig1, and the
 ``## Library`` block is executed and its mass checked against its comment.
 """
 
@@ -27,6 +28,23 @@ def test_the_run_example_prints_its_records(monkeypatch):
     result = CliRunner().invoke(main, shlex.split(command), input=stream.replace("\\n", "\n"))
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == records.encode()
+
+
+def test_the_csv_example_rows_are_written_by_table(monkeypatch, tmp_path):
+    example = re.search(r"`table` exports CSV columns.*?```\n(.*?)```", README, re.S)
+    assert example, "no CSV block after the `table` exports CSV columns paragraph"
+    header, *rows = [line for line in example.group(1).splitlines() if line != "..."]
+    assert rows == ["{P1},000,{P1}", '"{P1,P3}",101,"{P1,P2}"']
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "fig1.csv"
+    command = ["table", "--net", "tests/data/fig1.evinet", "--output", str(out)]
+    result = CliRunner().invoke(main, command)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == b"56 rows\n"
+    header_line, *written = out.read_bytes().decode("utf-8").splitlines()
+    assert header_line == header
+    assert written[0] == rows[0]
+    assert rows[1] in written
 
 
 def test_the_library_example_runs(monkeypatch, capsys):

@@ -38,6 +38,8 @@ from _nets import (
     all_admissible_receptivities,
     alternating_net,
     cycle_net,
+    fig1_net,
+    fig2_net,
     net_from_transitions,
     random_admissible_receptivity,
     random_mass,
@@ -846,3 +848,47 @@ class TestCsv:
         before = dict(labels)
         assert write_table_csv(table, io.StringIO()) == 2 * ((1 << 14) - 1)
         assert labels == before
+
+    @pytest.mark.parametrize(
+        "net",
+        [fig1_net(), fig2_net(), cycle_net(6), net_from_transitions(2, [(0, 1)])],
+        ids=["fig1", "fig2", "cycle6", "one-transition"],
+    )
+    def test_one_write_for_the_header_and_one_per_subset(self, net):
+        sink = _CountingSink()
+        write_table_csv(build_transfer_table(net), sink)
+        assert sink.calls == 1 + (2**net.place_count - 1)
+
+    def test_the_writer_holds_one_block_at_a_time(self):
+        # Measured from the header write, once the per-table label and bits
+        # lists exist: a subset's block adds its text and a few lists of one
+        # slot per row, never anything that grows with the number of subsets.
+        table = build_transfer_table(cycle_net(10))
+        sink = _CountingSink(trace=True)
+        tracemalloc.start()
+        try:
+            write_table_csv(table, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.calls == 1024
+        assert sink.largest > 1024 * len("{P1},0000000000,{P2}\n")
+        assert peak - sink.baseline < 2 * sink.largest
+
+
+class _CountingSink:
+    """A text handle that keeps the number of writes and the largest text's
+    length, not the text. With ``trace``, the header write records the traced
+    memory and resets the peak."""
+
+    def __init__(self, trace: bool = False):
+        self.calls = 0
+        self.largest = 0
+        self.baseline = None if trace else 0
+
+    def write(self, text: str) -> None:
+        if self.baseline is None:
+            self.baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        self.calls += 1
+        self.largest = max(self.largest, len(text))
