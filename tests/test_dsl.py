@@ -234,12 +234,6 @@ class TestSerializeNet:
         once = serialize_net(net)
         assert serialize_net(parse_net(once)) == once
 
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_random_nets(self, seed):
-        net = random_net(random.Random(seed))
-        assert parse_net(serialize_net(net)) == net
-
     @pytest.mark.parametrize("bad", ["", "a b", "a,b"], ids=["empty", "space", "comma"])
     @pytest.mark.parametrize("where", ["place", "transition", "net"])
     def test_a_name_the_grammar_cannot_hold_is_refused(self, bad, where):
@@ -254,7 +248,7 @@ class TestSerializeNet:
             serialize_net(net)
 
     def test_the_first_bad_name_in_document_order_is_named(self):
-        # for places ("", "y", "x") the old document read "places: , y, x"
+        # written out, these places would read "places: , y, x", which parse_net rejects
         net = replace(cycle_net(3), places=("", "y", "x"), transitions=("t1", "a b", "t3"))
         with pytest.raises(ValueError) as err:
             serialize_net(net)
@@ -262,8 +256,9 @@ class TestSerializeNet:
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_round_trip_random_names(self, seed):
-        # random identifiers, some of them directive words, all distinct
+    def test_round_trip_random_nets(self, seed):
+        # random valid nets under random identifiers, some of them directive
+        # words, all distinct
         rng = random.Random(seed)
         base = random_net(rng)
         first = "_abcxyzABCXYZ"
