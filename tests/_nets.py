@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from evinet import MassVector, PetriNet, check_receptivity
 
@@ -130,3 +132,13 @@ def random_mass(rng: random.Random, n: int, max_focals: int = 4) -> MassVector:
             for mask, w in zip(masks, weights)
         }
     )
+
+
+def benchmark_generator():
+    """``evibench/gen.py``, the benchmark's seeded input generator, loaded
+    unchanged from its file."""
+    path = Path(__file__).resolve().parent.parent / "evibench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("evibench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

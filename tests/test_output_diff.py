@@ -7,10 +7,8 @@ tabular Quine-McCluskey kept there.
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import random
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -30,6 +28,7 @@ from evinet import (
 from evinet import cli
 from evinet.table import EQUATION_FORMAT_VERSION
 from _nets import (
+    benchmark_generator,
     cycle_net,
     fig1_net,
     fig2_net,
@@ -184,17 +183,9 @@ def test_csv_of_non_ascii_names_through_the_cli_is_utf8(tmp_path, monkeypatch):
     assert '"{Zürich,東京}",110,"{東京,a,ö}"\n'.encode() in out.read_bytes()
 
 
-def _benchmark_generator():
-    path = Path(__file__).resolve().parent.parent / "evibench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("evibench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_csv_of_the_table_benchmark_nets(seed, tmp_path):
-    files = _benchmark_generator().generate("table", seed, tmp_path)
+    files = benchmark_generator().generate("table", seed, tmp_path)
     net = parse_net(files["net"].read_text(encoding="utf-8"))
     assert (net.place_count, net.transition_count) == (8, 9)
     assert_same_text(*_csv_pair(net))
