@@ -421,11 +421,11 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
     subset reuses, so no string is built per cell.
     """
     labels = _csv_fields(_all_mask_labels(table.net.places))
-    bits_fields = _csv_fields("".join(map(str, bits)) for bits in table.admissible)
     images = [f",{label}\n" for label in labels]
-    count = len(bits_fields)
+    count = len(table.admissible)
     parts = [""] * (3 * count)
-    parts[1::3] = [f",{field}" for field in bits_fields]
+    # a string of 0/1 digits never needs quoting, so the bits skip _csv_fields
+    parts[1::3] = ["," + "".join(map(str, bits)) for bits in table.admissible]
     handle.write("subset,receptivity_bits,result_subset\n")
     for xmask in _canonical_masks(table.net.place_count):
         parts[0::3] = [labels[xmask]] * count
