@@ -38,6 +38,16 @@ one the full search returns, byte for byte:
 A cofactor of one minterm is its own only prime, so its cover is that
 minterm with the free variables dashed, and no search runs.
 
+Many on-sets of one table share a cofactor under different free variables,
+so a caller may share one cover memo, a dict from cofactor int to its sorted
+cover, across its calls of one width; ``emit_equations`` keeps one per call.
+A cofactor is searched, covered and sorted on its first call only. Every
+minterm of a cofactor holds 0 in each free slot, so every cube of its cover
+does too. Lifting turns that 0 into a dash in every cube alike, and lowers
+every cube's fixed count by the same amount, so the cubes keep their
+``_int_sort_key`` order and a lifted cover needs no second sort. With no
+free variable the stored tuple itself is the result.
+
 Cubes stay (value, dashes) ints until the result is built, and the result is
 sorted by fixed-slot count, then slot by slot with 0 < 1 < eliminated.
 ``minimize_minterms`` checks its arguments and ORs the minterms into an
@@ -189,11 +199,19 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
     if min(minterms) < 0 or max(minterms) >> width:
         raise ValueError(f"minterm out of range for {width} variables")
     # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
-    return _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)), width)
+    return _minimize_on(
+        functools.reduce(operator.or_, map((1).__lshift__, minterms)), width, {}
+    )
 
 
-def _minimize_on(on: int, width: int) -> tuple[Cube, ...]:
-    """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked."""
+def _minimize_on(on: int, width: int, covers: dict[int, tuple[Cube, ...]]) -> tuple[Cube, ...]:
+    """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked.
+
+    ``covers`` maps each cofactor searched so far to its sorted cover, with
+    the free variables still 0. A caller passes one dict to all its calls of
+    one ``width``, so each distinct cofactor is searched once, and drops it
+    when done.
+    """
     # A variable is free when flipping it maps the on-set onto itself. The
     # search runs on the cofactor where every free variable is 0, so it never
     # merges along one, and each chosen prime takes them back as dashes.
@@ -205,6 +223,19 @@ def _minimize_on(on: int, width: int) -> tuple[Cube, ...]:
     del on  # 2 MiB at WIDTH_LIMIT, which the search can use
     if not cofactor & (cofactor - 1):  # one minterm is its cofactor's only prime
         return (_to_cube(cofactor.bit_length() - 1, free, width),)
-    chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
-    cubes = [_to_cube(value, dashes | free, width) for value, dashes in chosen]
-    return tuple(sorted(cubes, key=_int_sort_key))
+    cubes = covers.get(cofactor)
+    if cubes is None:
+        chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
+        cubes = tuple(sorted([_to_cube(v, d, width) for v, d in chosen], key=_int_sort_key))
+        covers[cofactor] = cubes
+    if not free:
+        return cubes
+    # every free slot is 0 in every cube, so dashing them keeps the order
+    dashed = [j for j in range(width) if free >> j & 1]
+    lifted = []
+    for cube in cubes:
+        slots = list(cube)
+        for j in dashed:
+            slots[j] = None
+        lifted.append(tuple(slots))
+    return tuple(lifted)

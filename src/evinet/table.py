@@ -284,12 +284,13 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
             grouped.setdefault(ymask, {})[xmask] = group
 
     sets = cache(_set_of)
+    covers: dict[int, tuple[Cube, ...]] = {}  # shared by this call's minimizations
     equations = []
     for ymask in sorted(grouped, key=_order_key(n)):
         terms: list[tuple[Cube, PlaceSet]] = []
         for xmask, group in grouped[ymask].items():
             # a group's bits are distinct, so their sum is the on-set
-            cubes = _minimize_on(sum(group), m) if minimize else group
+            cubes = _minimize_on(sum(group), m, covers) if minimize else group
             terms.extend(zip(cubes, repeat(sets(xmask))))
         equations.append(
             MassEquation(target=sets(ymask), transition_count=m, terms=tuple(terms))

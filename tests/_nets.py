@@ -96,6 +96,16 @@ def ring_with_chords(rng: random.Random, n: int, chords: int) -> PetriNet:
     return net_from_transitions(n, pairs, name="ring")
 
 
+def fan_out_net(outputs, rng: random.Random | None = None) -> PetriNet:
+    """Place i has ``outputs[i]`` output transitions, to the next places around
+    a ring; ``rng``, when given, shuffles the transition order."""
+    n = len(outputs)
+    pairs = [(i, (i + k) % n) for i, count in enumerate(outputs) for k in range(1, count + 1)]
+    if rng is not None:
+        rng.shuffle(pairs)
+    return net_from_transitions(n, pairs, name="fanout")
+
+
 def random_cycle(rng: random.Random, max_places: int = 8) -> PetriNet:
     n = rng.randint(2, max_places)
     order = list(range(n))

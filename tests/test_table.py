@@ -38,6 +38,7 @@ from _nets import (
     all_admissible_receptivities,
     alternating_net,
     cycle_net,
+    fan_out_net,
     fig1_net,
     fig2_net,
     net_from_transitions,
@@ -551,6 +552,22 @@ class TestEquations:
         assert len(equations) == 255
         assert (peak - retained) / table.defined_cell_count < 24
 
+    def test_minimized_emission_peaks_under_the_raw_one(self):
+        # the budget EQUATION_CELL_LIMIT is sized for is the raw peak; the
+        # minimized pass's cover memo must stay inside it
+        net = fan_out_net((3, 3, 2, 2, 2))
+        peaks = {}
+        for minimized in (False, True):
+            tracemalloc.start()
+            try:
+                table = build_transfer_table(net)
+                render_equations(emit_equations(table, minimize=minimized))
+                peaks[minimized] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (net.transition_count, table.defined_cell_count) == (12, 13_392)
+        assert peaks[True] <= peaks[False]
+
     def test_render_gives_documented_form(self, fig1_table):
         eqs = emit_equations(fig1_table, minimize=True)
         text = render_equations(eqs)
@@ -717,7 +734,7 @@ class TestMinimize:
                 free = rng.sample(range(width), rng.randint(0, min(width, 6)))
                 on, cube = _one_minterm_cofactor(rng.getrandbits(width), free, width)
                 assert minimize_minterms(on, width) == (cube,)
-                assert _minimize_on(sum(1 << v for v in on), width) == (cube,)
+                assert _minimize_on(sum(1 << v for v in on), width, {}) == (cube,)
                 assert minimize_minterms_tabular(on, width) == (cube,)
 
     @pytest.mark.parametrize(
@@ -744,16 +761,56 @@ class TestMinimize:
         width = equations_net.transition_count
         seen = []
 
-        def record(on, width):
+        def record(on, width, covers):
             seen.append(on)
-            return _minimize_on(on, width)
+            return _minimize_on(on, width, covers)
 
         monkeypatch.setattr(table_module, "_minimize_on", record)
         emit_equations(table, minimize=True)
         assert width == 9 and len(seen) == 2254
         for on in seen:
             minterms = [v for v in range(1 << width) if on >> v & 1]
-            assert _minimize_on(on, width) == minimize_minterms_tabular(minterms, width)
+            assert _minimize_on(on, width, {}) == minimize_minterms_tabular(minterms, width)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_a_shared_cover_memo_matches_fresh_calls_and_the_oracle(self, width, count_calls):
+        # half the on-sets cross one of a few functions with a random set of
+        # the other variables, so one cofactor recurs under many free sets
+        rng = random.Random(f"covers:{width}")
+        pool = [_random_function(rng, width, max_support=4) for _ in range(6)]
+        on_sets = []
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                values, support = rng.choice(pool)
+                free = [j for j in range(width) if j not in support and rng.random() < 0.5]
+                on_sets.append(_crossed(values, free))
+            else:
+                on_sets.append(_with_free_variables(rng, width, max_support=4)[0])
+        on_sets = [sum(1 << v for v in on) for on in on_sets if on]
+        searches = count_calls(minimize, "_prime_implicants")
+        shared = {}
+        got = [_minimize_on(on, width, shared) for on in on_sets]
+        assert len(searches) == len(shared)  # one search per distinct cofactor
+        oracle = {}
+        for on, cubes in zip(on_sets, got):
+            if on not in oracle:
+                minterms = [v for v in range(1 << width) if on >> v & 1]
+                oracle[on] = minimize_minterms_tabular(minterms, width)
+            assert cubes == _minimize_on(on, width, {}) == oracle[on]
+        if width > 1:  # one variable has no cofactor of two minterms to search
+            assert len(shared) < len(searches) - len(shared)
+
+    def test_a_cofactor_without_free_variables_returns_its_stored_cover(self):
+        covers = {}
+        on = sum(1 << v for v in (0, 3, 5, 6))  # r4 = 0 and even parity of r1..r3
+        cubes = _minimize_on(on, 4, covers)
+        assert covers == {on: cubes} and all(cube[3] == 0 for cube in cubes)
+        assert _minimize_on(on, 4, covers) is cubes
+        # with r4 free the cofactor is the same on-set: no search, r4 dashed
+        lifted = _minimize_on(on | on << 8, 4, covers)
+        assert covers == {on: cubes}
+        assert lifted == tuple((*cube[:3], None) for cube in cubes)
+        assert lifted == minimize_minterms_tabular([0, 3, 5, 6, 8, 11, 13, 14], 4)
 
     def test_module_caches_stay_within_their_bounds(self):
         # the equation stage keeps no state between calls but the merge masks
@@ -795,22 +852,36 @@ def _module_state():
     return state
 
 
+def _spread(value, positions):
+    """``value``'s bit i moved to bit ``positions[i]``."""
+    return sum(((value >> i) & 1) << j for i, j in enumerate(positions))
+
+
 def _with_free_variables(rng, width, max_support):
     """A random function of a random support, crossed with every value of the
     other variables; returns its on-set and those free variables."""
     support = rng.sample(range(width), rng.randint(0, min(width, max_support)))
     free = [j for j in range(width) if j not in support]
-
-    def spread(value, positions):
-        return sum(((value >> i) & 1) << j for i, j in enumerate(positions))
-
     on = [
-        spread(v, support) | spread(f, free)
+        _spread(v, support) | _spread(f, free)
         for v in range(1 << len(support))
         if rng.random() < 0.4
         for f in range(1 << len(free))
     ]
     return on, free
+
+
+def _random_function(rng, width, max_support):
+    """The minterms of a random function of a random support, with every
+    other variable 0, and that support."""
+    support = rng.sample(range(width), rng.randint(1, min(width, max_support)))
+    values = [_spread(v, support) for v in range(1 << len(support)) if rng.random() < 0.5]
+    return values or [0], support
+
+
+def _crossed(values, free):
+    """``values`` crossed with every value of the ``free`` variables."""
+    return [v | _spread(f, free) for v in values for f in range(1 << len(free))]
 
 
 def _one_minterm_cofactor(value, free, width):
