@@ -62,12 +62,27 @@ def _rings():
     return [ring_with_chords(rng, 7, 2) for _ in range(2)]
 
 
+def _memo_nets():
+    # minimized emission shares one cover memo over all of a net's on-sets:
+    # rings repeat cofactors under different free sets, fan-out nets hardly
+    rng = random.Random("cover memo")
+    rings = [ring_with_chords(rng, rng.randint(4, 7), rng.randint(1, 2)) for _ in range(4)]
+    fans = [
+        fan_out_net(outputs, rng)
+        for outputs in ((3, 2, 2, 1), (2, 2, 2, 2, 1), (3, 3, 2, 2), (1, 2, 1, 2, 1, 2, 2))
+    ]
+    return rings + fans
+
+
 NETS = [
-    fig1_net(), fig2_net(), *(cycle_net(n) for n in range(2, 7)), *_random_nets(), *_rings()
+    fig1_net(), fig2_net(), *(cycle_net(n) for n in range(2, 7)), *_random_nets(), *_rings(),
+    *_memo_nets(),
 ]
 NET_IDS = ["fig1", "fig2", *(f"cycle{n}" for n in range(2, 7)), *(
     f"random{k}" for k in range(12)
-), "ring7a", "ring7b"]
+), "ring7a", "ring7b", *(f"memo_ring{k}" for k in range(4)), *(
+    f"fanout{k}" for k in range(4)
+)]
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -107,25 +122,6 @@ def test_equations_are_identical(table, minimize):
     assert_same_text(render_equations(fast), _reference_text(slow))
     if fast != slow:
         pytest.fail("equal text, but the emitted equations differ")
-
-
-def _memo_nets():
-    # each minimized emission shares one cover memo over all its on-sets
-    rng = random.Random("cover memo")
-    rings = [ring_with_chords(rng, rng.randint(4, 7), rng.randint(1, 2)) for _ in range(4)]
-    fans = [
-        fan_out_net(outputs, rng)
-        for outputs in ((3, 2, 2, 1), (2, 2, 2, 2, 1), (3, 3, 2, 2), (1, 2, 1, 2, 1, 2, 2))
-    ]
-    return rings + fans
-
-
-@pytest.mark.parametrize("net", _memo_nets(), ids=[*(f"ring{k}" for k in range(4)), *(
-    f"fanout{k}" for k in range(4)
-)])
-def test_minimized_equations_with_the_cover_memo(net):
-    table = build_transfer_table(net)
-    assert emit_equations(table, minimize=True) == emit_equations_per_cell(table, minimize=True)
 
 
 def test_csv_quoting_of_unusual_place_names():
