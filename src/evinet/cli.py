@@ -258,10 +258,11 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
 @_max_places_option
 def table(net_path: str, output_path: str, max_places: int | None):
     """Write the full transformation table as CSV."""
-    from .table import build_transfer_table, write_table_csv
+    from .table import _check_csv_bytes, build_transfer_table, write_table_csv
 
     net = _read_net(net_path)
     built = build_transfer_table(net, max_places=_size_cap(max_places))
+    _check_csv_bytes(built)  # a refused CSV leaves no output file
     try:
         with open(output_path, "w", encoding="utf-8") as handle:
             count = write_table_csv(built, handle)

@@ -332,24 +332,12 @@ def _all_mask_labels(names: Sequence[str]) -> list[str]:
     once, so it calls this directly: through :func:`_mask_labels` it would
     evict the labels a run keeps.
     """
-    half = len(names) // 2
-    lows, highs = _member_texts(names[:half]), _member_texts(names[half:])
-    # each label is one string built from the texts of its low and high places
-    labels = ["{" + low + "}" for low in lows]
-    lows = ["", *[low + "," for low in lows[1:]]]
-    for high in highs[1:]:
-        labels += [f"{{{low}{high}}}" for low in lows]
-    return labels
-
-
-def _member_texts(names: Sequence[str]) -> list[str]:
-    """The comma-separated names of every mask over ``names``, indexed by mask."""
-    texts = [""]
+    labels = ["{}"]
     for name in names:
         # the masks whose highest place is this one: it alone, then each lower
-        # nonempty mask plus it
-        texts += [name, *[f"{rest},{name}" for rest in texts[1:]]]
-    return texts
+        # nonempty mask (by index, so an empty name keeps its comma) plus it
+        labels += [f"{{{name}}}", *[f"{label[:-1]},{name}}}" for label in labels[1:]]]
+    return labels
 
 
 def _mass_serializer(

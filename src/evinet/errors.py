@@ -46,7 +46,7 @@ class TrajectoryError(EvinetError):
 
 
 class TableCapError(EvinetError):
-    """A transfer-table build would exceed the configured size cap."""
+    """A table or equation stage would exceed a size limit; carries the cells it needs."""
 
     def __init__(self, message: str, required_cells: int):
         self.required_cells = required_cells

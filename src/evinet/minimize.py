@@ -39,14 +39,10 @@ A cofactor of one minterm is its own only prime, so its cover is that
 minterm with the free variables dashed, and no search runs.
 
 Many on-sets of one table share a cofactor under different free variables,
-so a caller may share one cover memo, a dict from cofactor int to its sorted
-cover, across its calls of one width; ``emit_equations`` keeps one per call.
-A cofactor is searched, covered and sorted on its first call only. Every
-minterm of a cofactor holds 0 in each free slot, so every cube of its cover
-does too. Lifting turns that 0 into a dash in every cube alike, and lowers
-every cube's fixed count by the same amount, so the cubes keep their
-``_int_sort_key`` order and a lifted cover needs no second sort. With no
-free variable the stored tuple itself is the result.
+so a caller may pass one cover memo, a dict from cofactor int to its sorted
+cover, to its calls of one width: ``emit_equations`` keeps one per call, and
+charges its keys. Lifting dashes the same 0 slots in every cube of a cover, so
+it keeps its order; with no free variable it is the stored tuple.
 
 Cubes stay (value, dashes) ints until the result is built, and the result is
 sorted by fixed-slot count, then slot by slot with 0 < 1 < eliminated.

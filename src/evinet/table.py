@@ -8,20 +8,16 @@ minimized to a two-level sum of products.
 
 Only the receptivity combinations the conflict constraint admits are
 enumerated: each place fires none or one of its k_p output transitions, so a
-table has (2**n - 1) * prod(k_p + 1) cells. Construction is capped, and the
-mask array the kernel fills is bounded before it is allocated. Filling the
-masks is the cheap part; the cost is in turning cells into text. The output
-stage therefore works per mask, not per cell: each set's label and frozenset
-are built once, and both the CSV writer and the equation emitter read the
-table one subset column at a time, in canonical subset order. The CSV writer
-builds no string per cell either: a subset's rows are one join over a list of
-three parts per row, which every subset reuses, and one write.
+table has (2**n - 1) * prod(k_p + 1) cells. No stage (the build, the CSV
+writer, the emitter) allocates over ``ALLOCATION_LIMIT`` bytes: each works
+out its bytes from its inputs and refuses before allocating any. Text costs
+more than masks, so the output stages build each set's label and frozenset
+once and read the table one subset column at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import operator
 from array import array
@@ -29,6 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import groupby, product, repeat
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import _backend
@@ -60,14 +57,8 @@ from .net import (
 # The kernel stores subset masks in 32-bit lanes, one bit per place.
 MASK_PLACE_LIMIT = 32
 
-# The kernel allocates one 32-bit lane per (admissible combination, subset
-# mask) pair, the empty mask included; 2**28 of them take 1 GiB.
-ROWS_CELL_LIMIT = 1 << 28
-
-# Emitting and rendering raw equations peaks at about 185 bytes per defined
-# cell (tracemalloc over build, emit and render of a 10-place cycle, 2**20
-# cells), most of it the rendered text; 2**22 cells stay under about 780 MB.
-EQUATION_CELL_LIMIT = 1 << 22
+# No stage of a table or its equations allocates more bytes than this.
+ALLOCATION_LIMIT = 1 << 30
 
 EQUATION_FORMAT_VERSION = "evinet equations v1"
 
@@ -132,13 +123,19 @@ class TransferTable:
                 yield x, bits, _set_of(ymask)
 
 
+def _require_bytes(nbytes: int, cells: int, what: str) -> None:
+    """Refuse ``what``, carrying ``cells``, when it would allocate over ``ALLOCATION_LIMIT``."""
+    if nbytes > ALLOCATION_LIMIT:
+        raise TableCapError(f"{what} {nbytes} bytes, over the {ALLOCATION_LIMIT}-byte limit", cells)
+
+
 def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -> TransferTable:
     """Evaluate the transformation of every subset under every admissible combination.
 
-    Work and memory grow as 2**n times the admissible count; builds with more than
-    ``max_places`` places or transitions, or whose mask array would exceed
-    ``ROWS_CELL_LIMIT`` cells, raise :class:`~evinet.errors.TableCapError`
-    carrying the number of cells the build would allocate.
+    Work and memory grow as 2**n times the admissible count. A net over
+    ``max_places`` places or transitions or ``MASK_PLACE_LIMIT`` places, or a
+    build over ``ALLOCATION_LIMIT`` bytes, raises
+    :class:`~evinet.errors.TableCapError` carrying the cells it would allocate.
     """
     structure = _structure(net)  # raises InvalidNetError first
     n, m = net.place_count, net.transition_count
@@ -146,26 +143,23 @@ def build_transfer_table(net: PetriNet, *, max_places: int = DEFAULT_SIZE_CAP) -
     # transition, so a place with k outputs allows k + 1 of its bit patterns
     count = math.prod(len(outputs) + 1 for outputs in structure.outputs)
     allocated = count << n
+    # rows at 4 bytes a cell, and per combination its tuple, mask, key and lanes
+    nbytes = 4 * allocated + count * (8 * (m + n) + 192)
+    need = f"the full table would need {allocated} cells, {nbytes} bytes"
     if n > max_places or m > max_places:
         raise TableCapError(
             f"net has {n} places and {m} transitions, over the cap of"
-            f" {max_places} places and {max_places} transitions;"
-            f" the full table would need {allocated} cells",
+            f" {max_places} places and {max_places} transitions; {need}",
             required_cells=allocated,
         )
     if n > MASK_PLACE_LIMIT:
         raise TableCapError(
             f"net has {n} places; tables are limited to {MASK_PLACE_LIMIT} places,"
-            f" one bit per place in a 32-bit mask",
+            f" one bit per place in a 32-bit mask; {need}",
             required_cells=allocated,
         )
-    if allocated > ROWS_CELL_LIMIT:
-        raise TableCapError(
-            f"net has {n} places and {count} admissible combinations;"
-            f" the table would allocate {allocated} cells, over the limit of"
-            f" {ROWS_CELL_LIMIT}",
-            required_cells=allocated,
-        )
+    stage = f"net has {n} places and {count} admissible combinations; the table would"
+    _require_bytes(nbytes, allocated, f"{stage} allocate {allocated} cells in")
     # each place fires none or one of its outputs; choosing transition t sets
     # bit t of the mask and, above the mask, bit m - 1 - t of the sort key, so
     # combinations run in ascending order of r1..rm read as a binary number
@@ -241,6 +235,24 @@ class MassEquation:
         return frozenset(source) in _true_sources(self, r)
 
 
+def _check_equation_bytes(table: TransferTable, minimize: bool) -> None:
+    """Refuse equations over ``ALLOCATION_LIMIT`` bytes, from the table's counts alone."""
+    n, m, masks = table.net.place_count, table.net.transition_count, table._masks
+    cells = table.defined_cell_count
+    # per defined cell its term and text, per combination its cube and label
+    nbytes = (2 * cells + len(masks)) * (32 + 8 * m) + 8192
+    if minimize:
+        # on-set ints of 30 bits a 4-byte digit, as wide as the widest at most:
+        # one per combination, a memo key per (source, target) pair, a source
+        # having at most its output patterns as targets, and 3m in the search
+        sizes = [32 + mask // 30 * 4 for mask in masks]
+        pairs = math.prod(len(outs) + 2 for outs in _structure(table.net).outputs) - 1
+        nbytes += sum(sizes) + (min(pairs, ((1 << n) - 1) ** 2) + 3 * m) * max(sizes)
+    form = "minimized equations" if minimize else "equations"
+    stage = f"table has {cells} defined cells; {form} over {m} transitions would allocate"
+    _require_bytes(nbytes, cells, stage)
+
+
 def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEquation, ...]:
     """One equation per reachable target set, in canonical target order.
 
@@ -248,21 +260,14 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     equivalent sum of products; equality with the raw form holds on every one
     of the 2**m assignments because rejected combinations stay off in both.
     Minimizing over more than ``WIDTH_LIMIT`` transitions raises
-    :class:`~evinet.errors.DimensionError`, and a table of more than
-    ``EQUATION_CELL_LIMIT`` defined cells raises
-    :class:`~evinet.errors.TableCapError` carrying its cell count, both before
-    any cell is grouped.
+    :class:`~evinet.errors.DimensionError`, and a call that would allocate more
+    than ``ALLOCATION_LIMIT`` bytes raises :class:`~evinet.errors.TableCapError`
+    carrying the defined cell count, both before any cell is grouped.
     """
     n, m = table.net.place_count, table.net.transition_count
     if minimize and m > WIDTH_LIMIT:
         raise DimensionError(f"cannot minimize over {m} transitions; the limit is {WIDTH_LIMIT}")
-    cells = table.defined_cell_count
-    if cells > EQUATION_CELL_LIMIT:
-        raise TableCapError(
-            f"table has {cells} defined cells; equations are limited to"
-            f" {EQUATION_CELL_LIMIT} cells",
-            required_cells=cells,
-        )
+    _check_equation_bytes(table, minimize)
     masks = table._masks
     # each source column is read in minterm order, so every (target, source)
     # list holds one coefficient's raw cubes in ascending order, or, minimized,
@@ -399,17 +404,20 @@ def render_equations(equations: Iterable[MassEquation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_fields(texts: Iterable[str]) -> list[str]:
-    """Each text as one CSV field, quoted by the ``csv`` module as in a row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    fields = []
-    for text in texts:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow([text])
-        fields.append(buffer.getvalue()[:-1])
-    return fields
+def _check_csv_bytes(table: TransferTable) -> None:
+    """Refuse a CSV over ``ALLOCATION_LIMIT`` bytes, from its names and counts alone."""
+    names, n, cells = table.net.places, table.net.place_count, table.defined_cell_count
+    width = 1 if "".join(names).isascii() else 4  # bytes a character, at most
+    chars = sum(len(name) + name.count('"') for name in names)  # quotes doubled
+    # an image ",{a,b}\n" in quotes is 6 characters, its members' names and
+    # commas, and a header; each place is in 2**(n - 1) sets. The csv writer
+    # buffers a field at 4 bytes a character, 32768 at a time, and the full
+    # set's block, two labels and bits a row, is the largest, encoded once.
+    nbytes = (128 << n) + width * ((6 << n) + ((n + chars) << (n - 1)))
+    full, m = 6 + n + chars, table.net.transition_count
+    nbytes += 4 * (full + 32768) + len(table.admissible) * (width * (4 * full + 3 * m) + 192)
+    what = f"the CSV of {cells} cells, {n} names of {chars} characters, would allocate"
+    _require_bytes(nbytes, cells, what)
 
 
 def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
@@ -419,17 +427,23 @@ def write_table_csv(table: TransferTable, handle: IO[str]) -> int:
     admissible combinations in binary order, as :meth:`TransferTable.cells`.
     The header is one ``write`` and each subset's rows one more: a join over a
     list of three parts per row (label, ``,bits``, ``,image\\n``) that every
-    subset reuses, so no string is built per cell.
+    subset reuses, so no string is built per cell. Each quoted label is kept
+    once, in its image; over ``ALLOCATION_LIMIT`` bytes, none is built.
     """
-    labels = _csv_fields(_all_mask_labels(table.net.places))
-    images = [f",{label}\n" for label in labels]
+    _check_csv_bytes(table)
+    images = _all_mask_labels(table.net.places)
+    lines: list[str] = []  # the csv module writes each ",label\n" row here
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    for xmask, label in enumerate(images):
+        writer.writerow(("", label))
+        images[xmask] = lines.pop()
     count = len(table.admissible)
     parts = [""] * (3 * count)
-    # a string of 0/1 digits never needs quoting, so the bits skip _csv_fields
+    # a string of 0/1 digits never needs quoting, so the bits skip the csv module
     parts[1::3] = ["," + "".join(map(str, bits)) for bits in table.admissible]
     handle.write("subset,receptivity_bits,result_subset\n")
     for xmask in _canonical_masks(table.net.place_count):
-        parts[0::3] = [labels[xmask]] * count
+        parts[0::3] = [images[xmask][1:-1]] * count
         parts[2::3] = map(images.__getitem__, table._column(xmask))
         handle.write("".join(parts))
     return table.defined_cell_count

@@ -4,8 +4,10 @@ import csv
 import errno
 import io
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -503,6 +505,91 @@ class TestTable:
         assert result.exit_code == 0
 
 
+def _long_named_net():
+    # 16 places of 2100-character names: the rows take 512 KiB, the CSV
+    # labels over 1 GiB
+    net = net_from_transitions(16, [(0, 1)])
+    return replace(net, places=tuple(f"{i:03d}".rjust(2100, "p") for i in range(16)))
+
+
+def _wide_onset_net():
+    # four places of three outputs on t1..t12, one of twelve on t13..t24: raw
+    # equations take about 45 MiB, but minimized on-set ints of up to 2**24
+    # bits, over 1 GiB
+    pairs = [(1 + t // 3, (2 + t // 3) % 5) for t in range(12)]
+    return net_from_transitions(5, pairs + [(0, 1 + t % 4) for t in range(12)])
+
+
+# Each refusal of ``table`` and ``equations``: the net, the extra arguments and
+# the start of the one error line.
+REFUSALS = {
+    "place-cap": (
+        cycle_net(17), [],
+        "error: net has 17 places and 17 transitions, over the cap of 16 places and 16"
+        " transitions; the full table would need 17179869184 cells, ",
+    ),
+    "lane-bound": (
+        cycle_net(33), ["--max-places", "40"],
+        "error: net has 33 places; tables are limited to 32 places, one bit per place in a"
+        " 32-bit mask; the full table would need 73786976294838206464 cells, ",
+    ),
+    "rows-bytes": (
+        cycle_net(16), [],
+        "error: net has 16 places and 65536 admissible combinations; the table would"
+        " allocate 4294967296 cells in ",
+    ),
+    "csv-label-bytes": (
+        _long_named_net(), [],
+        "error: the CSV of 131070 cells, 16 names of 33600 characters, would allocate ",
+    ),
+    "equation-bytes": (
+        cycle_net(12), [],
+        "error: table has 16773120 defined cells; equations over 12 transitions would"
+        " allocate 4294451200 bytes, ",
+    ),
+    "minimized-onset-bytes": (
+        _wide_onset_net(), ["--minimize", "--max-places", "24"],
+        "error: table has 103168 defined cells; minimized equations over 24 transitions"
+        " would allocate ",
+    ),
+    "minimize-width": (
+        alternating_net(26), ["--minimize", "--max-places", "30"],
+        "error: cannot minimize over 26 transitions; the limit is 24\n",
+    ),
+}
+TABLE_REFUSALS = ["place-cap", "lane-bound", "rows-bytes", "csv-label-bytes"]
+EQUATION_REFUSALS = ["place-cap", "lane-bound", "rows-bytes", "equation-bytes",
+                     "minimized-onset-bytes", "minimize-width"]
+
+
+class TestRefusals:
+    """Every refusal of ``table`` and ``equations`` is one ``error:`` line with
+    status 1 and nothing on stdout; a refused ``table`` creates no file."""
+
+    def _refused(self, runner, tmp_path, command, case, output=()):
+        net, extra, start = REFUSALS[case]
+        path = tmp_path / "net.evinet"
+        path.write_text(serialize_net(net))
+        result = invoke(runner, [command, "--net", str(path), *output, *extra])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stdout == ""
+        assert result.stderr.startswith(start)
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+        if "cells" in start:  # a size refusal names the cells and the bytes
+            assert re.search(r" \d+ (defined )?cells.* \d+ bytes", result.stderr)
+
+    @pytest.mark.parametrize("case", TABLE_REFUSALS)
+    def test_table(self, runner, tmp_path, case):
+        out = tmp_path / "t.csv"
+        self._refused(runner, tmp_path, "table", case, ["--output", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", EQUATION_REFUSALS)
+    def test_equations(self, runner, tmp_path, case):
+        self._refused(runner, tmp_path, "equations", case)
+
+
 class TestEquations:
     def test_fig1_minimized(self, runner, data_dir):
         result = invoke(
@@ -542,13 +629,15 @@ class TestEquations:
     def test_emission_over_the_cell_limit(self, runner, tmp_path):
         path = tmp_path / "cycle12.evinet"
         path.write_text(serialize_net(cycle_net(12)))
-        for extra in ([], ["--minimize"]):
+        for extra, form, charge in (
+            ([], "equations", 4294451200), (["--minimize"], "minimized equations", 4601822752)
+        ):
             result = invoke(runner, ["equations", "--net", str(path), *extra])
             assert result.exit_code == 1
             assert result.stdout == ""
             assert result.stderr == (
-                "error: table has 16773120 defined cells;"
-                " equations are limited to 4194304 cells\n"
+                f"error: table has 16773120 defined cells; {form} over 12 transitions would"
+                f" allocate {charge} bytes, over the 1073741824-byte limit\n"
             )
 
     def test_two_place_cycle(self, runner, tmp_path):

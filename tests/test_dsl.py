@@ -27,7 +27,7 @@ from evinet import (
 from evinet import cli, dsl
 from evinet.cli import _records
 from evinet.dsl import _mask_labels, _mass_serializer, parse_receptivity_line
-from evinet.engine import _FLAT_PLACE_LIMIT, DENSE_PLACE_LIMIT, _dense_masks
+from evinet.engine import _FLAT_PLACE_LIMIT, DENSE_PLACE_LIMIT, _dense_masks, _members
 from evinet.net import coerce_receptivity
 from _nets import (
     FIG1_POST,
@@ -670,6 +670,25 @@ class TestPerRunWriters:
         assert len(mass) < k  # masses merged, so new floats were made
         for writer in writers:
             assert len(_writer_texts(writer)) <= 2 * k + 1
+
+    def test_a_run_past_8192_labels_starts_the_label_dict_afresh(self):
+        # under the all-ones line a cycle moves every token on, so each step
+        # maps 3000 focal sets of a 14-place net onto 3000 others
+        net = cycle_net(14)
+        masks = random.Random(14).sample(range(1, 1 << 14), 3000)
+        mass = MassVector({frozenset(_members(mask)): 1 / 3000 for mask in masks})
+        _mask_labels.cache_clear()
+        labels = _mask_labels(net.places)
+        writer = _mass_serializer(net.places, "sparse")
+        met, sizes = set(), []
+        for line in range(4):
+            if line:
+                mass = step(net, mass, (1,) * 14)
+            met.update(mass.focal_sets())
+            assert writer(mass) == serialize_mass_frozensets(mass, net.places)
+            sizes.append(len(labels))
+        assert len(met) > 8192
+        assert max(sizes) <= 8192 and sizes != sorted(sizes)  # the dict started afresh
 
     def test_each_writer_starts_from_the_two_seeds(self):
         # so serialize_mass, one writer per call, keeps nothing between calls

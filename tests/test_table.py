@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import io
+import os
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from evinet import minimize
 from evinet import table as table_module
 from evinet.dsl import _mask_labels
 from evinet.minimize import WIDTH_LIMIT, _minimize_on, _prime_implicants, minimize_minterms
-from evinet.table import EQUATION_CELL_LIMIT, _on_sets
+from evinet.table import _check_equation_bytes, _on_sets
 from _nets import (
     all_admissible_receptivities,
     alternating_net,
@@ -533,7 +535,7 @@ class TestEquations:
 
     def test_emission_over_the_cell_limit_is_rejected(self):
         table = build_transfer_table(cycle_net(12))
-        assert table.defined_cell_count == 16_773_120 > EQUATION_CELL_LIMIT
+        assert table.defined_cell_count == 16_773_120
         for minimize in (False, True):
             with pytest.raises(TableCapError, match="16773120 defined cells") as err:
                 emit_equations(table, minimize=minimize)
@@ -553,8 +555,8 @@ class TestEquations:
         assert (peak - retained) / table.defined_cell_count < 24
 
     def test_minimized_emission_peaks_under_the_raw_one(self):
-        # the budget EQUATION_CELL_LIMIT is sized for is the raw peak; the
-        # minimized pass's cover memo must stay inside it
+        # on 12 transitions the minimized pass, its cover memo included,
+        # allocates less than the raw one
         net = fan_out_net((3, 3, 2, 2, 2))
         peaks = {}
         for minimized in (False, True):
@@ -963,3 +965,82 @@ class _CountingSink:
             tracemalloc.reset_peak()
         self.calls += 1
         self.largest = max(self.largest, len(text))
+
+
+def _named_net(n: int, length: int):
+    """``n`` places named by ``length`` characters each, one transition P1 -> P2."""
+    net = net_from_transitions(n, [(0, 1)])
+    return replace(net, places=tuple(f"{i:03d}".rjust(length, "p") for i in range(n)))
+
+
+def _traced_peak(stage) -> int:
+    tracemalloc.start()
+    try:
+        stage()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# four places, each with four outputs to the other places in turn
+_FOUR_OUTPUTS_EACH = net_from_transitions(
+    4, [(i, (i + k % 3 + 1) % 4) for i in range(4) for k in range(4)]
+)
+
+
+def _stage(kind: str, net):
+    """The call of one stage on ``net``, whose table, if it needs one, is built first."""
+    if kind == "build":
+        return lambda: build_transfer_table(net)
+    table = build_transfer_table(net, max_places=32)
+    if kind == "csv":
+        def write():
+            with open(os.devnull, "w", encoding="utf-8") as handle:
+                write_table_csv(table, handle)
+        return write
+    return lambda: render_equations(emit_equations(table, minimize=kind == "minimized"))
+
+
+class TestAllocationLimit:
+    """Each stage charges its bytes from its inputs, and refuses when they
+    exceed ``ALLOCATION_LIMIT``, before it allocates anything."""
+
+    @pytest.mark.parametrize(
+        "kind, net",
+        [
+            ("build", cycle_net(10)),
+            ("build", fan_out_net((3, 3, 2, 2, 2))),
+            ("csv", _named_net(10, 4)),
+            ("csv", _named_net(10, 400)),
+            ("raw", cycle_net(7)),
+            ("raw", _FOUR_OUTPUTS_EACH),
+            ("minimized", net_from_transitions(2, [(0, 1)] * 10 + [(1, 0)] * 10)),
+        ],
+        ids=["build-cycle10", "build-fanout", "csv-names4", "csv-names400", "raw-m7", "raw-m16",
+             "minimized-m20"],
+    )
+    def test_each_charge_lies_between_the_peak_and_twice_it(self, monkeypatch, kind, net):
+        stage = _stage(kind, net)
+        peak = _traced_peak(stage)
+        # a stage refuses exactly when its charge exceeds the limit
+        monkeypatch.setattr(table_module, "ALLOCATION_LIMIT", peak - 1)
+        with pytest.raises(TableCapError):
+            stage()
+        monkeypatch.setattr(table_module, "ALLOCATION_LIMIT", 2 * peak)
+        stage()
+
+    def test_the_11_place_cycle_emits_within_the_limit(self):
+        # pinned from its charge, checked alone: emitting it takes about 1 GB
+        table = build_transfer_table(cycle_net(11))
+        assert table.defined_cell_count == 4_192_256
+        for minimize in (False, True):
+            _check_equation_bytes(table, minimize)
+
+    def test_long_names_are_refused_before_any_label_is_built(self, monkeypatch):
+        # each of 16 places is a member of 2**15 labels, so names of 2100
+        # characters take over 1 GiB of labels, though the rows take 512 KiB
+        table = build_transfer_table(_named_net(16, 2100))
+        monkeypatch.setattr(table_module, "_all_mask_labels", None)  # building labels fails
+        with pytest.raises(TableCapError, match="16 names of 33600 characters") as err:
+            write_table_csv(table, io.StringIO())
+        assert err.value.required_cells == table.defined_cell_count == 2 * ((1 << 16) - 1)
