@@ -2,9 +2,11 @@
 
 Diagnostics go to stderr and the exit status is nonzero whenever one is
 emitted. ``run`` streams one record per input line and flushes it before the
-next line is read, so a live pipe shows beliefs as events arrive. ``table``
-and ``equations`` import :mod:`evinet.table` when they run, so ``run`` starts
-without loading the table and minimizer modules.
+next line is read, so a live pipe shows beliefs as events arrive.
+``equations`` writes each equation's line as it is emitted and flushes once,
+so the whole text is never held at once. ``table`` and ``equations`` import
+:mod:`evinet.table` when they run, so ``run`` starts without loading the table
+and minimizer modules.
 """
 
 from __future__ import annotations
@@ -277,11 +279,15 @@ def table(net_path: str, output_path: str, max_places: int | None):
 @_max_places_option
 def equations(net_path: str, minimize: bool, max_places: int | None):
     """Print the boolean mass-update equations of a net."""
-    from .table import build_transfer_table, emit_equations, render_equations
+    from .table import _equation_lines, _equations, build_transfer_table
 
     net = _read_net(net_path)
     built = build_transfer_table(net, max_places=_size_cap(max_places))
-    click.echo(render_equations(emit_equations(built, minimize=minimize)), nl=False)
+    emitted = _equations(built, minimize)  # every refusal comes before the first write
+    write = sys.stdout.write
+    for line in _equation_lines(emitted):
+        write(line)
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,12 @@ table has (2**n - 1) * prod(k_p + 1) cells. No stage (the build, the CSV
 writer, the emitter) allocates over ``ALLOCATION_LIMIT`` bytes: each works
 out its bytes from its inputs and refuses before allocating any. Text costs
 more than masks, so the output stages build each set's label and frozenset
-once and read the table one subset column at a time.
+once and read the table one subset column at a time. The equation stage is
+one pipeline: ``_equations`` checks and groups every cell, then yields one
+target's equation at a time, and ``_equation_lines`` renders each as it comes.
+The ``equations`` command writes each line as it is rendered, so it holds one
+equation's terms and text at a time; ``emit_equations`` and
+``render_equations`` are the joins of the same two generators.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import operator
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import groupby, product, repeat
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
@@ -264,6 +269,16 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     than ``ALLOCATION_LIMIT`` bytes raises :class:`~evinet.errors.TableCapError`
     carrying the defined cell count, both before any cell is grouped.
     """
+    return tuple(_equations(table, minimize))
+
+
+def _equations(table: TransferTable, minimize: bool) -> Iterator[MassEquation]:
+    """The equations of :func:`emit_equations`, yielded one at a time.
+
+    Every check runs and every cell is grouped before this returns; the
+    iterator then builds each target's terms, minimized or raw, as it is
+    asked for, and drops that target's groups.
+    """
     n, m = table.net.place_count, table.net.transition_count
     if minimize and m > WIDTH_LIMIT:
         raise DimensionError(f"cannot minimize over {m} transitions; the limit is {WIDTH_LIMIT}")
@@ -288,19 +303,18 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
         for ymask, group in targets.items():
             grouped.setdefault(ymask, {})[xmask] = group
 
-    sets = cache(_set_of)
-    covers: dict[int, tuple[Cube, ...]] = {}  # shared by this call's minimizations
-    equations = []
-    for ymask in sorted(grouped, key=_order_key(n)):
-        terms: list[tuple[Cube, PlaceSet]] = []
-        for xmask, group in grouped[ymask].items():
-            # a group's bits are distinct, so their sum is the on-set
-            cubes = _minimize_on(sum(group), m, covers) if minimize else group
-            terms.extend(zip(cubes, repeat(sets(xmask))))
-        equations.append(
-            MassEquation(target=sets(ymask), transition_count=m, terms=tuple(terms))
-        )
-    return tuple(equations)
+    def equations() -> Iterator[MassEquation]:
+        sets = cache(_set_of)
+        covers: dict[int, tuple[Cube, ...]] = {}  # shared by this call's minimizations
+        for ymask in sorted(grouped, key=_order_key(n)):
+            terms: list[tuple[Cube, PlaceSet]] = []
+            for xmask, group in grouped.pop(ymask).items():
+                # a group's bits are distinct, so their sum is the on-set
+                cubes = _minimize_on(sum(group), m, covers) if minimize else group
+                terms.extend(zip(cubes, repeat(sets(xmask))))
+            yield MassEquation(target=sets(ymask), transition_count=m, terms=tuple(terms))
+
+    return equations()
 
 
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:
@@ -362,10 +376,16 @@ def _set_label(places: PlaceSet) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(places)) + "}"
 
 
-def _cube_key_label(cube: Cube) -> tuple[int, str]:
-    """A cube's sort key and its product label, ``1`` when no slot is fixed."""
-    literals = [f"r{j}" if bit else f"!r{j}" for j, bit in enumerate(cube, 1) if bit is not None]
-    label = "*".join(literals)
+def _cube_key_label(cube: Cube, literals: list[tuple[str, str]]) -> tuple[int, str]:
+    """A cube's sort key and its product label, ``1`` when no slot is fixed.
+
+    ``literals[j]`` is the pair ``("!r<j+1>", "r<j+1>")``; the list is extended
+    to the cube's width, so a render call builds each literal once.
+    """
+    for j in range(len(literals) + 1, len(cube) + 1):
+        literals.append((f"!r{j}", f"r{j}"))
+    label = "*".join([pair[1] if bit else pair[0] for pair, bit in zip(literals, cube)
+                      if bit is not None])
     return _int_sort_key(cube), label or "1"
 
 
@@ -392,16 +412,22 @@ def _render(eq: MassEquation, cube_entry, set_label, set_key) -> str:
 
 def render_equation(eq: MassEquation) -> str:
     """One-line text form, e.g. ``M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}``."""
-    return _render(eq, _cube_key_label, _set_label, place_set_key)
+    return _render(eq, partial(_cube_key_label, literals=[]), _set_label, place_set_key)
 
 
 def render_equations(equations: Iterable[MassEquation]) -> str:
     """All equations under the versioned format header, one per line; each
     cube's and set's label is built once per call."""
-    memos = cache(_cube_key_label), cache(_set_label), cache(place_set_key)
-    lines = [f"# {EQUATION_FORMAT_VERSION}"]
-    lines.extend(_render(eq, *memos) for eq in equations)
-    return "\n".join(lines) + "\n"
+    return "".join(_equation_lines(equations))
+
+
+def _equation_lines(equations: Iterable[MassEquation]) -> Iterator[str]:
+    """The lines of :func:`render_equations`, each ending in a newline: the
+    header first, then each equation's as it is taken from ``equations``."""
+    memos = cache(partial(_cube_key_label, literals=[])), cache(_set_label), cache(place_set_key)
+    yield f"# {EQUATION_FORMAT_VERSION}\n"
+    for eq in equations:
+        yield _render(eq, *memos) + "\n"
 
 
 def _check_csv_bytes(table: TransferTable) -> None:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import evinet
 from evinet.cli import ENV_MAX_PLACES, main
 from evinet import serialize_net
-from _nets import alternating_net, cycle_net, net_from_transitions
+from _nets import alternating_net, benchmark_generator, cycle_net, net_from_transitions
 
 
 @pytest.fixture()
@@ -648,6 +649,82 @@ class TestEquations:
         assert len(lines) == 4  # header + two singleton targets + the pair target
 
 
+class _CountingSink:
+    """A standard output that keeps the number of writes and flushes, not the text."""
+
+    def __init__(self):
+        self.writes = 0
+        self.flushes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return len(text)
+
+    def flush(self) -> None:
+        self.flushes += 1
+
+
+def _stream_equations(monkeypatch, path, *extra) -> _CountingSink:
+    """Run ``equations`` on ``path`` with a counting sink as standard output."""
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    main.main(["equations", "--net", str(path), *extra], standalone_mode=False)
+    return sink
+
+
+class TestStreamedEquations:
+    """``equations`` writes its header and then each equation's line as the
+    equation is emitted; every refusal comes before the first write."""
+
+    def test_one_write_for_the_header_and_one_per_equation(self, monkeypatch, tmp_path):
+        files = benchmark_generator().generate("equations", 1, tmp_path)
+        table = evinet.build_transfer_table(evinet.parse_net(files["net"].read_text()))
+        for extra, minimize in (([], False), (["--minimize"], True)):
+            sink = _stream_equations(monkeypatch, files["net"], *extra)
+            assert sink.writes == 1 + len(evinet.emit_equations(table, minimize=minimize)) == 128
+            assert sink.flushes == 1
+
+    def test_the_raw_command_holds_one_equation_at_a_time(self, monkeypatch, tmp_path):
+        # Measured on the 10-place cycle (2**20 cells), build included: 16.3 MiB
+        # streamed, 12.2 MiB of it past the built table, where the whole text
+        # of render_equations(emit_equations(table)) and every term at once
+        # peak at 142.3 MiB past it.
+        path = tmp_path / "cycle10.evinet"
+        path.write_text(serialize_net(cycle_net(10)))
+        tracemalloc.start()
+        try:
+            sink = _stream_equations(monkeypatch, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.writes == 1 + 1023
+        assert peak < 20 * 2**20
+
+    def test_minimizing_past_the_width_limit_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "alternating.evinet"
+        path.write_text(serialize_net(alternating_net(26)))
+        with pytest.raises(SystemExit) as exit_:
+            _stream_equations(monkeypatch, path, "--minimize", "--max-places", "30")
+        assert exit_.value.code == 1
+        assert sys.stdout.writes == 0
+        assert capsys.readouterr().err == (
+            "error: cannot minimize over 26 transitions; the limit is 24\n"
+        )
+
+    def test_a_refused_emission_writes_nothing(self, monkeypatch, data_dir, capsys):
+        from evinet import table as table_module
+
+        # fig1's table is charged 2176 bytes and its equations 14912
+        monkeypatch.setattr(table_module, "ALLOCATION_LIMIT", 8192)
+        with pytest.raises(SystemExit) as exit_:
+            _stream_equations(monkeypatch, data_dir / "fig1.evinet")
+        assert exit_.value.code == 1
+        assert sys.stdout.writes == 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: table has 56 defined cells; equations over 3 transitions")
+        assert err.count("\n") == 1
+
+
 class TestUndecodableBytes:
     """A byte that is not UTF-8 ends in one ``error:`` line: the parser's own
     diagnostic when it comes from a file, read as standard input is."""
@@ -791,7 +868,7 @@ class TestLibraryErrorBoundary:
     @pytest.mark.parametrize(
         "command, target",
         [("table", "build_transfer_table"), ("equations", "build_transfer_table"),
-         ("equations", "emit_equations")],
+         ("equations", "_equations")],
     )
     def test_a_library_error_is_one_error_line(
         self, runner, data_dir, tmp_path, monkeypatch, command, target
@@ -810,7 +887,7 @@ class TestLibraryErrorBoundary:
 
     @pytest.mark.parametrize(
         "command, target",
-        [("table", "build_transfer_table"), ("equations", "emit_equations")],
+        [("table", "build_transfer_table"), ("equations", "_equations")],
     )
     def test_a_bug_keeps_its_traceback(
         self, runner, data_dir, tmp_path, monkeypatch, command, target

@@ -124,6 +124,16 @@ def test_equations_are_identical(table, minimize):
         pytest.fail("equal text, but the emitted equations differ")
 
 
+@pytest.mark.parametrize("minimize", [False, True], ids=["raw", "minimized"])
+def test_the_command_prints_the_rendered_equations(table, minimize, monkeypatch):
+    # the command streams each equation's line; the library joins them
+    monkeypatch.setattr(cli, "_read_net", lambda path: table.net)
+    flags = ["--minimize"] if minimize else []
+    result = CliRunner().invoke(cli.main, ["equations", "--net", "unused", *flags])
+    assert result.exit_code == 0, result.output
+    assert_same_text(result.stdout, render_equations(emit_equations(table, minimize=minimize)))
+
+
 def test_csv_quoting_of_unusual_place_names():
     names = ('a,b', 'say "hi"', "plain", "two words")
     cycle = cycle_net(4)
@@ -205,6 +215,21 @@ def test_csv_of_the_table_benchmark_nets(seed, tmp_path):
     net = parse_net(files["net"].read_text(encoding="utf-8"))
     assert (net.place_count, net.transition_count) == (8, 9)
     assert_same_text(*_csv_pair(net))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_equations_of_the_equations_benchmark_nets(seed, tmp_path):
+    files = benchmark_generator().generate("equations", seed, tmp_path)
+    table = build_transfer_table(parse_net(files["net"].read_text(encoding="utf-8")))
+    assert (table.net.place_count, table.net.transition_count) == (7, 9)
+    for flags in ([], ["--minimize"]):
+        fast = emit_equations(table, minimize=bool(flags))
+        if fast != emit_equations_per_cell(table, minimize=bool(flags)):
+            pytest.fail(f"emitted equations {flags} differ from the reference")
+        result = CliRunner().invoke(cli.main, ["equations", "--net", str(files["net"]), *flags])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert_same_text(result.stdout, render_equations(fast))
 
 
 def test_interleaved_hand_built_terms_render_identically():
