@@ -29,6 +29,7 @@ from .engine import (
     DENSE_PLACE_LIMIT,
     MassVector,
     PlaceSet,
+    _MaskMemo,
     _dense_masks,
     _mask,
     _members,
@@ -295,34 +296,18 @@ class _MassTexts(dict):
         return text
 
 
-class _MaskLabels(dict):
-    """The set literal of each mask over ``names``, made on first use. At most
-    8192 are kept: a miss beyond them starts the dict afresh."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: tuple[str, ...]):
-        super().__init__()
-        self.names = names
-
-    def __missing__(self, mask: int) -> str:
-        if len(self) >= 1 << 13:
-            self.clear()
-        text = self[mask] = "{" + ",".join([self.names[i] for i in _members(mask)]) + "}"
-        return text
-
-
 @functools.lru_cache(maxsize=4)
-def _mask_labels(names: tuple[str, ...]) -> list[str] | _MaskLabels:
+def _mask_labels(names: tuple[str, ...]) -> list[str] | _MaskMemo:
     """The set literal of each place mask over ``names``, indexed by mask.
 
     Up to ``_FLAT_PLACE_LIMIT`` names this is :func:`_all_mask_labels`' list of
-    every label, 4096 at 12 places; wider, labels are made per mask and at most
-    8192 are kept. Four name tuples are kept.
+    every label, 4096 at 12 places; wider, it is a :class:`~evinet.engine._MaskMemo`
+    that labels each mask on first use and keeps at most 8192. Four name
+    tuples are kept.
     """
     if len(names) <= _FLAT_PLACE_LIMIT:
         return _all_mask_labels(names)
-    return _MaskLabels(names)
+    return _MaskMemo(lambda mask: "{" + ",".join([names[i] for i in _members(mask)]) + "}")
 
 
 def _all_mask_labels(names: Sequence[str]) -> list[str]:

@@ -13,11 +13,9 @@ Masks are Python ints, so nets wider than a machine word step as well. The
 set-to-mask conversion, the canonical enumeration of masks and their sort key
 live here alone; :mod:`evinet.table` and :mod:`evinet.dsl` use them.
 
-Masks are ordered in two regimes. Up to ``_FLAT_PLACE_LIMIT`` places, where a
-step reads its images from one flat table, a mask's sort key is its index in
-canonical order, read from the table of every mask that dense records use too
-(:func:`_dense_masks`). Wider masks, whose tables would double per place, sort
-by :func:`_canonical_key`, computed and cached per mask.
+Masks are ordered by one sort key at every width, :func:`_order_key`: a
+per-width memo of each mask's canonical int key, so sorting by a key met
+before costs one dict lookup and no Python call.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, count, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
@@ -42,7 +40,7 @@ PlaceSet = frozenset[int]
 DENSE_PLACE_LIMIT = 10  # 2**10 - 1 columns is the most a dense record may carry
 
 # Nets of at most this many places step through one flat table of image masks,
-# and their masks are ranked and labelled through tables of every mask.
+# and their masks are labelled through a table of every label.
 _FLAT_PLACE_LIMIT = 12
 
 
@@ -93,32 +91,35 @@ def _set_of(mask: int) -> PlaceSet:
 
 def _canonical_masks(n: int) -> Iterator[int]:
     """Nonempty subset masks of n places in canonical order."""
-    for size in range(1, n + 1):
-        yield from map(_mask, combinations(range(n), size))
+    units = [1 << i for i in range(n)]
+    return chain.from_iterable(map(sum, combinations(units, k)) for k in range(1, n + 1))
 
 
-# A step's sort and a dense record read the order once per step, so it is kept
-# for four place counts of at most _FLAT_PLACE_LIMIT places: under 4 * 2**12
-# entries in all.
+# serialize_mass makes a dense writer per call, which reads its slots here, so
+# they are kept for four place counts of at most DENSE_PLACE_LIMIT places:
+# under 4 * 2**10 entries in all.
 @functools.lru_cache(maxsize=4)
 def _dense_masks(n: int) -> dict[int, int]:
-    """Each nonempty mask of n places with its rank in canonical order, which
-    is its slot in a dense record, in that order.
+    """Each nonempty mask of n places with its slot in a dense record, its rank
+    in canonical order."""
+    return dict(zip(_canonical_masks(n), count()))
 
-    The masks of each size are built as lists, adding one place at a time from
-    the highest down: of the sets of one size, those holding the new, lowest
-    place come first, each a set one smaller of the places above plus it, then
-    those without it, in the order they had. So no subset costs a call of its
-    own.
-    """
-    sizes = [[0]]  # sizes[k]: the k-place subsets of the places added so far
-    for place in reversed(range(n)):
-        unit = 1 << place
-        sizes.append([])
-        for k in range(len(sizes) - 1, 0, -1):
-            sizes[k] = [unit | mask for mask in sizes[k - 1]] + sizes[k]
-    order = list(chain.from_iterable(sizes[1:]))
-    return dict(zip(order, range(len(order))))
+
+class _MaskMemo(dict):
+    """``make(mask)`` for each mask met, made on first use. At most 8192 are
+    kept: a miss beyond them starts the dict afresh."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, mask: int):
+        if len(self) >= 1 << 13:
+            self.clear()
+        value = self[mask] = self.make(mask)
+        return value
 
 
 # Each byte value with its eight bits reversed, then complemented.
@@ -126,34 +127,24 @@ _REV_NOT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @functools.lru_cache(maxsize=4)
-def _canonical_key(width: int) -> Callable[[int], int]:
+def _order_key(width: int) -> Callable[[int], int]:
     """Int sort key putting masks below ``2**width`` in canonical order.
 
     The popcount leads; below it sits the mask with its bits reversed, then
     complemented, so that of two sets of one size the one holding the
     smallest index where they differ sorts first. Reversal and complement go
     a byte at a time through ``_REV_NOT``, so a key costs a few bytes per 8
-    places and no text. Keys are cached per mask, at most 8192 per width for
-    four widths, and hold no set. :func:`_order_key` uses it only above
-    ``_FLAT_PLACE_LIMIT`` places, where no rank table is built.
+    places and no text. The key is the ``__getitem__`` of a :class:`_MaskMemo`
+    of the keys met, so a mask met before costs one C-level lookup; four
+    widths are kept.
     """
-    size = (width + 7) // 8
+    size, count_size = (width + 7) // 8, (width.bit_length() + 7) // 8
 
-    @functools.lru_cache(maxsize=1 << 13)
     def key(mask: int) -> int:
-        count = mask.bit_count().to_bytes(8, "big")
-        return int.from_bytes(count + mask.to_bytes(size, "little").translate(_REV_NOT), "big")
+        popcount = mask.bit_count().to_bytes(count_size, "big")
+        return int.from_bytes(popcount + mask.to_bytes(size, "little").translate(_REV_NOT), "big")
 
-    return key
-
-
-def _order_key(width: int) -> Callable[[int], int]:
-    """A sort key putting masks below ``2**width`` in canonical order: the rank
-    in :func:`_dense_masks` up to ``_FLAT_PLACE_LIMIT`` places, else
-    :func:`_canonical_key`."""
-    if width <= _FLAT_PLACE_LIMIT:
-        return _dense_masks(width).__getitem__
-    return _canonical_key(width)
+    return _MaskMemo(key).__getitem__
 
 
 def _key_members(key: Iterable[int]) -> PlaceSet:
@@ -283,8 +274,7 @@ class MassVector(Mapping):
     def dense(self, n: int) -> tuple[float, ...]:
         """Masses over all nonempty subsets of ``range(n)`` in canonical order."""
         self._check_places(n)
-        masks = _dense_masks(n) if n <= DENSE_PLACE_LIMIT else _canonical_masks(n)
-        return tuple(map(self._masses.get, masks, repeat(0.0)))
+        return tuple(map(self._masses.get, _canonical_masks(n), repeat(0.0)))
 
     @classmethod
     def categorical(cls, places: Iterable[int]) -> "MassVector":

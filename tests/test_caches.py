@@ -3,7 +3,8 @@
 Each cache holds memory for the life of the process and decides when work is
 skipped, so adding one, resizing one, or stacking a second on the key of an
 existing one (two caches keyed by the same net, say) changes this inventory
-and is a reviewed change.
+and is a reviewed change. The per-mask memos that two of them return are
+bounded by ``_MaskMemo``'s own limit, pinned here too.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import importlib
 import pkgutil
 
 import evinet
+from evinet.dsl import _mask_labels
+from evinet.engine import _MaskMemo, _order_key
 
 CACHES = {
     # (defining module, name): maxsize, None when unbounded
     ("evinet.dsl", "_mask_labels"): 4,
-    ("evinet.engine", "_canonical_key"): 4,
     ("evinet.engine", "_dense_masks"): 4,
     ("evinet.engine", "_image"): 64,
+    ("evinet.engine", "_order_key"): 4,
     ("evinet.engine", "_with_bit"): None,
     ("evinet.net", "_structure"): 1024,
     ("evinet.net", "_successors"): 1024,
@@ -37,3 +40,18 @@ def test_module_level_caches_are_pinned():
         if hasattr(value, "cache_info")
     }
     assert found == CACHES
+
+
+MASK_MEMO_LIMIT = 8192
+
+
+def test_per_mask_memos_are_mask_memos_and_start_afresh_at_their_limit():
+    names = tuple(f"P{i + 1}" for i in range(13))
+    assert isinstance(_order_key(13).__self__, _MaskMemo)
+    assert isinstance(_mask_labels(names), _MaskMemo)
+    memo = _MaskMemo(str)
+    for mask in range(MASK_MEMO_LIMIT):
+        memo[mask]
+    assert len(memo) == MASK_MEMO_LIMIT
+    assert memo[MASK_MEMO_LIMIT] == str(MASK_MEMO_LIMIT)
+    assert memo == {MASK_MEMO_LIMIT: str(MASK_MEMO_LIMIT)}

@@ -27,7 +27,7 @@ from evinet import (
 from evinet import cli, dsl
 from evinet.cli import _records
 from evinet.dsl import _mask_labels, _mass_serializer, parse_receptivity_line
-from evinet.engine import _FLAT_PLACE_LIMIT, DENSE_PLACE_LIMIT, _dense_masks, _members
+from evinet.engine import _FLAT_PLACE_LIMIT, DENSE_PLACE_LIMIT, _dense_masks, _members, _order_key
 from evinet.net import coerce_receptivity
 from _nets import (
     FIG1_POST,
@@ -600,22 +600,25 @@ class TestRecordsAroundTheTableLimit:
             for index, (bits, m) in enumerate(records)
         )
 
-    def test_four_rank_and_four_label_tables_stay_under_3_mib(self):
-        _dense_masks.cache_clear()
+    def test_four_key_memos_and_four_label_tables_stay_under_3_mib(self):
+        _order_key.cache_clear()
         _mask_labels.cache_clear()
         tracemalloc.start()
         try:
-            _dense_masks(_FLAT_PLACE_LIMIT)
-            rank, _ = tracemalloc.get_traced_memory()
+            key = _order_key(_FLAT_PLACE_LIMIT)
+            for mask in range(1, 1 << _FLAT_PLACE_LIMIT):
+                key(mask)
+            memo, _ = tracemalloc.get_traced_memory()
             for prefix in "PQRS":
                 _mask_labels(tuple(f"{prefix}{i + 1}" for i in range(_FLAT_PLACE_LIMIT)))
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(key.__self__) == (1 << _FLAT_PLACE_LIMIT) - 1
         assert _mask_labels.cache_info().currsize == 4
-        # the rank cache is keyed by width alone: it holds four tables of at
-        # most this one's size
-        assert 4 * rank + (current - rank) < 3 << 20
+        # the key cache is keyed by width alone: it holds four memos, each of
+        # at most this one's size at 12 places
+        assert 4 * memo + (current - memo) < 3 << 20
 
 
 def _writer_texts(writer) -> dict:
@@ -673,12 +676,14 @@ class TestPerRunWriters:
 
     def test_a_run_past_8192_labels_starts_the_label_dict_afresh(self):
         # under the all-ones line a cycle moves every token on, so each step
-        # maps 3000 focal sets of a 14-place net onto 3000 others
+        # maps 3000 focal sets of a 14-place net onto 3000 others; the labels
+        # and the width-14 sort keys are memos of the same bound
         net = cycle_net(14)
         masks = random.Random(14).sample(range(1, 1 << 14), 3000)
-        mass = MassVector({frozenset(_members(mask)): 1 / 3000 for mask in masks})
         _mask_labels.cache_clear()
-        labels = _mask_labels(net.places)
+        _order_key.cache_clear()
+        labels, keys = _mask_labels(net.places), _order_key(14).__self__
+        mass = MassVector({frozenset(_members(mask)): 1 / 3000 for mask in masks})
         writer = _mass_serializer(net.places, "sparse")
         met, sizes = set(), []
         for line in range(4):
@@ -686,9 +691,11 @@ class TestPerRunWriters:
                 mass = step(net, mass, (1,) * 14)
             met.update(mass.focal_sets())
             assert writer(mass) == serialize_mass_frozensets(mass, net.places)
-            sizes.append(len(labels))
+            sizes.append((len(labels), len(keys)))
         assert len(met) > 8192
-        assert max(sizes) <= 8192 and sizes != sorted(sizes)  # the dict started afresh
+        for memo_sizes in zip(*sizes):
+            # each dict started afresh
+            assert max(memo_sizes) <= 8192 and list(memo_sizes) != sorted(memo_sizes)
 
     def test_each_writer_starts_from_the_two_seeds(self):
         # so serialize_mass, one writer per call, keeps nothing between calls

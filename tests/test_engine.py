@@ -161,22 +161,21 @@ class TestMassVector:
 
     @pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 12, 13, 16, 34, 65, 100])
     def test_the_sort_key_orders_masks_as_place_set_key(self, width):
-        from evinet.engine import _canonical_key, _members, _order_key
+        from evinet.engine import _members, _order_key
 
         rng = random.Random(width)
         masks = list({rng.getrandbits(width) or 1 for _ in range(300)})
         expected = sorted(masks, key=lambda x: place_set_key(frozenset(_members(x))))
-        # steps sort by _order_key: a rank up to 12 places, _canonical_key above
         assert sorted(masks, key=_order_key(width)) == expected
-        assert sorted(masks, key=_canonical_key(width)) == expected
 
-    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("width", range(13))
     def test_the_rank_table_is_the_canonical_enumeration(self, width):
-        from evinet.engine import _canonical_masks, _dense_masks
+        from evinet.engine import _canonical_masks, _dense_masks, _members
 
-        ranks = _dense_masks(width)
-        assert list(ranks) == list(_canonical_masks(width))
-        assert list(ranks.values()) == list(range((1 << width) - 1))
+        every = range(1, 1 << width)
+        expected = sorted(every, key=lambda x: place_set_key(frozenset(_members(x))))
+        assert list(_canonical_masks(width)) == expected
+        assert list(_dense_masks(width).values()) == list(range((1 << width) - 1))
 
     def test_a_far_place_index_costs_memory_by_the_mask_not_by_its_text(self):
         # the masks are 1.2 MiB each; a key built from a 10**7-character text
@@ -402,16 +401,15 @@ class TestRun:
             assert mass == current
 
     def test_a_run_sorts_every_step_by_the_net_width(self):
-        from evinet.engine import _canonical_key, _dense_masks
+        from evinet.engine import _order_key
 
-        # the widest focal set moves each step, but the net's width does not;
-        # up to 12 places the key is a rank table, above them a per-mask key
+        # the widest focal set moves each step, but the net's width does not
         mass = MassVector({frozenset({0}): 0.5, frozenset({5, 6}): 0.5})
-        for n, keys in ((12, _dense_masks), (16, _canonical_key)):
-            keys.cache_clear()
+        for n in (12, 16):
+            _order_key.cache_clear()
             trajectory = run(cycle_net(n), mass, [(1,) * n] * 2 * n)
             assert trajectory.final == mass
-            assert keys.cache_info().misses <= 2
+            assert _order_key.cache_info().misses <= 2
 
 
 class TestCoercion:
