@@ -29,9 +29,10 @@ from .engine import (
     DENSE_PLACE_LIMIT,
     MassVector,
     PlaceSet,
-    _MaskMemo,
+    _Memo,
     _dense_masks,
     _mask,
+    _mass_in_range,
     _members,
 )
 from .net import PetriNet, Receptivity, _structure
@@ -41,6 +42,8 @@ FORMAT_HEADER = "# format: evinet v1"
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARC = re.compile(r"(\S+)\s*->\s*(\S+)\Z")
 _MASS_TOKEN = re.compile(r"\{([^{}]*)\}:(\S+)\Z")
+# a place name a sparse mass record can hold: no whitespace, comma or brace
+_MASS_NAME = re.compile(r"[^\s,{}]+\Z")
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ def _parse_lines(text: str):
     name = None
     places: tuple[str, ...] | None = None
     transitions: tuple[str, ...] | None = None
-    arcs: list[tuple[str, str]] = []
     arc_lines: dict[tuple[str, str], int] = {}
     decl_line = {"places": 0, "transitions": 0}
 
@@ -125,7 +127,6 @@ def _parse_lines(text: str):
             if (src, dst) in arc_lines:
                 raise ParseError(f"duplicate arc {src} -> {dst}", line_no)
             arc_lines[(src, dst)] = line_no
-            arcs.append((src, dst))
         else:
             raise ParseError(f"unrecognized directive {directive!r}", line_no)
 
@@ -135,7 +136,7 @@ def _parse_lines(text: str):
         raise ParseError("missing places declaration", 1)
     if transitions is None:
         raise ParseError("missing transitions declaration", 1)
-    doc = NetDocument(name=name, places=places, transitions=transitions, arcs=tuple(arcs))
+    doc = NetDocument(name=name, places=places, transitions=transitions, arcs=tuple(arc_lines))
     return doc, arc_lines, decl_line
 
 
@@ -282,32 +283,22 @@ def format_place_set(places: PlaceSet, names: int | Sequence[str]) -> str:
 _WHOLE = {0.0: "0", 1.0: "1"}
 
 
-class _MassTexts(dict):
-    """The record text of each mass value after ``prefix``, made on first use."""
-
-    __slots__ = ("prefix",)
-
-    def __init__(self, prefix: str = ""):
-        super().__init__({value: prefix + text for value, text in _WHOLE.items()})
-        self.prefix = prefix
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = self.prefix + repr(value)
-        return text
+def _mass_text(value: float) -> str:
+    return _WHOLE.get(value) or repr(value)
 
 
 @functools.lru_cache(maxsize=4)
-def _mask_labels(names: tuple[str, ...]) -> list[str] | _MaskMemo:
+def _mask_labels(names: tuple[str, ...]) -> list[str] | _Memo:
     """The set literal of each place mask over ``names``, indexed by mask.
 
     Up to ``_FLAT_PLACE_LIMIT`` names this is :func:`_all_mask_labels`' list of
-    every label, 4096 at 12 places; wider, it is a :class:`~evinet.engine._MaskMemo`
+    every label, 4096 at 12 places; wider, it is a :class:`~evinet.engine._Memo`
     that labels each mask on first use and keeps at most 8192. Four name
     tuples are kept.
     """
     if len(names) <= _FLAT_PLACE_LIMIT:
         return _all_mask_labels(names)
-    return _MaskMemo(lambda mask: "{" + ",".join([names[i] for i in _members(mask)]) + "}")
+    return _Memo(lambda mask: "{" + ",".join([names[i] for i in _members(mask)]) + "}")
 
 
 def _all_mask_labels(names: Sequence[str]) -> list[str]:
@@ -329,22 +320,26 @@ def _mass_serializer(
     places: int | Sequence[str], form: str
 ) -> Callable[[MassVector], str]:
     """:func:`serialize_mass` with ``places`` and ``form`` fixed, for the records
-    of one run; each mass value's text is made once, in a dict of its own. A
-    sparse record adds each focal set's label to its mass text, which holds the
-    ``:`` between them. A dense record copies a row of ``"0"`` texts and fills
-    the slot of each focal set, so it costs one write per focal set, not one
-    per column.
+    of one run; each mass value's text is made once, in a ``_Memo`` of its own.
+    A sparse record adds each focal set's label to its mass text, which holds
+    the ``:`` between them. A dense record copies a row of ``"0"`` texts and
+    fills the slot of each focal set, so it costs one write per focal set, not
+    one per column.
 
-    That dict stays small: each source set has exactly one image, so a step
+    That memo stays small: each source set has exactly one image, so a step
     merging m sources drops the focal count by m - 1 and makes one new float,
     and ``0.0 + v == v`` carries every other mass over unchanged. A run from k
-    focal sets meets at most 2k - 1 distinct masses, plus the two seeds. No
-    writer checks a place range: a run writes only masses of its own net.
+    focal sets meets at most 2k - 1 distinct masses, so the memo holds at most
+    2k - 1 texts. No writer checks a place range: a run writes only masses of
+    its own net.
     """
     names = _place_names(places)
     n = len(names)
     if form == "sparse":
-        labels, texts = _mask_labels(names), _MassTexts(":")
+        for name in names:
+            if not _MASS_NAME.match(name):
+                raise ValueError(f"cannot serialize name {name!r}: a mass record cannot hold it")
+        labels, texts = _mask_labels(names), _Memo(lambda value: ":" + _mass_text(value))
 
         def sparse(mass: MassVector) -> str:
             return " ".join([labels[x] + texts[v] for x, v in mass._masses.items()])
@@ -355,7 +350,7 @@ def _mass_serializer(
             raise ValueError(
                 f"dense records are limited to {DENSE_PLACE_LIMIT} places, got {n}"
             )
-        slots, texts = _dense_masks(n), _MassTexts()
+        slots, texts = _dense_masks(n), _Memo(_mass_text)
         zeros = ["0"] * len(slots)
 
         def dense(mass: MassVector) -> str:
@@ -375,7 +370,10 @@ def serialize_mass(
 
     ``sparse`` lists focal sets in canonical order (``{P1}:0.5 {P2}:0.5``);
     ``dense`` is the full canonical-order vector, available for up to
-    ``DENSE_PLACE_LIMIT`` places.
+    ``DENSE_PLACE_LIMIT`` places. A sparse record raises :class:`ValueError`
+    naming the first place name, in place order, that :func:`parse_mass`
+    could not read back: an empty one, or one holding whitespace, ``,``,
+    ``{`` or ``}``.
     """
     write = _mass_serializer(places, form)
     mass._check_places(len(_place_names(places)))
@@ -386,6 +384,7 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
     """Parse a sparse mass record against the declared place names.
 
     Each focal set may be named once; naming one twice is a :class:`ParseError`.
+    A mass outside [0, 1] is one too, naming its set as the record wrote it.
     """
     names = _place_names(places)
     index = {p: i for i, p in enumerate(names)}
@@ -411,6 +410,12 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
         if focal in masses:
             raise ParseError(f"focal set {format_place_set(focal, names)} is named twice", line_no)
         masses[focal] = value
+    # each token added one set, so the masses run in token order
+    for token, value in zip(tokens, masses.values()):
+        if not _mass_in_range(value):
+            written = token[: token.index("}") + 1]
+            message = f"bad mass record: mass {value!r} for {written} outside [0, 1]"
+            raise ParseError(message, line_no)
     try:
         return MassVector(masses)
     except MassError as exc:

@@ -26,7 +26,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, count, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
 from .net import PetriNet, Receptivity, _integral, _successors, coerce_receptivity
@@ -105,20 +105,20 @@ def _dense_masks(n: int) -> dict[int, int]:
     return dict(zip(_canonical_masks(n), count()))
 
 
-class _MaskMemo(dict):
-    """``make(mask)`` for each mask met, made on first use. At most 8192 are
-    kept: a miss beyond them starts the dict afresh."""
+class _Memo(dict):
+    """``make(key)`` for each key met, made on first use; a hit is one C-level
+    lookup. At most 8192 are kept: a miss beyond them starts the dict afresh."""
 
     __slots__ = ("make",)
 
-    def __init__(self, make: Callable[[int], object]):
+    def __init__(self, make: Callable[[Any], object]):
         super().__init__()
         self.make = make
 
-    def __missing__(self, mask: int):
+    def __missing__(self, key):
         if len(self) >= 1 << 13:
             self.clear()
-        value = self[mask] = self.make(mask)
+        value = self[key] = self.make(key)
         return value
 
 
@@ -134,7 +134,7 @@ def _order_key(width: int) -> Callable[[int], int]:
     complemented, so that of two sets of one size the one holding the
     smallest index where they differ sorts first. Reversal and complement go
     a byte at a time through ``_REV_NOT``, so a key costs a few bytes per 8
-    places and no text. The key is the ``__getitem__`` of a :class:`_MaskMemo`
+    places and no text. The key is the ``__getitem__`` of a :class:`_Memo`
     of the keys met, so a mask met before costs one C-level lookup; four
     widths are kept.
     """
@@ -144,7 +144,7 @@ def _order_key(width: int) -> Callable[[int], int]:
         popcount = mask.bit_count().to_bytes(count_size, "big")
         return int.from_bytes(popcount + mask.to_bytes(size, "little").translate(_REV_NOT), "big")
 
-    return _MaskMemo(key).__getitem__
+    return _Memo(key).__getitem__
 
 
 def _key_members(key: Iterable[int]) -> PlaceSet:
@@ -160,6 +160,12 @@ def _key_members(key: Iterable[int]) -> PlaceSet:
     if members and min(members) < 0:
         raise MassError(f"negative place index in {sorted(members)}")
     return members
+
+
+def _mass_in_range(value: float) -> bool:
+    """The mass rule's range test: ``value`` lies in [0, 1], within
+    ``NORMALIZATION_TOL`` above 1."""
+    return 0.0 <= value <= 1.0 + NORMALIZATION_TOL
 
 
 def _coerce_place_set(x: Iterable[int], n: int) -> PlaceSet:
@@ -196,7 +202,7 @@ class MassVector(Mapping):
             if not mask:
                 raise MassError("the empty set cannot carry mass")
             value = float(value)
-            if not 0.0 <= value <= 1.0 + NORMALIZATION_TOL:
+            if not _mass_in_range(value):
                 raise MassError(f"mass {value!r} for {set(_members(mask))} outside [0, 1]")
             if value:
                 collected[mask] = collected.get(mask, 0.0) + value

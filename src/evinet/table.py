@@ -28,7 +28,7 @@ import operator
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import groupby, product, repeat
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
@@ -39,6 +39,7 @@ from .errors import ConflictError, DimensionError, TableCapError
 from .engine import (
     MassVector,
     PlaceSet,
+    _Memo,
     _advance,
     _as_mass_vector,
     _canonical_masks,
@@ -304,7 +305,7 @@ def _equations(table: TransferTable, minimize: bool) -> Iterator[MassEquation]:
             grouped.setdefault(ymask, {})[xmask] = group
 
     def equations() -> Iterator[MassEquation]:
-        sets = cache(_set_of)
+        sets = _Memo(_set_of).__getitem__
         covers: dict[int, tuple[Cube, ...]] = {}  # shared by this call's minimizations
         for ymask in sorted(grouped, key=_order_key(n)):
             terms: list[tuple[Cube, PlaceSet]] = []
@@ -393,26 +394,10 @@ _first = operator.itemgetter(0)
 _second = operator.itemgetter(1)
 
 
-def _render(eq: MassEquation, cube_entry, set_label, set_key) -> str:
-    """One equation's text; ``cube_entry`` maps a cube to its (sort key, label)."""
-    # emitted terms come in runs of one source; a source may recur
-    by_source: dict[PlaceSet, list[Cube]] = {}
-    for source, run in groupby(eq.terms, key=_second):
-        by_source.setdefault(source, []).extend(map(_first, run))
-    parts = []
-    for source in sorted(by_source, key=set_key):
-        entries = sorted(map(cube_entry, by_source[source]), key=_first)
-        coeff = " + ".join(map(_second, entries))
-        if len(entries) > 1:
-            coeff = f"({coeff})"
-        parts.append(f"{coeff}*M{set_label(source)}")
-    rhs = " + ".join(parts) if parts else "0"
-    return f"M{set_label(eq.target)}(k+1) = {rhs}"
-
-
 def render_equation(eq: MassEquation) -> str:
     """One-line text form, e.g. ``M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}``."""
-    return _render(eq, partial(_cube_key_label, literals=[]), _set_label, place_set_key)
+    _, line = _equation_lines((eq,))
+    return line[:-1]
 
 
 def render_equations(equations: Iterable[MassEquation]) -> str:
@@ -423,11 +408,27 @@ def render_equations(equations: Iterable[MassEquation]) -> str:
 
 def _equation_lines(equations: Iterable[MassEquation]) -> Iterator[str]:
     """The lines of :func:`render_equations`, each ending in a newline: the
-    header first, then each equation's as it is taken from ``equations``."""
-    memos = cache(partial(_cube_key_label, literals=[])), cache(_set_label), cache(place_set_key)
+    header first, then each equation's as it is taken from ``equations``. Each
+    cube's (sort key, label) pair and each set's label and key are made once,
+    in a :class:`~evinet.engine._Memo` of the call."""
+    cube_entry = _Memo(partial(_cube_key_label, literals=[])).__getitem__
+    set_label = _Memo(_set_label).__getitem__
+    set_key = _Memo(place_set_key).__getitem__
     yield f"# {EQUATION_FORMAT_VERSION}\n"
     for eq in equations:
-        yield _render(eq, *memos) + "\n"
+        # emitted terms come in runs of one source; a source may recur
+        by_source: dict[PlaceSet, list[Cube]] = {}
+        for source, run in groupby(eq.terms, key=_second):
+            by_source.setdefault(source, []).extend(map(_first, run))
+        parts = []
+        for source in sorted(by_source, key=set_key):
+            entries = sorted(map(cube_entry, by_source[source]), key=_first)
+            coeff = " + ".join(map(_second, entries))
+            if len(entries) > 1:
+                coeff = f"({coeff})"
+            parts.append(f"{coeff}*M{set_label(source)}")
+        rhs = " + ".join(parts) if parts else "0"
+        yield f"M{set_label(eq.target)}(k+1) = {rhs}\n"
 
 
 def _check_csv_bytes(table: TransferTable) -> None:

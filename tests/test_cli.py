@@ -339,6 +339,24 @@ class TestRun:
         assert result.stdout == ""
         assert result.stderr == "error: --initial: line 1: focal set {P1} is named twice\n"
 
+    @pytest.mark.parametrize(
+        "record, value",
+        [("{P1}:2", "2.0"), ("{P1}:-0.5 {P2}:1.5", "-0.5"), ("{P1}:1e999", "inf")],
+    )
+    def test_a_mass_out_of_range_in_the_initial_record_names_its_place(
+        self, runner, data_dir, record, value
+    ):
+        result = invoke(
+            runner,
+            ["run", "--net", str(data_dir / "fig1.evinet"), "--initial", record, "--input", "-"],
+            input="",
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: --initial: line 1: bad mass record: mass {value} for {{P1}} outside [0, 1]\n"
+        )
+
     def test_a_merged_mass_above_one_runs_to_the_end(self, runner, data_dir):
         # the two masses sum to 1 + 2**-52, inside the normalization tolerance,
         # and t1 merges them on {P2} into that sum, which the constructor bounded

@@ -27,7 +27,14 @@ from evinet import (
 from evinet import cli, dsl
 from evinet.cli import _records
 from evinet.dsl import _mask_labels, _mass_serializer, parse_receptivity_line
-from evinet.engine import _FLAT_PLACE_LIMIT, DENSE_PLACE_LIMIT, _dense_masks, _members, _order_key
+from evinet.engine import (
+    _FLAT_PLACE_LIMIT,
+    DENSE_PLACE_LIMIT,
+    _Memo,
+    _dense_masks,
+    _members,
+    _order_key,
+)
 from evinet.net import coerce_receptivity
 from _nets import (
     FIG1_POST,
@@ -464,6 +471,48 @@ class TestMassRecords:
         with pytest.raises(ParseError, match=f"focal set {label} is named twice"):
             parse_mass(text, 3)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{P1}:2", "mass 2.0 for {P1} outside"),
+            ("{P1}:-0.5 {P2}:1.5", "mass -0.5 for {P1} outside"),
+            ("{P1}:1e999", "mass inf for {P1} outside"),
+            ("{P2,P1}:0.5 {P3}:0.5 {P1,,P3}:1.5", "mass 1.5 for {P1,,P3} outside"),
+        ],
+    )
+    def test_a_mass_out_of_range_names_its_set_as_written(self, text, message):
+        with pytest.raises(ParseError, match=f"^line 1: bad mass record: {re.escape(message)}"):
+            parse_mass(text, 3)
+
+    def test_a_fault_found_while_reading_still_comes_first(self):
+        # the range is checked once every token is read, as the constructor did
+        with pytest.raises(ParseError, match="focal set {P1} is named twice"):
+            parse_mass("{P1}:2 {P1}:0.5", 3)
+        with pytest.raises(ParseError, match="unknown place 'P9'"):
+            parse_mass("{P1}:2 {P9}:0.5", 3)
+
+    @pytest.mark.parametrize("name", ["a,b", "", "a b", "{a", "a}", "a\tb", "a\u3000b"])
+    def test_sparse_records_refuse_a_name_they_cannot_hold(self, name):
+        mass = MassVector({frozenset({0}): 0.5, frozenset({0, 1}): 0.5})
+        message = f"cannot serialize name {re.escape(repr(name))}: a mass record cannot hold it"
+        for names in [(name, "y"), ("x", name)]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                serialize_mass(mass, names)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _mass_serializer(names, "sparse")
+            # the dense form prints no names
+            assert serialize_mass(mass, names, "dense") == "[0.5,0,0.5]"
+
+    def test_the_first_name_a_record_cannot_hold_is_named(self):
+        with pytest.raises(ValueError, match="name 'a b'"):
+            serialize_mass(MassVector.categorical({0}), ("ok", "a b", "c,d"))
+
+    @pytest.mark.parametrize("name", ["a:b", "\u00e9", "P-1", "1"])
+    def test_sparse_records_round_trip_other_names(self, name):
+        mass = MassVector({frozenset({0}): 0.5, frozenset({0, 1}): 0.5})
+        for names in [(name, "y"), ("x", name)]:
+            assert parse_mass(serialize_mass(mass, names), names) == mass
+
     def test_library_pairs_naming_one_set_are_merged(self):
         merged = MassVector([({0}, 0.25), ({1}, 0.5), ({0}, 0.25)])
         assert merged == MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
@@ -697,18 +746,23 @@ class TestPerRunWriters:
             # each dict started afresh
             assert max(memo_sizes) <= 8192 and list(memo_sizes) != sorted(memo_sizes)
 
-    def test_each_writer_starts_from_the_two_seeds(self):
+    def test_each_writer_starts_from_an_empty_memo(self):
         # so serialize_mass, one writer per call, keeps nothing between calls
         mass = MassVector({frozenset({0}): 0.25, frozenset({1}): 0.75})
-        writer = _mass_serializer(3, "sparse")
+        writer, dense = _mass_serializer(3, "sparse"), _mass_serializer(3, "dense")
+        assert isinstance(_writer_texts(writer), _Memo) and _writer_texts(writer) == {}
+        assert isinstance(_writer_texts(dense), _Memo) and _writer_texts(dense) == {}
         assert writer(mass) == serialize_mass(mass, 3) == "{P1}:0.25 {P2}:0.75"
         # a sparse text holds the ":" between a label and its mass
-        assert _writer_texts(writer) == {0.0: ":0", 1.0: ":1", 0.25: ":0.25", 0.75: ":0.75"}
-        assert _writer_texts(_mass_serializer(3, "sparse")) == {0.0: ":0", 1.0: ":1"}
-        dense = _mass_serializer(3, "dense")
+        assert _writer_texts(writer) == {0.25: ":0.25", 0.75: ":0.75"}
         assert dense(mass) == serialize_mass(mass, 3, "dense") == "[0.25,0.75,0,0,0,0,0]"
-        assert _writer_texts(dense) == {0.0: "0", 1.0: "1", 0.25: "0.25", 0.75: "0.75"}
-        assert _writer_texts(_mass_serializer(3, "dense")) == {0.0: "0", 1.0: "1"}
+        assert _writer_texts(dense) == {0.25: "0.25", 0.75: "0.75"}
+        # a whole number is made on first use, as any other value
+        whole = MassVector.categorical({2})
+        assert writer(whole) == serialize_mass(whole, 3) == "{P3}:1"
+        assert dense(whole) == serialize_mass(whole, 3, "dense") == "[0,0,1,0,0,0,0]"
+        assert _writer_texts(writer) == {0.25: ":0.25", 0.75: ":0.75", 1.0: ":1"}
+        assert _writer_texts(dense) == {0.25: "0.25", 0.75: "0.75", 1.0: "1"}
 
     def test_form_errors_come_before_the_mass_is_read(self):
         # None is no mass vector: reading it would raise AttributeError
