@@ -1,10 +1,12 @@
 """Two-level sum-of-products minimization of boolean on-sets (Quine-McCluskey).
 
-A cube is a tuple with one slot per variable: 1 for the plain literal, 0 for
-the negated literal, None for an eliminated variable. Minterm integers use bit
-j for variable j. Minimization is exact over the full assignment space: the
-cover equals the on-set everywhere, with no don't-care positions, so callers
-can rely on semantic equality with the unminimized form.
+``minimize_minterms`` returns each cube as a tuple with one slot per
+variable: 1 for the plain literal, 0 for the negated literal, None for an
+eliminated variable. Inside the package a cube is one int code,
+``dashes << width | value``. Minterm integers use bit j for variable j.
+Minimization is exact over the full assignment space: the cover equals the
+on-set everywhere, with no don't-care positions, so callers can rely on
+semantic equality with the unminimized form.
 
 The search works on sets of cubes, not on one cube at a time. A set of
 minterms is one Python int with bit v set for each minterm v, so the on-set
@@ -41,14 +43,15 @@ minterm with the free variables dashed, and no search runs.
 Many on-sets of one table share a cofactor under different free variables,
 so a caller may pass one cover memo, a dict from cofactor int to its sorted
 cover, to its calls of one width: ``emit_equations`` keeps one per call, and
-charges its keys. Lifting dashes the same 0 slots in every cube of a cover, so
-it keeps its order; with no free variable it is the stored tuple.
+charges its keys. Lifting ORs the free variables into the dashes of every
+code, ``code | free << width``, which keeps the order; with no free variable
+the cover is the stored tuple.
 
-Cubes stay (value, dashes) ints until the result is built, and the result is
-sorted by fixed-slot count, then slot by slot with 0 < 1 < eliminated.
-``minimize_minterms`` checks its arguments and ORs the minterms into an
-on-set int; ``_minimize_on`` is the rest, for callers that already hold a
-nonempty on-set int of ``width`` variables, and checks nothing.
+A cover is sorted in render order, by fixed-slot count, then slot by slot with
+0 < 1 < eliminated (``_cube_entries``' key). ``minimize_minterms`` checks its
+arguments, ORs the minterms into an on-set int and decodes the cover;
+``_minimize_on`` is the rest, for callers holding a nonempty on-set int of
+``width`` variables, and checks nothing.
 
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
 variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
@@ -60,7 +63,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
 from .engine import _members
 
@@ -71,21 +75,38 @@ Cube = tuple[int | None, ...]
 WIDTH_LIMIT = 24
 
 
-def _to_cube(value: int, dashes: int, width: int) -> Cube:
-    return tuple([None if dashes >> j & 1 else value >> j & 1 for j in range(width)])
+def _to_cube(code: int, width: int) -> Cube:
+    """The slots of the cube code ``dashes << width | value``."""
+    return tuple([None if code >> width + j & 1 else code >> j & 1 for j in range(width)])
 
 
-def _int_sort_key(cube: Cube) -> int:
-    """An int that orders cubes of one width by their fixed count, then by one
-    base-4 digit per slot (0, 1, or 2 when eliminated), variable 0 first."""
-    fixed = digits = 0
-    for b in cube:
-        if b is None:
-            digits = digits << 2 | 2
-        else:
-            fixed += 1
-            digits = digits << 2 | b
-    return fixed << 2 * len(cube) | digits
+def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
+    """``entry(code)``, a cube code's sort key, product label and code. The key
+    orders cubes of one width by fixed count, then by one base-4 digit per slot
+    (0, 1, or 2 when eliminated), variable 0 first; the label joins ``r<j+1>``
+    or ``!r<j+1>`` per fixed slot j with ``*``, or is ``1``. Both are sums of
+    parts from one table per 4 variables, indexed by the chunk's ``dashes << c
+    | value`` and built once for the returned function."""
+    chunks = []
+    for low in range(0, width, 4):
+        c = min(4, width - low)
+        parts = [(0, "")] * (1 << 2 * c)
+        for slots in product((0, 1, 2), repeat=c):  # a slot's digit: 2 is eliminated
+            digits = int("".join(map(str, slots)), 4) << 2 * (width - low - c)
+            literals = [f"{'!' * (1 - s)}r{low + j + 1}*" for j, s in enumerate(slots) if s < 2]
+            index = sum([(s >> 1 << c | s & 1) << j for j, s in enumerate(slots)])
+            parts[index] = (len(literals) << 2 * width | digits, "".join(literals))
+        chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, parts))
+
+    def entry(code: int) -> tuple[int, str, int]:
+        key, label = 0, ""  # each part of a label ends in "*", dropped at the end
+        for dash_shift, dash_mask, low, ones, parts in chunks:
+            part_key, part = parts[code >> dash_shift & dash_mask | code >> low & ones]
+            key += part_key
+            label += part
+        return key, label[:-1] or "1", code
+
+    return entry
 
 
 # Merge masks are kept for widths up to this, 16 ints of 8 KiB at width 16;
@@ -195,13 +216,14 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
     if min(minterms) < 0 or max(minterms) >> width:
         raise ValueError(f"minterm out of range for {width} variables")
     # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
-    return _minimize_on(
-        functools.reduce(operator.or_, map((1).__lshift__, minterms)), width, {}
-    )
+    codes = _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)),
+                         width, {}, _cube_entries(width))
+    return tuple([_to_cube(code, width) for code in codes])
 
 
-def _minimize_on(on: int, width: int, covers: dict[int, tuple[Cube, ...]]) -> tuple[Cube, ...]:
-    """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked.
+def _minimize_on(on: int, width: int, covers: dict[int, tuple[int, ...]], key) -> tuple[int, ...]:
+    """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked, as
+    cube codes sorted by ``key``, which must order them as ``_cube_entries``.
 
     ``covers`` maps each cofactor searched so far to its sorted cover, with
     the free variables still 0. A caller passes one dict to all its calls of
@@ -218,20 +240,10 @@ def _minimize_on(on: int, width: int, covers: dict[int, tuple[Cube, ...]]) -> tu
             cofactor &= low
     del on  # 2 MiB at WIDTH_LIMIT, which the search can use
     if not cofactor & (cofactor - 1):  # one minterm is its cofactor's only prime
-        return (_to_cube(cofactor.bit_length() - 1, free, width),)
-    cubes = covers.get(cofactor)
-    if cubes is None:
+        return (free << width | cofactor.bit_length() - 1,)
+    codes = covers.get(cofactor)
+    if codes is None:
         chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
-        cubes = tuple(sorted([_to_cube(v, d, width) for v, d in chosen], key=_int_sort_key))
-        covers[cofactor] = cubes
-    if not free:
-        return cubes
+        codes = covers[cofactor] = tuple(sorted([d << width | v for v, d in chosen], key=key))
     # every free slot is 0 in every cube, so dashing them keeps the order
-    dashed = [j for j in range(width) if free >> j & 1]
-    lifted = []
-    for cube in cubes:
-        slots = list(cube)
-        for j in dashed:
-            slots[j] = None
-        lifted.append(tuple(slots))
-    return tuple(lifted)
+    return tuple([code | free << width for code in codes]) if free else codes

@@ -14,10 +14,13 @@ out its bytes from its inputs and refuses before allocating any. Text costs
 more than masks, so the output stages build each set's label and frozenset
 once and read the table one subset column at a time. The equation stage is
 one pipeline: ``_equations`` checks and groups every cell, then yields one
-target's equation at a time, and ``_equation_lines`` renders each as it comes.
-The ``equations`` command writes each line as it is rendered, so it holds one
-equation's terms and text at a time; ``emit_equations`` and
-``render_equations`` are the joins of the same two generators.
+target at a time with its (source, entries) groups, and ``_equation_lines``
+renders each as it comes, sorting each group's entries and joining their
+labels. A cube is one int code from the grouping to the text, and an entry
+its ``(sort key, label, code)``. The ``equations`` command writes each line
+as it is rendered, so it holds one equation's groups and text at a time.
+``emit_equations`` decodes the groups into :class:`MassEquation` terms, and
+``render_equations`` regroups such terms by source for the same renderer.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import groupby, product, repeat
+from itertools import groupby, product
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -49,7 +52,7 @@ from .engine import (
     _set_of,
     place_set_key,
 )
-from .minimize import WIDTH_LIMIT, Cube, _cover, _int_sort_key, _minimize_on, _to_cube
+from .minimize import WIDTH_LIMIT, Cube, _cover, _cube_entries, _minimize_on, _to_cube
 from .net import (
     PetriNet,
     Receptivity,
@@ -242,7 +245,11 @@ class MassEquation:
 
 
 def _check_equation_bytes(table: TransferTable, minimize: bool) -> None:
-    """Refuse equations over ``ALLOCATION_LIMIT`` bytes, from the table's counts alone."""
+    """Refuse equations over ``ALLOCATION_LIMIT`` bytes, from the table's counts alone.
+
+    The ``3m`` on-set ints charged to the prime search are an estimate, not a
+    bound: measured on nets of up to 24 transitions, no cheap count bounds them.
+    """
     n, m, masks = table.net.place_count, table.net.transition_count, table._masks
     cells = table.defined_cell_count
     # per defined cell its term and text, per combination its cube and label
@@ -270,31 +277,37 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     than ``ALLOCATION_LIMIT`` bytes raises :class:`~evinet.errors.TableCapError`
     carrying the defined cell count, both before any cell is grouped.
     """
-    return tuple(_equations(table, minimize))
+    m = table.net.transition_count
+    cube = _Memo(partial(_to_cube, width=m)).__getitem__
+    return tuple(
+        MassEquation(target, m, tuple([(cube(code), source) for source, group in groups
+                                       for *_, code in group]))
+        for target, groups in _equations(table, minimize)
+    )
 
 
-def _equations(table: TransferTable, minimize: bool) -> Iterator[MassEquation]:
-    """The equations of :func:`emit_equations`, yielded one at a time.
+def _equations(table: TransferTable, minimize: bool) -> Iterator[tuple[PlaceSet, list]]:
+    """Each target set of :func:`emit_equations` with its (source set,
+    entries) groups, sources in canonical order, one target at a time.
 
-    Every check runs and every cell is grouped before this returns; the
-    iterator then builds each target's terms, minimized or raw, as it is
-    asked for, and drops that target's groups.
+    Raw groups share one entry per admissible combination, in minterm order;
+    minimized ones hold their cover's entries, made in a ``_Memo`` by code.
+    Every check runs and every cell is grouped before this returns.
     """
     n, m = table.net.place_count, table.net.transition_count
     if minimize and m > WIDTH_LIMIT:
         raise DimensionError(f"cannot minimize over {m} transitions; the limit is {WIDTH_LIMIT}")
     _check_equation_bytes(table, minimize)
     masks = table._masks
-    # each source column is read in minterm order, so every (target, source)
-    # list holds one coefficient's raw cubes in ascending order, or, minimized,
-    # its on-set bits 1 << minterm, and sources reach each target in canonical
-    # order
+    # each source column is read in minterm order, so every (target, source) list
+    # holds one coefficient's raw entries in ascending order, or, minimized, its
+    # on-set bits 1 << minterm, and sources reach each target in canonical order
     # a valid net has a transition, so two rows or more: the pick is a tuple
     pick = operator.itemgetter(*sorted(range(len(masks)), key=masks.__getitem__))
     if minimize:
         items = [1 << mask for mask in sorted(masks)]
     else:
-        items = [_to_cube(mask, 0, m) for mask in sorted(masks)]
+        items = list(map(_cube_entries(m), sorted(masks)))
     grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
         column = pick(table._column(xmask))
@@ -304,16 +317,21 @@ def _equations(table: TransferTable, minimize: bool) -> Iterator[MassEquation]:
         for ymask, group in targets.items():
             grouped.setdefault(ymask, {})[xmask] = group
 
-    def equations() -> Iterator[MassEquation]:
+    def equations() -> Iterator[tuple[PlaceSet, list]]:
         sets = _Memo(_set_of).__getitem__
-        covers: dict[int, tuple[Cube, ...]] = {}  # shared by this call's minimizations
+        covers: dict[int, tuple[int, ...]] = {}  # shared by this call's minimizations
+        # built past the grouping, where a minimized call peaks
+        make = _cube_entries(m) if minimize else None
         for ymask in sorted(grouped, key=_order_key(n)):
-            terms: list[tuple[Cube, PlaceSet]] = []
-            for xmask, group in grouped.pop(ymask).items():
+            groups = grouped.pop(ymask).items()
+            if minimize:
+                # a cube recurs across the sources of one target, seldom
+                # across targets, so each target's entries are made apart;
                 # a group's bits are distinct, so their sum is the on-set
-                cubes = _minimize_on(sum(group), m, covers) if minimize else group
-                terms.extend(zip(cubes, repeat(sets(xmask))))
-            yield MassEquation(target=sets(ymask), transition_count=m, terms=tuple(terms))
+                entry = _Memo(make).__getitem__
+                groups = [(xmask, list(map(entry, _minimize_on(sum(group), m, covers, entry))))
+                          for xmask, group in groups]
+            yield sets(ymask), [(sets(xmask), group) for xmask, group in groups]
 
     return equations()
 
@@ -349,9 +367,8 @@ def _on_sets(eq: MassEquation) -> dict[PlaceSet, int]:
     A slot that is not None is the plain literal when it is truthy."""
     on: dict[PlaceSet, int] = {}
     for cube, src in _checked_terms(eq):
-        value = sum(1 << j for j, bit in enumerate(cube) if bit)
-        dashes = sum(1 << j for j, bit in enumerate(cube) if bit is None)
-        on[src] = on.get(src, 0) | _cover(value, dashes)
+        code, width = _cube_code(cube), len(cube)
+        on[src] = on.get(src, 0) | _cover(code & (1 << width) - 1, code >> width)
     return on
 
 
@@ -377,58 +394,59 @@ def _set_label(places: PlaceSet) -> str:
     return "{" + ",".join(str(i + 1) for i in sorted(places)) + "}"
 
 
-def _cube_key_label(cube: Cube, literals: list[tuple[str, str]]) -> tuple[int, str]:
-    """A cube's sort key and its product label, ``1`` when no slot is fixed.
-
-    ``literals[j]`` is the pair ``("!r<j+1>", "r<j+1>")``; the list is extended
-    to the cube's width, so a render call builds each literal once.
-    """
-    for j in range(len(literals) + 1, len(cube) + 1):
-        literals.append((f"!r{j}", f"r{j}"))
-    label = "*".join([pair[1] if bit else pair[0] for pair, bit in zip(literals, cube)
-                      if bit is not None])
-    return _int_sort_key(cube), label or "1"
-
-
 _first = operator.itemgetter(0)
 _second = operator.itemgetter(1)
 
 
 def render_equation(eq: MassEquation) -> str:
     """One-line text form, e.g. ``M{1}(k+1) = !r1*M{1} + r3*M{3} + !r1*r3*M{1,3}``."""
-    _, line = _equation_lines((eq,))
+    _, line = _equation_lines(_regrouped((eq,)))
     return line[:-1]
 
 
 def render_equations(equations: Iterable[MassEquation]) -> str:
     """All equations under the versioned format header, one per line; each
     cube's and set's label is built once per call."""
-    return "".join(_equation_lines(equations))
+    return "".join(_equation_lines(_regrouped(equations)))
 
 
-def _equation_lines(equations: Iterable[MassEquation]) -> Iterator[str]:
-    """The lines of :func:`render_equations`, each ending in a newline: the
-    header first, then each equation's as it is taken from ``equations``. Each
-    cube's (sort key, label) pair and each set's label and key are made once,
-    in a :class:`~evinet.engine._Memo` of the call."""
-    cube_entry = _Memo(partial(_cube_key_label, literals=[])).__getitem__
-    set_label = _Memo(_set_label).__getitem__
+def _cube_code(cube: Cube) -> int:
+    """``dashes << len(cube) | value``; a fixed slot is the plain literal when truthy."""
+    width = len(cube)
+    return sum([1 << width + j if bit is None else bool(bit) << j for j, bit in enumerate(cube)])
+
+
+def _regrouped(equations: Iterable[MassEquation]) -> Iterator[tuple[PlaceSet, list]]:
+    """Each equation's (target, groups), as :func:`_equations` yields them;
+    each cube's entry is made at its own width, and each entry and set key
+    once, in a :class:`~evinet.engine._Memo` of the call."""
+    entries = _Memo(_cube_entries).__getitem__  # one entry function per width
+    entry = _Memo(lambda cube: entries(len(cube))(_cube_code(cube))).__getitem__
     set_key = _Memo(place_set_key).__getitem__
-    yield f"# {EQUATION_FORMAT_VERSION}\n"
     for eq in equations:
         # emitted terms come in runs of one source; a source may recur
-        by_source: dict[PlaceSet, list[Cube]] = {}
+        by_source: dict[PlaceSet, list] = {}
         for source, run in groupby(eq.terms, key=_second):
-            by_source.setdefault(source, []).extend(map(_first, run))
+            by_source.setdefault(source, []).extend([entry(cube) for cube, _ in run])
+        yield eq.target, [(source, by_source[source]) for source in sorted(by_source, key=set_key)]
+
+
+def _equation_lines(equations: Iterable[tuple[PlaceSet, list]]) -> Iterator[str]:
+    """The lines of :func:`render_equations`, each ending in a newline: the
+    header, then each (target, groups)'s as it is taken, entries stably sorted
+    by key; each set's label is made once, in a ``_Memo`` of the call."""
+    set_label = _Memo(_set_label).__getitem__
+    yield f"# {EQUATION_FORMAT_VERSION}\n"
+    for target, groups in equations:
         parts = []
-        for source in sorted(by_source, key=set_key):
-            entries = sorted(map(cube_entry, by_source[source]), key=_first)
+        for source, entries in groups:
+            entries = sorted(entries, key=_first)
             coeff = " + ".join(map(_second, entries))
             if len(entries) > 1:
                 coeff = f"({coeff})"
             parts.append(f"{coeff}*M{set_label(source)}")
         rhs = " + ".join(parts) if parts else "0"
-        yield f"M{set_label(eq.target)}(k+1) = {rhs}\n"
+        yield f"M{set_label(target)}(k+1) = {rhs}\n"
 
 
 def _check_csv_bytes(table: TransferTable) -> None:

@@ -29,7 +29,8 @@ reads the table's ``rows`` by admissible index, not through
 ``TransferTable.cells``. The receptivity line parser with its regex split and
 per-token loop, and the bit coercion with its generator and per-bit ``any``,
 are kept verbatim as well, to diff the one-split parser and the C-level
-coercion against.
+coercion against, and so are the renderer's per-slot cube sort key and
+product label, to diff the per-chunk tables of cube codes against.
 """
 
 from __future__ import annotations
@@ -361,6 +362,38 @@ def minimize_minterms_tabular(minterms, width):
 
     cubes = [_to_cube(value, dashes, width) for value, dashes in chosen]
     return tuple(sorted(cubes, key=cube_sort_key))
+
+
+# --- per-slot cube key and label ---------------------------------------------
+# The renderer's sort key and product label as they were before the package
+# read both from per-chunk tables of cube codes, kept verbatim to diff the
+# tables against, slot by slot.
+
+
+def _int_sort_key(cube: Cube) -> int:
+    """An int that orders cubes of one width by their fixed count, then by one
+    base-4 digit per slot (0, 1, or 2 when eliminated), variable 0 first."""
+    fixed = digits = 0
+    for b in cube:
+        if b is None:
+            digits = digits << 2 | 2
+        else:
+            fixed += 1
+            digits = digits << 2 | b
+    return fixed << 2 * len(cube) | digits
+
+
+def _cube_key_label(cube: Cube, literals: list[tuple[str, str]]) -> tuple[int, str]:
+    """A cube's sort key and its product label, ``1`` when no slot is fixed.
+
+    ``literals[j]`` is the pair ``("!r<j+1>", "r<j+1>")``; the list is extended
+    to the cube's width, so a render call builds each literal once.
+    """
+    for j in range(len(literals) + 1, len(cube) + 1):
+        literals.append((f"!r{j}", f"r{j}"))
+    label = "*".join([pair[1] if bit else pair[0] for pair, bit in zip(literals, cube)
+                      if bit is not None])
+    return _int_sort_key(cube), label or "1"
 
 
 # --- per-cell output stage ---------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import random
+from itertools import product
+from operator import itemgetter
 
 import pytest
 from click.testing import CliRunner
@@ -28,7 +30,8 @@ from evinet import (
 from evinet import cli
 from evinet import table as table_module
 from evinet.engine import _Memo
-from evinet.table import EQUATION_FORMAT_VERSION, _equation_lines
+from evinet.minimize import _cube_entries, _to_cube
+from evinet.table import EQUATION_FORMAT_VERSION
 from _nets import (
     benchmark_generator,
     cycle_net,
@@ -40,8 +43,10 @@ from _nets import (
     ring_with_chords,
 )
 from _oracle import (
+    _cube_key_label,
     emit_equations_per_cell,
     render_equation_per_cell,
+    set_key,
     write_table_csv_per_cell,
 )
 
@@ -277,7 +282,8 @@ def _assert_rendered_as_the_oracle(equations, monkeypatch):
     monkeypatch.setattr(_CountingMemo, "restarts", 0)
     expected = [render_equation_per_cell(eq) for eq in equations]
     header = f"# {EQUATION_FORMAT_VERSION}\n"
-    assert list(_equation_lines(equations)) == [header, *(line + "\n" for line in expected)]
+    lines = render_equations(equations).splitlines(keepends=True)
+    assert lines == [header, *(line + "\n" for line in expected)]
     assert render_equations(equations) == _reference_text(equations)
     assert [render_equation(eq) for eq in equations] == expected
     return _CountingMemo.restarts
@@ -315,3 +321,93 @@ def test_set_labels_past_the_memo_bound_render_as_the_oracle(monkeypatch):
 def test_equation_without_terms_renders_zero():
     eq = MassEquation(target=S({1}), transition_count=2, terms=())
     assert render_equation(eq) == render_equation_per_cell(eq) == "M{2}(k+1) = 0"
+
+
+def _code(cube) -> int:
+    """``dashes << width | value``, worked out slot by slot."""
+    width = len(cube)
+    return sum(1 << (width + j if bit is None else j) for j, bit in enumerate(cube)
+               if bit is None or bit)
+
+
+def _assert_entries_match_the_per_slot_oracle(cubes, width):
+    entry, literals = _cube_entries(width), []
+    for cube in cubes:
+        code = _code(cube)
+        assert _to_cube(code, width) == cube
+        assert entry(code) == (*_cube_key_label(cube, literals), code)
+
+
+@pytest.mark.parametrize("width", range(7))
+def test_every_cube_entry_matches_the_per_slot_key_and_label(width):
+    _assert_entries_match_the_per_slot_oracle(product((0, 1, None), repeat=width), width)
+
+
+@pytest.mark.parametrize("width", [14, 24])
+def test_wide_cube_entries_match_the_per_slot_key_and_label(width):
+    rng = random.Random(f"entries:{width}")
+    cubes = [tuple(rng.choice((0, 1, None)) for _ in range(width)) for _ in range(2000)]
+    _assert_entries_match_the_per_slot_oracle(cubes, width)
+
+
+def _render_per_slot(eq) -> str:
+    """``eq``'s line with each source's cubes stably sorted by the per-slot
+    key of their own width, as the renderer sorted them before its tables."""
+    literals, parts = [], []
+    for source in sorted({src for _, src in eq.terms}, key=set_key):
+        entries = [_cube_key_label(cube, literals) for cube, src in eq.terms if src == source]
+        entries.sort(key=itemgetter(0))
+        coeff = " + ".join(label for _, label in entries)
+        parts.append(f"({coeff})*M" if len(entries) > 1 else f"{coeff}*M")
+        parts[-1] += "{" + ",".join(str(i + 1) for i in sorted(source)) + "}"
+    rhs = " + ".join(parts) if parts else "0"
+    return "M{" + ",".join(str(i + 1) for i in sorted(eq.target)) + "}(k+1) = " + rhs
+
+
+def test_bool_slots_and_cubes_of_any_width_render_as_the_per_slot_oracle():
+    # the Cube contract allows 0, 1, None and bools, and rendering checks no
+    # width, so each cube is keyed and labelled at its own width
+    rng = random.Random("any width")
+    sources = [S({0}), S({1, 2}), S({0, 3})]
+    equations = []
+    for k in range(40):
+        terms = tuple(
+            (tuple(rng.choice((0, 1, None, True, False)) for _ in range(rng.randint(0, 6))),
+             rng.choice(sources))
+            for _ in range(rng.randint(0, 12))
+        )
+        equations.append(MassEquation(target=sources[k % 3], transition_count=3, terms=terms))
+    expected = [_render_per_slot(eq) for eq in equations]
+    assert [render_equation(eq) for eq in equations] == expected
+    assert render_equations(equations) == "".join(
+        line + "\n" for line in [f"# {EQUATION_FORMAT_VERSION}", *expected]
+    )
+
+
+def _rings_and_fans():
+    """Seeded rings with chords and fan-out nets of 2-9 places: one place
+    admits no transition that does not loop on it. Rings stop at 7 places,
+    2**7 combinations or more; fan-out nets have up to 5 transitions."""
+    rng = random.Random("rings and fans")
+    nets = []
+    for n in range(2, 10):
+        if n <= 7:
+            nets.append(ring_with_chords(rng, n, rng.randint(0, min(2, n - 2))))
+        outputs = [0] * n
+        for place in rng.sample(range(n), rng.randint(1, min(3, n))):
+            outputs[place] = rng.randint(1, min(2, n - 1))
+        nets.append(fan_out_net(outputs, rng))
+    return nets
+
+
+@pytest.mark.parametrize("net", _rings_and_fans(), ids=lambda net: f"{net.place_count}x"
+                         f"{net.transition_count}")
+def test_the_command_matches_the_per_cell_renderer(net, monkeypatch):
+    monkeypatch.setattr(cli, "_read_net", lambda path: net)
+    table = build_transfer_table(net)
+    for flags in ([], ["--minimize"]):
+        result = CliRunner().invoke(cli.main, ["equations", "--net", "unused", *flags])
+        assert result.exit_code == 0, result.output
+        emitted = emit_equations(table, minimize=bool(flags))
+        assert_same_text(result.stdout, _reference_text(emitted))
+        assert_same_text(result.stdout, render_equations(emitted))

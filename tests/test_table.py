@@ -34,7 +34,14 @@ from evinet import (
 from evinet import minimize
 from evinet import table as table_module
 from evinet.dsl import _mask_labels
-from evinet.minimize import WIDTH_LIMIT, _minimize_on, _prime_implicants, minimize_minterms
+from evinet.minimize import (
+    WIDTH_LIMIT,
+    _cube_entries,
+    _minimize_on,
+    _prime_implicants,
+    _to_cube,
+    minimize_minterms,
+)
 from evinet.table import _check_equation_bytes, _on_sets
 from _nets import (
     all_admissible_receptivities,
@@ -736,7 +743,7 @@ class TestMinimize:
                 free = rng.sample(range(width), rng.randint(0, min(width, 6)))
                 on, cube = _one_minterm_cofactor(rng.getrandbits(width), free, width)
                 assert minimize_minterms(on, width) == (cube,)
-                assert _minimize_on(sum(1 << v for v in on), width, {}) == (cube,)
+                assert _cover_cubes(sum(1 << v for v in on), width, {}) == (cube,)
                 assert minimize_minterms_tabular(on, width) == (cube,)
 
     @pytest.mark.parametrize(
@@ -763,16 +770,16 @@ class TestMinimize:
         width = equations_net.transition_count
         seen = []
 
-        def record(on, width, covers):
+        def record(on, width, covers, key):
             seen.append(on)
-            return _minimize_on(on, width, covers)
+            return _minimize_on(on, width, covers, key)
 
         monkeypatch.setattr(table_module, "_minimize_on", record)
         emit_equations(table, minimize=True)
         assert width == 9 and len(seen) == 2254
         for on in seen:
             minterms = [v for v in range(1 << width) if on >> v & 1]
-            assert _minimize_on(on, width, {}) == minimize_minterms_tabular(minterms, width)
+            assert _cover_cubes(on, width, {}) == minimize_minterms_tabular(minterms, width)
 
     @pytest.mark.parametrize("width", range(1, 9))
     def test_a_shared_cover_memo_matches_fresh_calls_and_the_oracle(self, width, count_calls):
@@ -791,26 +798,28 @@ class TestMinimize:
         on_sets = [sum(1 << v for v in on) for on in on_sets if on]
         searches = count_calls(minimize, "_prime_implicants")
         shared = {}
-        got = [_minimize_on(on, width, shared) for on in on_sets]
+        got = [_cover_cubes(on, width, shared) for on in on_sets]
         assert len(searches) == len(shared)  # one search per distinct cofactor
         oracle = {}
         for on, cubes in zip(on_sets, got):
             if on not in oracle:
                 minterms = [v for v in range(1 << width) if on >> v & 1]
                 oracle[on] = minimize_minterms_tabular(minterms, width)
-            assert cubes == _minimize_on(on, width, {}) == oracle[on]
+            assert cubes == _cover_cubes(on, width, {}) == oracle[on]
         if width > 1:  # one variable has no cofactor of two minterms to search
             assert len(shared) < len(searches) - len(shared)
 
     def test_a_cofactor_without_free_variables_returns_its_stored_cover(self):
         covers = {}
         on = sum(1 << v for v in (0, 3, 5, 6))  # r4 = 0 and even parity of r1..r3
-        cubes = _minimize_on(on, 4, covers)
-        assert covers == {on: cubes} and all(cube[3] == 0 for cube in cubes)
-        assert _minimize_on(on, 4, covers) is cubes
+        key = _cube_entries(4)
+        codes = _minimize_on(on, 4, covers, key)
+        cubes = _decoded(codes, 4)
+        assert covers == {on: codes} and all(cube[3] == 0 for cube in cubes)
+        assert _minimize_on(on, 4, covers, key) is codes
         # with r4 free the cofactor is the same on-set: no search, r4 dashed
-        lifted = _minimize_on(on | on << 8, 4, covers)
-        assert covers == {on: cubes}
+        lifted = _decoded(_minimize_on(on | on << 8, 4, covers, key), 4)
+        assert covers == {on: codes}
         assert lifted == tuple((*cube[:3], None) for cube in cubes)
         assert lifted == minimize_minterms_tabular([0, 3, 5, 6, 8, 11, 13, 14], 4)
 
@@ -836,6 +845,16 @@ class TestMinimize:
         assert all(width <= 16 for width in minimize._merge_cache)
         minimize_minterms([3], 9)
         assert 9 in minimize._merge_cache
+
+
+def _decoded(codes, width):
+    """Cube codes as the tuples ``minimize_minterms`` returns."""
+    return tuple(_to_cube(code, width) for code in codes)
+
+
+def _cover_cubes(on, width, covers):
+    """``_minimize_on``'s cover of the on-set int ``on``, in render order, decoded."""
+    return _decoded(_minimize_on(on, width, covers, _cube_entries(width)), width)
 
 
 def _module_state():
