@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .engine import _members
@@ -85,17 +84,18 @@ def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
     orders cubes of one width by fixed count, then by one base-4 digit per slot
     (0, 1, or 2 when eliminated), variable 0 first; the label joins ``r<j+1>``
     or ``!r<j+1>`` per fixed slot j with ``*``, or is ``1``. Both are sums of
-    parts from one table per 4 variables, indexed by the chunk's ``dashes << c
-    | value`` and built once for the returned function."""
-    chunks = []
+    parts from one table per 4 variables, built once for the returned function
+    and indexed by the chunk's ``dashes << c | value``."""
+    chunks, fixed = [], 1 << 2 * width  # a fixed slot counts above every digit
     for low in range(0, width, 4):
         c = min(4, width - low)
-        parts = [(0, "")] * (1 << 2 * c)
-        for slots in product((0, 1, 2), repeat=c):  # a slot's digit: 2 is eliminated
-            digits = int("".join(map(str, slots)), 4) << 2 * (width - low - c)
-            literals = [f"{'!' * (1 - s)}r{low + j + 1}*" for j, s in enumerate(slots) if s < 2]
-            index = sum([(s >> 1 << c | s & 1) << j for j, s in enumerate(slots)])
-            parts[index] = (len(literals) << 2 * width | digits, "".join(literals))
+        parts = [(0, 0, "")]  # (index, key part, label part) per assignment of a prefix
+        for j in range(c):
+            digit, name = 1 << 2 * (width - low - j - 1), f"r{low + j + 1}*"
+            slots = ((0, fixed, "!" + name), (1 << j, fixed + digit, name),
+                     (1 << c + j, 2 * digit, ""))
+            parts = [(i | si, k + sk, t + st) for i, k, t in parts for si, sk, st in slots]
+        parts = {index: (key, label) for index, key, label in parts}
         chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, parts))
 
     def entry(code: int) -> tuple[int, str, int]:
