@@ -32,7 +32,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import groupby, product
+from itertools import chain, groupby, product, repeat
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -278,10 +278,10 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     carrying the defined cell count, both before any cell is grouped.
     """
     m = table.net.transition_count
-    cube = _Memo(partial(_to_cube, width=m)).__getitem__
+    cube, code = _Memo(partial(_to_cube, width=m)).__getitem__, operator.itemgetter(2)
     return tuple(
-        MassEquation(target, m, tuple([(cube(code), source) for source, group in groups
-                                       for *_, code in group]))
+        MassEquation(target, m, tuple(chain.from_iterable(
+            zip(map(cube, map(code, group)), repeat(source)) for source, group in groups)))
         for target, groups in _equations(table, minimize)
     )
 
