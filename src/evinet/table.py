@@ -325,8 +325,8 @@ def _equations(table: TransferTable, minimize: bool) -> Iterator[tuple[PlaceSet,
         for ymask in sorted(grouped, key=_order_key(n)):
             groups = grouped.pop(ymask).items()
             if minimize:
-                # a cube recurs across the sources of one target, seldom
-                # across targets, so each target's entries are made apart;
+                # a cube recurs across the sources of one target, seldom across
+                # targets, so the memo holds one target's entries, not the call's;
                 # a group's bits are distinct, so their sum is the on-set
                 entry = _Memo(make).__getitem__
                 groups = [(xmask, list(map(entry, _minimize_on(sum(group), m, covers, entry))))
