@@ -18,7 +18,7 @@ import sys
 import click
 
 from . import dsl
-from .engine import MassVector, _walk, ignorance_mass
+from .engine import _MEMO_LIMIT, MassVector, _walk, ignorance_mass
 from .errors import ConflictError, EvinetError, InvalidNetError
 from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts
 
@@ -182,23 +182,41 @@ def run(net_path: str, initial: str, input_path: str, form: str):
 
 
 def _records(net: PetriNet, form: str):
-    """The record of each step of one run, from mass writers built once per run,
-    so each mass value is printed once (see :func:`dsl._mass_serializer`)."""
+    """The record line of each step of one run, from mass writers built once per
+    run, so each mass value is printed once (see :func:`dsl._mass_serializer`),
+    and each receptivity's ``r=`` text made once, in a dict of the run that
+    starts afresh past ``_MEMO_LIMIT`` texts."""
     body = dsl._mass_serializer(net.places, "dense" if form == "dense" else "sparse")
     if form == "log" and net.place_count <= dsl.DENSE_PLACE_LIMIT:
         sparse, dense = body, dsl._mass_serializer(net.places, "dense")
         body = lambda mass: f"{sparse(mass)} dense={dense(mass)}"
+    texts: dict = {}
 
     def record(index: int, bits, mass: MassVector) -> str:
-        r_text = bytes(bits).translate(_BIT_TEXT).decode() if bits is not None else "-"
-        return f"step={index} r={r_text} mass={body(mass)}"
+        r_text = texts.get(bits)
+        if r_text is None:
+            if len(texts) >= _MEMO_LIMIT:
+                texts.clear()
+            r_text = texts[bits] = (
+                bytes(bits).translate(_BIT_TEXT).decode() if bits is not None else "-"
+            )
+        return f"step={index} r={r_text} mass={body(mass)}\n"
 
     return record
 
 
 def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> None:
     """Write ``record`` of each receptivity line of ``input_path`` ("-" is stdin), in
-    one write and one flush; the parser's bits are exactly what coercion returns."""
+    one write and one flush; the parser's bits are exactly what coercion returns.
+
+    Each distinct line text is parsed once per run: a dict maps it to its bits,
+    or to None for a blank or comment line, and the walk and the record key
+    their own memos by those bits. A line that fails to parse is never kept,
+    so it reports its own number; one longer than ``4 * m`` characters, for
+    ``m`` transitions, is parsed and not kept, and past ``_MEMO_LIMIT`` lines
+    the dict starts afresh. So what the run keeps is bounded by the net's
+    width, not by the stream.
+    """
     if input_path == "-":
         handle = sys.stdin
         if handle is None:  # the process started with file descriptor 0 closed
@@ -211,6 +229,9 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
     line_no, bits = 0, None  # the line read last: a step reads no line past its own
+    m, parse = net.transition_count, dsl.parse_receptivity_line
+    parsed: dict[str, tuple[int, ...] | None] = {}
+    get, longest = parsed.get, 4 * m
 
     def receptivities():
         nonlocal line_no, bits
@@ -223,16 +244,22 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             if not line:
                 return
             line_no += 1
-            bits = dsl.parse_receptivity_line(line, net.transition_count, line_no)
+            bits = get(line, False)  # False: a line not met yet, or not kept
+            if bits is False:
+                bits = parse(line, m, line_no)
+                if len(line) <= longest:
+                    if len(parsed) >= _MEMO_LIMIT:
+                        parsed.clear()
+                    parsed[line] = bits
             if bits is not None:
                 yield bits
 
     write, flush = sys.stdout.write, sys.stdout.flush
     try:
-        write(record(0, None, mass) + "\n")
+        write(record(0, None, mass))
         flush()
         for index, (r, after) in enumerate(_walk(net, mass, receptivities()), 1):
-            write(record(index, r, after) + "\n")
+            write(record(index, r, after))
             flush()
     except ConflictError as exc:
         details = "; ".join(

@@ -105,9 +105,14 @@ def _dense_masks(n: int) -> dict[int, int]:
     return dict(zip(_canonical_masks(n), count()))
 
 
+# The most entries a memo of one call or run keeps before it starts afresh.
+_MEMO_LIMIT = 1 << 13
+
+
 class _Memo(dict):
     """``make(key)`` for each key met, made on first use; a hit is one C-level
-    lookup. At most 8192 are kept: a miss beyond them starts the dict afresh."""
+    lookup. At most ``_MEMO_LIMIT`` are kept: a miss beyond them starts the
+    dict afresh."""
 
     __slots__ = ("make",)
 
@@ -116,7 +121,7 @@ class _Memo(dict):
         self.make = make
 
     def __missing__(self, key):
-        if len(self) >= 1 << 13:
+        if len(self) >= _MEMO_LIMIT:
             self.clear()
         value = self[key] = self.make(key)
         return value
@@ -392,7 +397,10 @@ def _flat_images(successors: tuple[int, ...]) -> array:
     return array("H", lanes)
 
 
-@functools.lru_cache(maxsize=64)
+_IMAGE_LIMIT = 64  # the image functions _image keeps, and a walk's memo of them
+
+
+@functools.lru_cache(maxsize=_IMAGE_LIMIT)
 def _image(net: PetriNet, bits: Receptivity) -> Callable[[int], int]:
     """The image of a place mask under a coerced receptivity, by table lookup.
 
@@ -443,11 +451,25 @@ def _walk(
 ) -> Iterator[tuple[Receptivity, MassVector]]:
     """Each coerced receptivity of ``inputs`` with the mass after its step; the
     one run loop. Only the first step range-checks its mass, as :func:`step`
-    does: every later mass is an image under the same net."""
+    does: every later mass is an image under the same net.
+
+    Each distinct receptivity's image is looked up through :func:`_image` once
+    per walk and kept in a dict keyed by the receptivity alone, so a repeated
+    one costs one C-level lookup and never hashes or compares the net. The
+    dict starts afresh past ``_IMAGE_LIMIT`` entries. All it holds was fetched
+    since then, so unless other steps run between the walk's, ``_image``'s
+    cache holds each of them too.
+    """
     n = net.place_count
     advance = _advance
+    images: dict[Receptivity, Callable[[int], int]] = {}
     for bits in inputs:
-        mass = advance(mass, _image(net, bits), n)
+        image = images.get(bits)
+        if image is None:
+            if len(images) >= _IMAGE_LIMIT:
+                images.clear()
+            image = images[bits] = _image(net, bits)
+        mass = advance(mass, image, n)
         advance = _transfer
         yield bits, mass
 

@@ -48,7 +48,8 @@ code, ``code | free << width``, which keeps the order; with no free variable
 the cover is the stored tuple.
 
 A cover is sorted in render order, by fixed-slot count, then slot by slot with
-0 < 1 < eliminated (``_cube_entries``' key). ``minimize_minterms`` checks its
+0 < 1 < eliminated (``_cube_entries``' key, which ``_code_key`` gives up to 8
+variables with no tables to build). ``minimize_minterms`` checks its
 arguments, ORs the minterms into an on-set int and decodes the cover;
 ``_minimize_on`` is the rest, for callers holding a nonempty on-set int of
 ``width`` variables, and checks nothing.
@@ -107,6 +108,31 @@ def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
         return key, label[:-1] or "1", code
 
     return entry
+
+
+# Each byte with its 8 bits reversed and spread to base-4 digits, bit 0 the top digit.
+_SPREAD = [int(f"{b:08b}"[::-1], 4) for b in range(256)]
+
+
+def _code_key(width: int) -> Callable[[int], object]:
+    """A sort key ordering cube codes of ``width`` variables as
+    ``_cube_entries`` does, for one minimization. Up to 8 variables it is that
+    key's int, worked out with no tables to build: the fixed count, then the
+    base-4 digits ``value + 2 * dashes``, which ``_SPREAD`` reverses so that
+    variable 0 leads. A cover of so few variables is a few cubes, which the
+    tables cost more than. Over more, the search outweighs the tables, and the
+    key is ``_cube_entries``' own."""
+    if width > 8:
+        return _cube_entries(width)
+    ones, fixed, pad = (1 << width) - 1, 2 * width, 16 - 2 * width
+
+    def key(code: int) -> int:
+        dashes = code >> width
+        return (width - dashes.bit_count()) << fixed | (
+            _SPREAD[code & ones] + 2 * _SPREAD[dashes] >> pad
+        )
+
+    return key
 
 
 # Merge masks are kept for widths up to this, 16 ints of 8 KiB at width 16;
@@ -217,13 +243,14 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
         raise ValueError(f"minterm out of range for {width} variables")
     # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
     codes = _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)),
-                         width, {}, _cube_entries(width))
+                         width, {}, _code_key(width))
     return tuple([_to_cube(code, width) for code in codes])
 
 
 def _minimize_on(on: int, width: int, covers: dict[int, tuple[int, ...]], key) -> tuple[int, ...]:
     """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked, as
-    cube codes sorted by ``key``, which must order them as ``_cube_entries``.
+    cube codes sorted by ``key``, which must order them as ``_cube_entries``
+    (``_code_key`` does).
 
     ``covers`` maps each cofactor searched so far to its sorted cover, with
     the free variables still 0. A caller passes one dict to all its calls of

@@ -6,14 +6,21 @@ CLI's records are diffed against ``engine.run``'s trajectory; and the CLI's
 memory must not grow with the length of its input. A mass the constructor
 accepts, its sum at either edge of the tolerance, never fails a step, and each
 merge moves the sum by at most an ulp. ``evinet validate`` scans a net once.
+
+``evinet run`` does a distinct line's work once: its per-run memos are diffed
+against parsing, stepping and writing every line on its own, they stay within
+their bounds, a repeated line never hashes or compares the net, and an error
+after memo hits still names its own line.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -35,10 +42,13 @@ from evinet import (
     table_step,
 )
 from evinet import cli
+from evinet import engine as engine_module
 from evinet import net as net_module
 from evinet.cli import main
+from evinet.dsl import parse_net, parse_receptivity_line
 from evinet.engine import DENSE_PLACE_LIMIT, NORMALIZATION_TOL, _members, _walk
-from _nets import random_admissible_receptivity, random_mass, random_net
+from evinet.net import PetriNet
+from _nets import cycle_net, random_admissible_receptivity, random_mass, random_net
 from _oracle import advance_every_step, byte_table_image
 
 
@@ -186,14 +196,34 @@ def test_cli_records_are_the_trajectory(tmp_path, form):
 
         trajectory = run(net, initial or ignorance_mass(net), stream)
         masses = [trajectory.initial, *(mass for _, mass in trajectory.steps)]
-        lines = []
-        for index, (bits, mass) in enumerate(zip([None, *stream], masses)):
-            r_text = "".join(map(str, bits)) if bits is not None else "-"
-            body = serialize_mass(mass, net.places, "dense" if form == "dense" else "sparse")
-            if form == "log" and net.place_count <= DENSE_PLACE_LIMIT:
-                body += " dense=" + serialize_mass(mass, net.places, "dense")
-            lines.append(f"step={index} r={r_text} mass={body}\n")
+        lines = [
+            _record_line(net, form, index, bits, mass)
+            for index, (bits, mass) in enumerate(zip([None, *stream], masses))
+        ]
         assert result.stdout == "".join(lines)
+
+
+def _record_line(net, form: str, index: int, bits, mass: MassVector) -> str:
+    """One record of ``evinet run``, written by :func:`serialize_mass`."""
+    r_text = "".join(map(str, bits)) if bits is not None else "-"
+    body = serialize_mass(mass, net.places, "dense" if form == "dense" else "sparse")
+    if form == "log" and net.place_count <= DENSE_PLACE_LIMIT:
+        body += " dense=" + serialize_mass(mass, net.places, "dense")
+    return f"step={index} r={r_text} mass={body}\n"
+
+
+def _oracle_records(net, mass: MassVector, lines, form: str = "log"):
+    """The records of ``evinet run`` over ``lines``, each line on its own: parsed
+    by :func:`parse_receptivity_line`, stepped by :func:`step`, written by
+    :func:`serialize_mass`; lazily, so a long stream is never held."""
+    index = 0
+    yield _record_line(net, form, 0, None, mass)
+    for line_no, line in enumerate(lines, 1):
+        bits = parse_receptivity_line(line, net.transition_count, line_no)
+        if bits is not None:
+            index += 1
+            mass = step(net, mass, bits)
+            yield _record_line(net, form, index, bits, mass)
 
 
 def test_a_failing_step_names_its_own_line(data_dir):
@@ -270,3 +300,168 @@ def test_validate_scans_the_net_once(monkeypatch, data_dir, name):
         ),
     }
     assert (result.exit_code, result.stdout, result.stderr) == expected[name]
+
+
+class _Lines:
+    """Standard input with no byte buffer: one line of ``lines`` per
+    ``readline``, after a call of ``before``."""
+
+    def __init__(self, lines, before=lambda: None):
+        self.lines = iter(lines)
+        self.before = before
+
+    def readline(self) -> str:
+        self.before()
+        return next(self.lines, "")
+
+
+def _run_in_process(args, stdin, stdout) -> int:
+    """The exit status of ``evinet run ARGS`` in this process, on ``stdin`` and
+    ``stdout``."""
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = stdin, stdout
+    try:
+        main.main(args=["run", *args], prog_name="evinet", standalone_mode=False)
+        return 0
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.stdin, sys.stdout = saved
+
+
+def test_no_net_is_hashed_or_compared_per_line(monkeypatch, data_dir):
+    # The caches key on a net equal to, but not the same object as, the one the
+    # command parses, as in a second run in one process.
+    path = data_dir / "fig2.evinet"
+    twin = parse_net(path.read_text())
+    combos = [(0, 0, 0, 0), (1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 1, 1)]
+    engine_module._image.cache_clear()
+    for bits in combos:
+        engine_module._image(twin, bits)
+    calls = {"__eq__": 0, "__hash__": 0}
+    counting = []
+
+    def counted(name):
+        original = getattr(PetriNet, name)
+
+        def method(*args):
+            calls[name] += bool(counting)
+            return original(*args)
+
+        return method
+
+    for name in calls:
+        monkeypatch.setattr(PetriNet, name, counted(name))
+    rng = random.Random(2000)
+    lines = [" ".join(map(str, rng.choice(combos))) + "\n" for _ in range(2000)]
+    out = io.StringIO()
+    # counted from the first line read, past the command's set-up
+    status = _run_in_process(
+        ["--net", str(path)], _Lines(lines, lambda: counting.append(1)), out
+    )
+    counting.clear()
+    assert status == 0
+    distinct = len(set(lines))
+    assert distinct == len(combos)
+    assert calls["__eq__"] <= distinct and calls["__hash__"] <= distinct
+    assert out.getvalue() == "".join(
+        _oracle_records(twin, ignorance_mass(twin), lines, "sparse")
+    )
+
+
+def test_distinct_lines_with_long_comments_are_not_kept(tmp_path, data_dir):
+    path = data_dir / "fig2.evinet"
+    net = parse_net(path.read_text())
+    initial = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.25, frozenset({1, 2}): 0.25})
+    combos = ["0 0 0 0", "1 0 1 1", "0 1 0 1", "0 0 1 0", "1 0 0 0", "0 1 1 1"]
+    args = ["--net", str(path), "--format", "log", "--initial", serialize_mass(initial, net.places)]
+
+    def stream(count):
+        rng = random.Random(count)
+        for k in range(count):  # each line distinct, with a 4 KiB comment
+            yield f"{rng.choice(combos)} # {k} {'x' * 4096}\n"
+
+    _run_in_process(args, _Lines(stream(10)), io.StringIO())  # fill the per-net caches
+    records = tmp_path / "records.txt"
+    with open(records, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            status = _run_in_process(args, _Lines(stream(20_000)), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    # measured: 0.16 MiB; keeping the lines would take 80 MiB, 32 MiB
+    # of them at the memo's 8192-entry bound
+    assert peak < 1 << 20
+    with open(records, encoding="utf-8") as got:
+        expected = _oracle_records(net, initial, stream(20_000))
+        assert all(a == b for a, b in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("n", [12, 34])
+def test_the_image_memo_holds_at_most_64_images(monkeypatch, tmp_path, n):
+    rng = random.Random(n)
+    net = cycle_net(n)
+    path = tmp_path / "cycle.evinet"
+    path.write_text(serialize_net(net))
+    initial = random_mass(rng, n, max_focals=12)
+    distinct = sorted({tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(120)})
+    assert len(distinct) > 64
+    lines = [" ".join(map(str, rng.choice(distinct))) + "\n" for _ in range(600)]
+    expected = "".join(_oracle_records(net, initial, lines, "sparse"))
+
+    class Tracked:
+        __slots__ = ("image", "__weakref__")
+
+        def __init__(self, image):
+            self.image = image
+
+        def __call__(self, x):
+            return self.image(x)
+
+    images, live = engine_module._image, weakref.WeakSet()
+    made, most = [], []
+
+    def tracked(net, bits):
+        made.append(bits)
+        image = Tracked(images(net, bits))
+        live.add(image)
+        return image
+
+    monkeypatch.setattr(engine_module, "_image", tracked)
+    out = io.StringIO()
+    args = ["--net", str(path), "--initial", serialize_mass(initial, net.places)]
+    status = _run_in_process(args, _Lines(lines, lambda: most.append(len(live))), out)
+    assert status == 0
+    assert out.getvalue() == expected
+    assert max(most) == 64  # full, and never fuller
+    assert len(set(lines)) < len(made) < len(lines)  # evicted and refetched, and hit
+
+
+_INITIAL = "{P1}:0.5 {P2}:0.25 {P2,P3}:0.25"
+# repeated valid lines, blank and comment lines, then one that fails
+_VALID = ["0 1 0 1\n", "1 0 0 0\n", "# note\n", "\n", "0 1 0 1\n", "1 0 0 0\n", "\n", "0 1 0 1\n"]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("0 1 2 1\n", "non-binary token '2'"),
+        ("0 1 0\n", "expected 4 receptivity bits, got 3"),
+        ("1 1 0 0\n", "receptivity 1100 enables conflicting transitions at P1 with t1, t2"),
+    ],
+    ids=["non-binary", "width", "conflict"],
+)
+def test_an_error_after_memo_hits_names_its_own_line(data_dir, bad, error):
+    path = data_dir / "fig2.evinet"
+    net = parse_net(path.read_text())
+    lines = [*_VALID, bad, *_VALID]
+    result = CliRunner().invoke(
+        main, ["run", "--net", str(path), "--initial", _INITIAL, "--format", "log"],
+        input="".join(lines),
+    )
+    assert result.exit_code == 1
+    initial = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.25, frozenset({1, 2}): 0.25})
+    assert result.stdout == "".join(_oracle_records(net, initial, _VALID))
+    assert result.stderr == f"error: line {len(_VALID) + 1}: {error}\n"
