@@ -182,24 +182,15 @@ def run(net_path: str, initial: str, input_path: str, form: str):
 
 
 def _records(net: PetriNet, form: str):
-    """The record line of each step of one run, from mass writers built once per
-    run, so each mass value is printed once (see :func:`dsl._mass_serializer`),
-    and each receptivity's ``r=`` text made once, in a dict of the run that
-    starts afresh past ``_MEMO_LIMIT`` texts."""
+    """The record line of each step of one run, given the step's ``r=`` text,
+    from mass writers built once per run, so each mass value is printed once
+    (see :func:`dsl._mass_serializer`)."""
     body = dsl._mass_serializer(net.places, "dense" if form == "dense" else "sparse")
     if form == "log" and net.place_count <= dsl.DENSE_PLACE_LIMIT:
         sparse, dense = body, dsl._mass_serializer(net.places, "dense")
         body = lambda mass: f"{sparse(mass)} dense={dense(mass)}"
-    texts: dict = {}
 
-    def record(index: int, bits, mass: MassVector) -> str:
-        r_text = texts.get(bits)
-        if r_text is None:
-            if len(texts) >= _MEMO_LIMIT:
-                texts.clear()
-            r_text = texts[bits] = (
-                bytes(bits).translate(_BIT_TEXT).decode() if bits is not None else "-"
-            )
+    def record(index: int, r_text: str, mass: MassVector) -> str:
         return f"step={index} r={r_text} mass={body(mass)}\n"
 
     return record
@@ -209,13 +200,13 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
     """Write ``record`` of each receptivity line of ``input_path`` ("-" is stdin), in
     one write and one flush; the parser's bits are exactly what coercion returns.
 
-    Each distinct line text is parsed once per run: a dict maps it to its bits,
-    or to None for a blank or comment line, and the walk and the record key
-    their own memos by those bits. A line that fails to parse is never kept,
-    so it reports its own number; one longer than ``4 * m`` characters, for
-    ``m`` transitions, is parsed and not kept, and past ``_MEMO_LIMIT`` lines
-    the dict starts afresh. So what the run keeps is bounded by the net's
-    width, not by the stream.
+    Each distinct line text is parsed once per run: a dict maps it to its bits
+    and their ``r=`` text, or to None for a blank or comment line, and the walk
+    keys its image memo by those bits. A line that fails to parse is never
+    kept, so it reports its own number; one longer than ``4 * m`` characters,
+    for ``m`` transitions, is parsed and not kept, and past ``_MEMO_LIMIT``
+    lines the dict starts afresh. So what the run keeps is bounded by the
+    net's width, not by the stream.
     """
     if input_path == "-":
         handle = sys.stdin
@@ -228,13 +219,14 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
-    line_no, bits = 0, None  # the line read last: a step reads no line past its own
+    # the line read last, and its r= text: a step reads no line past its own
+    line_no, r_text = 0, None
     m, parse = net.transition_count, dsl.parse_receptivity_line
-    parsed: dict[str, tuple[int, ...] | None] = {}
+    parsed: dict[str, tuple[tuple[int, ...], str] | None] = {}
     get, longest = parsed.get, 4 * m
 
     def receptivities():
-        nonlocal line_no, bits
+        nonlocal line_no, r_text
         while True:
             try:
                 line = handle.readline()
@@ -244,22 +236,25 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             if not line:
                 return
             line_no += 1
-            bits = get(line, False)  # False: a line not met yet, or not kept
-            if bits is False:
+            entry = get(line, False)  # False: a line not met yet, or not kept
+            if entry is False:
                 bits = parse(line, m, line_no)
+                entry = None if bits is None else (bits, bytes(bits).translate(_BIT_TEXT).decode())
                 if len(line) <= longest:
                     if len(parsed) >= _MEMO_LIMIT:
                         parsed.clear()
-                    parsed[line] = bits
-            if bits is not None:
+                    parsed[line] = entry
+            if entry is not None:
+                bits, r_text = entry
                 yield bits
 
     write, flush = sys.stdout.write, sys.stdout.flush
     try:
-        write(record(0, None, mass))
+        write(record(0, "-", mass))
         flush()
-        for index, (r, after) in enumerate(_walk(net, mass, receptivities()), 1):
-            write(record(index, r, after))
+        # the walk steps on each line as it is read, so r_text is the step's
+        for index, (_, after) in enumerate(_walk(net, mass, receptivities()), 1):
+            write(record(index, r_text, after))
             flush()
     except ConflictError as exc:
         details = "; ".join(
@@ -268,9 +263,7 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             for v in exc.conflicts
         )
         _fail(
-            f"line {line_no}: receptivity"
-            f" {bytes(bits).translate(_BIT_TEXT).decode()} enables"
-            f" conflicting transitions at {details}"
+            f"line {line_no}: receptivity {r_text} enables conflicting transitions at {details}"
         )
     finally:
         if input_path != "-":

@@ -702,7 +702,7 @@ class TestPerRunWriters:
                 assert writers[form](m) == serialize_mass(m, net.places, form) == expected[form]
             r_text = "".join(map(str, bits)) if bits is not None else "-"
             body = expected["sparse"] + (f" dense={expected['dense']}" if "dense" in expected else "")
-            assert record(index, bits, m) == f"step={index} r={r_text} mass={body}\n"
+            assert record(index, r_text, m) == f"step={index} r={r_text} mass={body}\n"
 
     @pytest.mark.parametrize(
         "net, k", [(fig1_net(), 7), (fig2_net(), 7), (cycle_net(7), 60)],
