@@ -25,8 +25,14 @@ from .net import DEFAULT_SIZE_CAP, PetriNet, detect_conflicts
 ENV_MAX_PLACES = "EVINET_MAX_PLACES"
 
 # A receptivity's 0/1 ints as the bytes "0" and "1", so ``bytes(bits)`` translates
-# to its text in one call.
+# to its text in one call, and its text's bytes back.
 _BIT_TEXT = bytes.maketrans(b"\0\1", b"01")
+_TEXT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+# What one run's line memo may hold. An entry is a line of at most 4 * m
+# characters, each up to 4 bytes, its m-character r= text and its share of the
+# dict: at most 17 * m + 256 bytes, so a wide net keeps fewer than 8192.
+_LINE_MEMO_BYTES = 8 << 20
 
 
 def _fail(message: str) -> None:
@@ -200,13 +206,14 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
     """Write ``record`` of each receptivity line of ``input_path`` ("-" is stdin), in
     one write and one flush; the parser's bits are exactly what coercion returns.
 
-    Each distinct line text is parsed once per run: a dict maps it to its bits
-    and their ``r=`` text, or to None for a blank or comment line, and the walk
-    keys its image memo by those bits. A line that fails to parse is never
-    kept, so it reports its own number; one longer than ``4 * m`` characters,
-    for ``m`` transitions, is parsed and not kept, and past ``_MEMO_LIMIT``
-    lines the dict starts afresh. So what the run keeps is bounded by the
-    net's width, not by the stream.
+    Each distinct line text is parsed once per run: a dict maps it to its
+    ``r=`` text, or to "" for a blank or comment line, and a repeated line's
+    bits are read back from that text; the walk keys its image memo by them. A
+    line that fails to parse is never kept, so it reports its own number; one
+    longer than ``4 * m`` characters, for ``m`` transitions, is parsed and not
+    kept. The dict starts afresh past ``_MEMO_LIMIT`` entries, or fewer when
+    their bytes could pass ``_LINE_MEMO_BYTES``, so a run keeps at most 8 MiB
+    of lines whatever the stream's length.
     """
     if input_path == "-":
         handle = sys.stdin
@@ -222,8 +229,11 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
     # the line read last, and its r= text: a step reads no line past its own
     line_no, r_text = 0, None
     m, parse = net.transition_count, dsl.parse_receptivity_line
-    parsed: dict[str, tuple[tuple[int, ...], str] | None] = {}
+    # Only str objects are kept: kept tuples would count towards the garbage
+    # collector's threshold, and each collection walks the live image tables.
+    parsed: dict[str, str] = {}
     get, longest = parsed.get, 4 * m
+    limit = min(_MEMO_LIMIT, _LINE_MEMO_BYTES // (17 * m + 256))
 
     def receptivities():
         nonlocal line_no, r_text
@@ -236,16 +246,17 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             if not line:
                 return
             line_no += 1
-            entry = get(line, False)  # False: a line not met yet, or not kept
-            if entry is False:
+            r_text = get(line)
+            if r_text is None:  # a line not met yet, or not kept
                 bits = parse(line, m, line_no)
-                entry = None if bits is None else (bits, bytes(bits).translate(_BIT_TEXT).decode())
+                r_text = "" if bits is None else bytes(bits).translate(_BIT_TEXT).decode()
                 if len(line) <= longest:
-                    if len(parsed) >= _MEMO_LIMIT:
+                    if len(parsed) >= limit:
                         parsed.clear()
-                    parsed[line] = entry
-            if entry is not None:
-                bits, r_text = entry
+                    parsed[line] = r_text
+            elif r_text:
+                bits = tuple(r_text.encode().translate(_TEXT_BITS))
+            if r_text:
                 yield bits
 
     write, flush = sys.stdout.write, sys.stdout.flush

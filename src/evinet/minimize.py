@@ -48,11 +48,10 @@ code, ``code | free << width``, which keeps the order; with no free variable
 the cover is the stored tuple.
 
 A cover is sorted in render order, by fixed-slot count, then slot by slot with
-0 < 1 < eliminated (``_cube_entries``' key, which ``_code_key`` gives up to 8
-variables with no tables to build). ``minimize_minterms`` checks its
-arguments, ORs the minterms into an on-set int and decodes the cover;
-``_minimize_on`` is the rest, for callers holding a nonempty on-set int of
-``width`` variables, and checks nothing.
+0 < 1 < eliminated (``_code_key``, which ``_cube_entries`` also uses).
+``minimize_minterms`` checks its arguments, ORs the minterms into an on-set
+int and decodes the cover; ``_minimize_on`` is the rest, for callers holding
+a nonempty on-set int of ``width`` variables, and checks nothing.
 
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
 variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
@@ -80,59 +79,54 @@ def _to_cube(code: int, width: int) -> Cube:
     return tuple([None if code >> width + j & 1 else code >> j & 1 for j in range(width)])
 
 
-def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
-    """``entry(code)``, a cube code's sort key, product label and code. The key
-    orders cubes of one width by fixed count, then by one base-4 digit per slot
-    (0, 1, or 2 when eliminated), variable 0 first; the label joins ``r<j+1>``
-    or ``!r<j+1>`` per fixed slot j with ``*``, or is ``1``. Both are sums of
-    parts from one table per 4 variables, built once for the returned function
-    and indexed by the chunk's ``dashes << c | value``."""
-    chunks, fixed = [], 1 << 2 * width  # a fixed slot counts above every digit
-    for low in range(0, width, 4):
-        c = min(4, width - low)
-        parts = [(0, 0, "")]  # (index, key part, label part) per assignment of a prefix
-        for j in range(c):
-            digit, name = 1 << 2 * (width - low - j - 1), f"r{low + j + 1}*"
-            slots = ((0, fixed, "!" + name), (1 << j, fixed + digit, name),
-                     (1 << c + j, 2 * digit, ""))
-            parts = [(i | si, k + sk, t + st) for i, k, t in parts for si, sk, st in slots]
-        parts = {index: (key, label) for index, key, label in parts}
-        chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, parts))
-
-    def entry(code: int) -> tuple[int, str, int]:
-        key, label = 0, ""  # each part of a label ends in "*", dropped at the end
-        for dash_shift, dash_mask, low, ones, parts in chunks:
-            part_key, part = parts[code >> dash_shift & dash_mask | code >> low & ones]
-            key += part_key
-            label += part
-        return key, label[:-1] or "1", code
-
-    return entry
-
-
 # Each byte with its 8 bits reversed and spread to base-4 digits, bit 0 the top digit.
 _SPREAD = [int(f"{b:08b}"[::-1], 4) for b in range(256)]
 
 
-def _code_key(width: int) -> Callable[[int], object]:
-    """A sort key ordering cube codes of ``width`` variables as
-    ``_cube_entries`` does, for one minimization. Up to 8 variables it is that
-    key's int, worked out with no tables to build: the fixed count, then the
-    base-4 digits ``value + 2 * dashes``, which ``_SPREAD`` reverses so that
-    variable 0 leads. A cover of so few variables is a few cubes, which the
-    tables cost more than. Over more, the search outweighs the tables, and the
-    key is ``_cube_entries``' own."""
-    if width > 8:
-        return _cube_entries(width)
-    ones, fixed, pad = (1 << width) - 1, 2 * width, 16 - 2 * width
+def _code_key(width: int) -> Callable[[int], int]:
+    """The sort key of a cube code of ``width`` variables, as an int: its fixed
+    count, then one base-4 digit per slot (0, 1, or 2 when eliminated),
+    variable 0 first. The digits are ``value + 2 * dashes`` a byte at a time,
+    spread and reversed by ``_SPREAD``, so no table is built per width."""
+    ones, fixed, pad, spread = (1 << width) - 1, 2 * width, -2 * width % 16, _SPREAD
+    shifts = tuple(range(0, width, 8))
 
     def key(code: int) -> int:
-        dashes = code >> width
-        return (width - dashes.bit_count()) << fixed | (
-            _SPREAD[code & ones] + 2 * _SPREAD[dashes] >> pad
-        )
+        value, dashes, digits = code & ones, code >> width, 0
+        for shift in shifts:
+            digits = digits << 16 | spread[value >> shift & 255] + 2 * spread[dashes >> shift & 255]
+        return (width - dashes.bit_count()) << fixed | digits >> pad
 
     return key
+
+
+# minimize_minterms' key at each width it takes, made once
+_CODE_KEYS = tuple(map(_code_key, range(WIDTH_LIMIT + 1)))
+
+
+def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
+    """``entry(code)``, a cube code's sort key (:func:`_code_key`), product
+    label and code. The label joins ``r<j+1>`` or ``!r<j+1>`` per fixed slot j
+    with ``*``, or is ``1``; it is the sum of parts from one table per 4
+    variables, built once for the returned function and indexed by the
+    chunk's ``dashes << c | value``."""
+    key, chunks = _code_key(width), []
+    for low in range(0, width, 4):
+        c = min(4, width - low)
+        parts = [(0, "")]  # (index, label part) per assignment of a prefix
+        for j in range(c):
+            name = f"r{low + j + 1}*"
+            slots = ((0, "!" + name), (1 << j, name), (1 << c + j, ""))
+            parts = [(i | si, t + st) for i, t in parts for si, st in slots]
+        chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, dict(parts)))
+
+    def entry(code: int) -> tuple[int, str, int]:
+        label = ""  # each part of a label ends in "*", dropped at the end
+        for dash_shift, dash_mask, low, ones, parts in chunks:
+            label += parts[code >> dash_shift & dash_mask | code >> low & ones]
+        return key(code), label[:-1] or "1", code
+
+    return entry
 
 
 # Merge masks are kept for widths up to this, 16 ints of 8 KiB at width 16;
@@ -243,7 +237,7 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
         raise ValueError(f"minterm out of range for {width} variables")
     # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
     codes = _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)),
-                         width, {}, _code_key(width))
+                         width, {}, _CODE_KEYS[width])
     return tuple([_to_cube(code, width) for code in codes])
 
 

@@ -15,6 +15,7 @@ after memo hits still names its own line.
 
 from __future__ import annotations
 
+import gc
 import io
 import math
 import random
@@ -48,7 +49,14 @@ from evinet.cli import main
 from evinet.dsl import parse_net, parse_receptivity_line
 from evinet.engine import DENSE_PLACE_LIMIT, NORMALIZATION_TOL, _members, _walk
 from evinet.net import PetriNet
-from _nets import cycle_net, random_admissible_receptivity, random_mass, random_net
+from _nets import (
+    alternating_net,
+    cycle_net,
+    fig2_net,
+    random_admissible_receptivity,
+    random_mass,
+    random_net,
+)
 from _oracle import advance_every_step, byte_table_image
 
 
@@ -369,34 +377,89 @@ def test_no_net_is_hashed_or_compared_per_line(monkeypatch, data_dir):
     )
 
 
-def test_distinct_lines_with_long_comments_are_not_kept(tmp_path, data_dir):
-    path = data_dir / "fig2.evinet"
-    net = parse_net(path.read_text())
-    initial = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.25, frozenset({1, 2}): 0.25})
+def _fig2_with_long_comments(count):
+    """Distinct fig2 lines, each with a 4 KiB comment, so none is kept."""
+    rng = random.Random(count)
     combos = ["0 0 0 0", "1 0 1 1", "0 1 0 1", "0 0 1 0", "1 0 0 0", "0 1 1 1"]
+    for k in range(count):
+        yield f"{rng.choice(combos)} # {k} {'x' * 4096}\n"
+
+
+def _wide_with_short_comments(count):
+    """Distinct lines of 1000 bits with short comments, each short enough to keep."""
+    rng = random.Random(count)
+    combos = []
+    for ones in ((), (0,), (1,), (0, 1)):  # at most one true output per place
+        bits = ["0"] * 1000
+        for j in ones:
+            bits[j] = "1"
+        combos.append(" ".join(bits))
+    for k in range(count):
+        yield f"{rng.choice(combos)} # {k}\n"
+
+
+@pytest.mark.parametrize(
+    "net, lines, count, bound",
+    [
+        # measured: 0.16 MiB; keeping the lines would take 80 MiB, 32 MiB of
+        # them at the memo's 8192-entry bound
+        (fig2_net(), _fig2_with_long_comments, 20_000, 1 << 20),
+        # every line is kept up to the byte budget: 486 lines, about 1.5 MiB;
+        # 8192 of them would take 24 MiB
+        (alternating_net(1000), _wide_with_short_comments, 4_000, cli._LINE_MEMO_BYTES),
+    ],
+    ids=["long-comments", "wide"],
+)
+def test_distinct_lines_stay_within_the_memo_bound(tmp_path, net, lines, count, bound):
+    path = tmp_path / "net.evinet"
+    path.write_text(serialize_net(net))
+    initial = MassVector({frozenset({0}): 0.5, frozenset({1}): 0.25, frozenset({0, 1}): 0.25})
     args = ["--net", str(path), "--format", "log", "--initial", serialize_mass(initial, net.places)]
-
-    def stream(count):
-        rng = random.Random(count)
-        for k in range(count):  # each line distinct, with a 4 KiB comment
-            yield f"{rng.choice(combos)} # {k} {'x' * 4096}\n"
-
-    _run_in_process(args, _Lines(stream(10)), io.StringIO())  # fill the per-net caches
+    _run_in_process(args, _Lines(lines(10)), io.StringIO())  # fill the per-net caches
     records = tmp_path / "records.txt"
     with open(records, "w", encoding="utf-8") as out:
         tracemalloc.start()
         try:
-            status = _run_in_process(args, _Lines(stream(20_000)), out)
+            status = _run_in_process(args, _Lines(lines(count)), out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert status == 0
-    # measured: 0.16 MiB; keeping the lines would take 80 MiB, 32 MiB
-    # of them at the memo's 8192-entry bound
-    assert peak < 1 << 20
+    assert peak < bound
     with open(records, encoding="utf-8") as got:
-        expected = _oracle_records(net, initial, stream(20_000))
+        expected = _oracle_records(net, initial, lines(count))
         assert all(a == b for a, b in zip(got, expected, strict=True))
+
+
+def test_distinct_lines_set_off_no_more_garbage_collections(tmp_path):
+    # Kept tuples would count towards the collector's threshold, and each
+    # collection walks every live image table: the memos keep none, so a
+    # longer stream of distinct lines sets off no more collections.
+    net = cycle_net(12)
+    path = tmp_path / "cycle.evinet"
+    path.write_text(serialize_net(net))
+    codes = random.Random(12).sample(range(1 << 12), 4000)
+    lines = [" ".join(f"{code:012b}") + "\n" for code in codes]
+    args = ["--net", str(path)]
+    _run_in_process(args, _Lines(lines), io.StringIO())  # fill the per-net caches
+
+    def collections(count):
+        started = []
+
+        def counted(phase, info):
+            started.append(phase == "start")
+
+        gc.collect()
+        gc.callbacks.append(counted)
+        try:
+            assert _run_in_process(args, _Lines(lines[:count]), io.StringIO()) == 0
+        finally:
+            gc.callbacks.remove(counted)
+        return sum(started)
+
+    short = collections(2000)
+    # measured: 3 and 3; 6 and 11 when each line's bits are kept in a tuple
+    assert collections(4000) <= short + 1
 
 
 @pytest.mark.parametrize("n", [12, 34])
