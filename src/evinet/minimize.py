@@ -48,10 +48,11 @@ code, ``code | free << width``, which keeps the order; with no free variable
 the cover is the stored tuple.
 
 A cover is sorted in render order, by fixed-slot count, then slot by slot with
-0 < 1 < eliminated (``_code_key``, which ``_cube_entries`` also uses).
-``minimize_minterms`` checks its arguments, ORs the minterms into an on-set
-int and decodes the cover; ``_minimize_on`` is the rest, for callers holding
-a nonempty on-set int of ``width`` variables, and checks nothing.
+0 < 1 < eliminated: ``_code_key``, which ``minimize_minterms`` sorts by, and
+which ``_cube_entries`` sums from its label tables. ``minimize_minterms``
+checks its arguments, ORs the minterms into an on-set int and decodes the
+cover; ``_minimize_on`` is the rest, for callers holding a nonempty on-set
+int of ``width`` variables, and checks nothing.
 
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
 variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
@@ -87,7 +88,8 @@ def _code_key(width: int) -> Callable[[int], int]:
     """The sort key of a cube code of ``width`` variables, as an int: its fixed
     count, then one base-4 digit per slot (0, 1, or 2 when eliminated),
     variable 0 first. The digits are ``value + 2 * dashes`` a byte at a time,
-    spread and reversed by ``_SPREAD``, so no table is built per width."""
+    spread and reversed by ``_SPREAD``, so no table is built per width: a
+    small minimization sorts a few cubes, which the tables cost more than."""
     ones, fixed, pad, spread = (1 << width) - 1, 2 * width, -2 * width % 16, _SPREAD
     shifts = tuple(range(0, width, 8))
 
@@ -105,26 +107,31 @@ _CODE_KEYS = tuple(map(_code_key, range(WIDTH_LIMIT + 1)))
 
 
 def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
-    """``entry(code)``, a cube code's sort key (:func:`_code_key`), product
-    label and code. The label joins ``r<j+1>`` or ``!r<j+1>`` per fixed slot j
-    with ``*``, or is ``1``; it is the sum of parts from one table per 4
-    variables, built once for the returned function and indexed by the
-    chunk's ``dashes << c | value``."""
-    key, chunks = _code_key(width), []
+    """``entry(code)``, a cube code's sort key, product label and code. The key
+    is the int :func:`_code_key` makes; the label joins ``r<j+1>`` or
+    ``!r<j+1>`` per fixed slot j with ``*``, or is ``1``. Both are sums of
+    parts from one table per 4 variables, built once for the returned function
+    and indexed by the chunk's ``dashes << c | value``, so the equations
+    renderer makes both of a cube in one pass."""
+    chunks, fixed = [], 1 << 2 * width  # a fixed slot counts above every digit
     for low in range(0, width, 4):
         c = min(4, width - low)
-        parts = [(0, "")]  # (index, label part) per assignment of a prefix
+        parts = [(0, 0, "")]  # (index, key part, label part) per assignment of a prefix
         for j in range(c):
-            name = f"r{low + j + 1}*"
-            slots = ((0, "!" + name), (1 << j, name), (1 << c + j, ""))
-            parts = [(i | si, t + st) for i, t in parts for si, st in slots]
-        chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, dict(parts)))
+            digit, name = 1 << 2 * (width - low - j - 1), f"r{low + j + 1}*"
+            slots = ((0, fixed, "!" + name), (1 << j, fixed + digit, name),
+                     (1 << c + j, 2 * digit, ""))
+            parts = [(i | si, k + sk, t + st) for i, k, t in parts for si, sk, st in slots]
+        parts = {index: (key, label) for index, key, label in parts}
+        chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, parts))
 
     def entry(code: int) -> tuple[int, str, int]:
-        label = ""  # each part of a label ends in "*", dropped at the end
+        key, label = 0, ""  # each part of a label ends in "*", dropped at the end
         for dash_shift, dash_mask, low, ones, parts in chunks:
-            label += parts[code >> dash_shift & dash_mask | code >> low & ones]
-        return key(code), label[:-1] or "1", code
+            part_key, part = parts[code >> dash_shift & dash_mask | code >> low & ones]
+            key += part_key
+            label += part
+        return key, label[:-1] or "1", code
 
     return entry
 

@@ -30,7 +30,7 @@ from evinet import (
 from evinet import cli
 from evinet import table as table_module
 from evinet.engine import _Memo
-from evinet.minimize import _cube_entries, _to_cube
+from evinet.minimize import _code_key, _cube_entries, _to_cube
 from evinet.table import EQUATION_FORMAT_VERSION
 from _nets import (
     benchmark_generator,
@@ -331,11 +331,13 @@ def _code(cube) -> int:
 
 
 def _assert_entries_match_the_per_slot_oracle(cubes, width):
-    entry, literals = _cube_entries(width), []
+    """Each cube's entry, and ``minimize_minterms``' key as its first item."""
+    entry, key, literals = _cube_entries(width), _code_key(width), []
     for cube in cubes:
         code = _code(cube)
         assert _to_cube(code, width) == cube
         assert entry(code) == (*_cube_key_label(cube, literals), code)
+        assert key(code) == entry(code)[0]
 
 
 @pytest.mark.parametrize("width", range(7))
