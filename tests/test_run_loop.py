@@ -9,8 +9,9 @@ merge moves the sum by at most an ulp. ``evinet validate`` scans a net once.
 
 ``evinet run`` does a distinct line's work once: its per-run memos are diffed
 against parsing, stepping and writing every line on its own, they stay within
-their bounds, a repeated line never hashes or compares the net, and an error
-after memo hits still names its own line.
+their bounds and set off no garbage collection of their own, a repeated line
+never hashes or compares the net, and an error after memo hits still names
+its own line.
 """
 
 from __future__ import annotations
