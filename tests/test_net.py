@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,15 @@ from evinet import (
     ConflictSet,
     DimensionError,
     InvalidNetError,
+    MassEquation,
+    MassVector,
+    NetDocument,
     PetriNet,
+    ReceptivityConflict,
+    Trajectory,
+    TransferTable,
+    ValidationReport,
+    Violation,
     build_transfer_table,
     check_receptivity,
     classic_step,
@@ -21,6 +31,7 @@ from evinet import (
     step,
     validate_net,
 )
+from evinet.net import _Structure
 from _nets import (
     FIG1_POST,
     FIG1_PRE,
@@ -441,6 +452,197 @@ class TestHash:
             capture_output=True,
         )
         assert result.returncode == 0, result.stderr.decode()
+
+
+def _table_fields():
+    table = build_transfer_table(net_from_transitions(2, [(0, 1)], name="pair"))
+    return (table.net, table.admissible, table.rows, table._masks)
+
+
+_PAIR = PetriNet(("a", "b"), ("t",), ((1,), (0,)), ((0,), (1,)))
+
+# each record type with the names and values of its fields, and its repr
+_RECORDS = {
+    "PetriNet": (
+        PetriNet,
+        ("places", "transitions", "pre", "post", "name"),
+        lambda: (("a", "b"), ("t",), ((1,), (0,)), ((0,), (1,)), "net"),
+        "PetriNet(places=('a', 'b'), transitions=('t',), pre=((1,), (0,)),"
+        " post=((0,), (1,)), name='net')",
+    ),
+    "Violation": (
+        Violation,
+        ("kind", "message", "place", "transition"),
+        lambda: ("self-loop", "transition 1 loops on place 0", 0, 1),
+        "Violation(kind='self-loop', message='transition 1 loops on place 0',"
+        " place=0, transition=1)",
+    ),
+    "ValidationReport": (
+        ValidationReport,
+        ("violations",),
+        lambda: ((Violation("size", "net has no transitions"),),),
+        "ValidationReport(violations=(Violation(kind='size', message='net has no"
+        " transitions', place=None, transition=None),))",
+    ),
+    "ConflictSet": (
+        ConflictSet,
+        ("place", "transitions"),
+        lambda: (0, frozenset({1, 2})),
+        "ConflictSet(place=0, transitions=frozenset({1, 2}))",
+    ),
+    "ReceptivityConflict": (
+        ReceptivityConflict,
+        ("place", "true_transitions"),
+        lambda: (0, frozenset({1, 2})),
+        "ReceptivityConflict(place=0, true_transitions=frozenset({1, 2}))",
+    ),
+    "_Structure": (
+        _Structure,
+        ("pre_place", "post_place", "outputs", "conflicts"),
+        lambda: ((0,), (1,), (frozenset({0}), frozenset()), ()),
+        "_Structure(pre_place=(0,), post_place=(1,), outputs=(frozenset({0}),"
+        " frozenset()), conflicts=())",
+    ),
+    "Trajectory": (
+        Trajectory,
+        ("initial", "steps"),
+        lambda: (MassVector({(0, 1): 1.0}), (((1,), MassVector({(1,): 1.0})),)),
+        "Trajectory(initial=MassVector({{0, 1}: 1.0}), steps=(((1,),"
+        " MassVector({{1}: 1.0})),))",
+    ),
+    "NetDocument": (
+        NetDocument,
+        ("name", "places", "transitions", "arcs"),
+        lambda: ("pair", ("a", "b"), ("t",), (("a", "t"), ("t", "b"))),
+        "NetDocument(name='pair', places=('a', 'b'), transitions=('t',),"
+        " arcs=(('a', 't'), ('t', 'b')))",
+    ),
+    "TransferTable": (
+        TransferTable,
+        ("net", "admissible", "rows", "_masks"),
+        _table_fields,
+        "TransferTable(net=PetriNet(places=('P1', 'P2'), transitions=('t1',),"
+        " pre=((1,), (0,)), post=((0,), (1,)), name='pair'), admissible=((0,), (1,)))",
+    ),
+    "MassEquation": (
+        MassEquation,
+        ("target", "transition_count", "terms"),
+        lambda: (frozenset({1}), 2, (((1, None), frozenset({0})),)),
+        "MassEquation(target=frozenset({1}), transition_count=2,"
+        " terms=(((1, None), frozenset({0})),))",
+    ),
+}
+
+
+def _matched(record):
+    """The fields of ``record``, read back through positional class patterns."""
+    match record:
+        case PetriNet(places, transitions, pre, post, name):
+            return places, transitions, pre, post, name
+        case Violation(kind, message, place, transition):
+            return kind, message, place, transition
+        case ValidationReport(violations):
+            return (violations,)
+        case ConflictSet(place, transitions):
+            return place, transitions
+        case ReceptivityConflict(place, true_transitions):
+            return place, true_transitions
+        case _Structure(pre_place, post_place, outputs, conflicts):
+            return pre_place, post_place, outputs, conflicts
+        case Trajectory(initial, steps):
+            return initial, steps
+        case NetDocument(name, places, transitions, arcs):
+            return name, places, transitions, arcs
+        case TransferTable(net, admissible, rows, masks):
+            return net, admissible, rows, masks
+        case MassEquation(target, transition_count, terms):
+            return target, transition_count, terms
+    raise AssertionError(f"no pattern matched {record!r}")
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDS))
+class TestRecordTypes:
+    """What callers may rely on of every record type: construction, equality,
+    hashing, repr, immutability, pickling and class patterns."""
+
+    def test_construction_by_position_and_by_name(self, kind):
+        cls, names, values, _ = _RECORDS[kind]
+        values = values()
+        by_position, by_name = cls(*values), cls(**dict(zip(names, values)))
+        for record in (by_position, by_name):
+            assert tuple(getattr(record, name) for name in names) == values
+        assert cls.__match_args__ == names
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*values, **{names[0]: values[0]})
+        with pytest.raises(TypeError):
+            cls(*values, unknown=None)
+
+    def test_equality_compares_fields_within_one_type(self, kind):
+        cls, names, values, _ = _RECORDS[kind]
+        values = values()
+        record, twin = cls(*values), cls(*values)
+        assert record == record and not record != record
+        assert record != SimpleNamespace(**dict(zip(names, values)))
+        assert record != values and values != record
+        if kind == "TransferTable":  # a table is equal only to itself
+            assert record != twin and hash(record) != hash(twin)
+            return
+        assert record == twin and not record != twin
+        assert record != cls(*values[:-1], None)
+        if kind == "Trajectory":  # a mass vector is unhashable
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(twin) == hash(values)
+
+    def test_repr_names_each_field(self, kind):
+        cls, _, values, text = _RECORDS[kind]
+        assert repr(cls(*values())) == text
+
+    def test_fields_cannot_be_set_or_deleted(self, kind):
+        cls, names, values, _ = _RECORDS[kind]
+        record = cls(*values())
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert tuple(getattr(record, name) for name in names) == values()
+
+    def test_pickle_round_trip(self, kind):
+        cls, names, values, _ = _RECORDS[kind]
+        record = cls(*values())
+        if kind == "TransferTable":  # its rows are a memoryview
+            with pytest.raises(TypeError):
+                pickle.dumps(record)
+            return
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and copy == record and repr(copy) == repr(record)
+
+    def test_positional_class_patterns_read_every_field(self, kind):
+        cls, _, values, _ = _RECORDS[kind]
+        values = values()
+        assert _matched(cls(*values)) == values
+
+
+def test_defaults_fill_omitted_fields():
+    assert Violation("size", "net has no transitions") == Violation(
+        kind="size", message="net has no transitions", place=None, transition=None
+    )
+    assert Violation("entry-range", "m", transition=2).place is None
+    net = PetriNet(("a", "b"), ("t",), ((1,), (0,)), ((0,), (1,)))
+    assert net.name == "net" and net == _PAIR
+    assert PetriNet(("a",), (), ((),), ((),), name="x").name == "x"
+
+
+def test_records_of_two_types_with_equal_fields_differ():
+    a, b = ConflictSet(0, frozenset({1, 2})), ReceptivityConflict(0, frozenset({1, 2}))
+    assert a != b and b != a and not a == b
 
 
 class TestValidateOnce:
