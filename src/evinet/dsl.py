@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidNetError, MassError, ParseError
@@ -29,13 +28,14 @@ from .engine import (
     DENSE_PLACE_LIMIT,
     MassVector,
     PlaceSet,
+    _MaskMasses,
     _Memo,
     _dense_masks,
     _mask,
     _mass_in_range,
     _members,
 )
-from .net import PetriNet, Receptivity, _structure
+from .net import PetriNet, Receptivity, _Record, _structure
 
 FORMAT_HEADER = "# format: evinet v1"
 
@@ -46,8 +46,7 @@ _MASS_TOKEN = re.compile(r"\{([^{}]*)\}:(\S+)\Z")
 _MASS_NAME = re.compile(r"[^\s,{}]+\Z")
 
 
-@dataclass(frozen=True)
-class NetDocument:
+class NetDocument(_Record):
     """Parsed form of a net document: declarations plus arcs in source order."""
 
     name: str
@@ -385,10 +384,11 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
 
     Each focal set may be named once; naming one twice is a :class:`ParseError`.
     A mass outside [0, 1] is one too, naming its set as the record wrote it.
+    Each set is read straight to its mask; the constructor checks the sum.
     """
     names = _place_names(places)
-    index = {p: i for i, p in enumerate(names)}
-    masses: dict[PlaceSet, float] = {}
+    units = {p: 1 << i for i, p in enumerate(names)}
+    masses: dict[int, float] = {}
     tokens = text.split()
     if not tokens:
         raise ParseError("empty mass record", line_no)
@@ -396,20 +396,20 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
         match = _MASS_TOKEN.match(token)
         if not match:
             raise ParseError(f"expected '{{P,..}}:mass', got {token!r}", line_no)
-        members = [p.strip() for p in match.group(1).split(",") if p.strip()]
-        unknown = [p for p in members if p not in index]
-        if unknown:
-            raise ParseError(f"unknown place {unknown[0]!r}", line_no)
-        if not members:
+        try:  # a token holds no whitespace, so its members need no strip
+            mask = sum(set(map(units.__getitem__, filter(None, match.group(1).split(",")))))
+        except KeyError as exc:  # the first member that is not a place
+            raise ParseError(f"unknown place {exc.args[0]!r}", line_no) from None
+        if not mask:
             raise ParseError("a focal set cannot be empty", line_no)
         try:
             value = float(match.group(2))
         except ValueError:
             raise ParseError(f"bad mass value {match.group(2)!r}", line_no) from None
-        focal = frozenset(index[p] for p in members)
-        if focal in masses:
-            raise ParseError(f"focal set {format_place_set(focal, names)} is named twice", line_no)
-        masses[focal] = value
+        if mask in masses:
+            label = format_place_set(_members(mask), names)
+            raise ParseError(f"focal set {label} is named twice", line_no)
+        masses[mask] = value
     # each token added one set, so the masses run in token order
     for token, value in zip(tokens, masses.values()):
         if not _mass_in_range(value):
@@ -417,6 +417,6 @@ def parse_mass(text: str, places: int | Sequence[str], line_no: int = 1) -> Mass
             message = f"bad mass record: mass {value!r} for {written} outside [0, 1]"
             raise ParseError(message, line_no)
     try:
-        return MassVector(masses)
+        return MassVector(_MaskMasses({x: value for x, value in masses.items() if value}))
     except MassError as exc:
         raise ParseError(f"bad mass record: {exc}", line_no) from exc

@@ -24,12 +24,11 @@ import functools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain, combinations, count, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MassError, TrajectoryError
-from .net import PetriNet, Receptivity, _integral, _successors, coerce_receptivity
+from .net import PetriNet, Receptivity, _integral, _Record, _successors, coerce_receptivity
 
 # Masses must sum to 1, and each lie in [0, 1], within this tolerance; inputs
 # outside it are rejected rather than renormalized, so caller bugs stay visible.
@@ -185,6 +184,13 @@ def _coerce_place_set(x: Iterable[int], n: int) -> PlaceSet:
     return members
 
 
+class _MaskMasses(dict):
+    """Nonzero masses in range by nonempty mask, as :func:`~evinet.dsl.parse_mass`
+    reads them, for the :class:`MassVector` constructor's sum test alone."""
+
+    __slots__ = ()
+
+
 class MassVector(Mapping):
     """Normalized mass distribution over nonempty sets of place indices.
 
@@ -200,17 +206,20 @@ class MassVector(Mapping):
     __slots__ = ("_masses",)
 
     def __init__(self, masses: Mapping | Iterable[tuple[Iterable[int], float]]):
-        pairs = masses.items() if isinstance(masses, Mapping) else masses
-        collected: dict[int, float] = {}
-        for key, value in pairs:
-            mask = _mask(_key_members(key))
-            if not mask:
-                raise MassError("the empty set cannot carry mass")
-            value = float(value)
-            if not _mass_in_range(value):
-                raise MassError(f"mass {value!r} for {set(_members(mask))} outside [0, 1]")
-            if value:
-                collected[mask] = collected.get(mask, 0.0) + value
+        if type(masses) is _MaskMasses:
+            collected = dict(masses)
+        else:
+            pairs = masses.items() if isinstance(masses, Mapping) else masses
+            collected = {}
+            for key, value in pairs:
+                mask = _mask(_key_members(key))
+                if not mask:
+                    raise MassError("the empty set cannot carry mass")
+                value = float(value)
+                if not _mass_in_range(value):
+                    raise MassError(f"mass {value!r} for {set(_members(mask))} outside [0, 1]")
+                if value:
+                    collected[mask] = collected.get(mask, 0.0) + value
         total = math.fsum(collected.values())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise MassError(f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOL}")
@@ -308,8 +317,7 @@ def _as_mass_vector(mass) -> MassVector:
     return mass if isinstance(mass, MassVector) else MassVector(mass)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """A run history: the initial mass and one (receptivity, mass) pair per step."""
 
     initial: MassVector

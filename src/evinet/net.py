@@ -11,7 +11,6 @@ one place and produces into exactly one other place, so every column of
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConflictError, DimensionError, InvalidNetError
@@ -48,8 +47,56 @@ def _as_matrix(rows, n: int, m: int, label: str) -> Matrix:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PetriNet:
+class _RecordType(type):
+    """The class of a record type: the fields its body annotates are, in order,
+    its slots and its ``__match_args__``, and a value given to one is its default."""
+
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
+        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
+        namespace["__match_args__"] = fields
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class _Record(metaclass=_RecordType):
+    """An immutable record, built from its fields by position or by name, equal
+    to a record of its own class with equal fields, hashed as their tuple, and
+    pickled by building it again, so a hash it keeps is computed afresh."""
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        given = dict(zip(names, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}; got {len(args)}"
+                            f" by position and {', '.join(kwargs) or 'none'} by name")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class PetriNet(_Record):
     """Immutable place/transition net with incidence matrices.
 
     Construction only checks shapes; structural soundness is reported by
@@ -58,31 +105,26 @@ class PetriNet:
     looks its net up once, in ``engine._image``.
     """
 
+    __slots__ = ("_hash",)
+
     places: tuple[str, ...]
     transitions: tuple[str, ...]
     pre: Matrix
     post: Matrix
     name: str = "net"
 
-    def __post_init__(self):
-        places = tuple(str(p) for p in self.places)
-        transitions = tuple(str(t) for t in self.transitions)
+    def __init__(self, places, transitions, pre, post, name="net"):
+        places = tuple(str(p) for p in places)
+        transitions = tuple(str(t) for t in transitions)
         if not places:
             raise ValueError("a net needs at least one place")
         n, m = len(places), len(transitions)
-        object.__setattr__(self, "places", places)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "pre", _as_matrix(self.pre, n, m, "pre"))
-        object.__setattr__(self, "post", _as_matrix(self.post, n, m, "post"))
-        fields = (self.places, self.transitions, self.pre, self.post, self.name)
-        object.__setattr__(self, "_hash", hash(fields))
+        pre, post = _as_matrix(pre, n, m, "pre"), _as_matrix(post, n, m, "post")
+        super().__init__(places, transitions, pre, post, name)
+        object.__setattr__(self, "_hash", hash(self._fields()))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, so the hash is recomputed in the new process
-        return (PetriNet, (self.places, self.transitions, self.pre, self.post, self.name))
 
     @property
     def place_count(self) -> int:
@@ -99,8 +141,7 @@ class PetriNet:
         return self.transitions.index(name)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One violated structural invariant, with the offending indices."""
 
     kind: str
@@ -109,8 +150,7 @@ class Violation:
     transition: int | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     violations: tuple[Violation, ...]
 
     @property
@@ -118,16 +158,14 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class ConflictSet:
+class ConflictSet(_Record):
     """A place with two or more output transitions; they compete for its token."""
 
     place: int
     transitions: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ReceptivityConflict:
+class ReceptivityConflict(_Record):
     """A conflict set whose members are simultaneously true in a receptivity vector."""
 
     place: int
@@ -205,8 +243,7 @@ def validate_net(net: PetriNet) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-@dataclass(frozen=True)
-class _Structure:
+class _Structure(_Record):
     """Derived wiring of a valid net: unique pre/post place per transition."""
 
     pre_place: tuple[int, ...]

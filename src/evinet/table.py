@@ -30,11 +30,10 @@ import math
 import operator
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, groupby, product, repeat
 from types import SimpleNamespace
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import _backend
 from .dsl import _all_mask_labels
@@ -52,11 +51,12 @@ from .engine import (
     _set_of,
     place_set_key,
 )
-from .minimize import WIDTH_LIMIT, Cube, _cover, _cube_entries, _minimize_on, _to_cube
+from .minimize import _CODE_KEYS, WIDTH_LIMIT, Cube, _cover, _cube_entries, _minimize_on, _to_cube
 from .net import (
     PetriNet,
     Receptivity,
     DEFAULT_SIZE_CAP,
+    _Record,
     _coerce_bits,
     _structure,
     check_receptivity,
@@ -72,8 +72,7 @@ ALLOCATION_LIMIT = 1 << 30
 EQUATION_FORMAT_VERSION = "evinet equations v1"
 
 
-@dataclass(frozen=True, eq=False)
-class TransferTable:
+class TransferTable(_Record):
     """Total map (nonempty place set, admissible receptivity) -> image set.
 
     ``rows[x, k]``, a read-only view, is the image mask of subset mask ``x``
@@ -82,10 +81,16 @@ class TransferTable:
     and ``rejected`` lists them on demand.
     """
 
+    __slots__ = ("__dict__",)  # holds the cached ``_row_index``
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a table equals only itself
+
     net: PetriNet
     admissible: tuple[Receptivity, ...]
-    rows: memoryview = field(repr=False)
-    _masks: tuple[int, ...] = field(repr=False)  # each of ``admissible`` as a mask, bit t for r[t]
+    rows: memoryview
+    _masks: tuple[int, ...]  # each of ``admissible`` as a mask, bit t for r[t]
+
+    def __repr__(self) -> str:
+        return f"TransferTable(net={self.net!r}, admissible={self.admissible!r})"
 
     @property
     def rejected(self) -> tuple[Receptivity, ...]:
@@ -224,8 +229,7 @@ def table_step(table: TransferTable, mass, r: Sequence[int]) -> MassVector:
     return _advance(mass, column.__getitem__, table.net.place_count)
 
 
-@dataclass(frozen=True)
-class MassEquation:
+class MassEquation(_Record):
     """One target set's next mass as a sum of (boolean coefficient, source) terms.
 
     Terms pair a cube over the receptivity bits with a source set; a source's
@@ -278,17 +282,18 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     carrying the defined cell count, both before any cell is grouped.
     """
     m = table.net.transition_count
-    cube, code = _Memo(partial(_to_cube, width=m)).__getitem__, operator.itemgetter(2)
     return tuple(
         MassEquation(target, m, tuple(chain.from_iterable(
-            zip(map(cube, map(code, group)), repeat(source)) for source, group in groups)))
-        for target, groups in _equations(table, minimize)
+            zip(cubes, repeat(source)) for source, cubes in groups)))
+        for target, groups in _equations(table, minimize, cubes=True)
     )
 
 
-def _equations(table: TransferTable, minimize: bool) -> Iterator[tuple[PlaceSet, list]]:
+def _equations(table: TransferTable, minimize: bool,
+               cubes: bool = False) -> Iterator[tuple[PlaceSet, list]]:
     """Each target set of :func:`emit_equations` with its (source set,
-    entries) groups, sources in canonical order, one target at a time.
+    entries) groups, sources in canonical order, one target at a time; with
+    ``cubes``, each group holds its cubes' slots in place of their entries.
 
     Raw groups share one entry per admissible combination, in minterm order;
     minimized ones hold their cover's entries, made in a ``_Memo`` by code.
@@ -307,7 +312,7 @@ def _equations(table: TransferTable, minimize: bool) -> Iterator[tuple[PlaceSet,
     if minimize:
         items = [1 << mask for mask in sorted(masks)]
     else:
-        items = list(map(_cube_entries(m), sorted(masks)))
+        items = list(map(_cube_slots(m) if cubes else _cube_entries(m), sorted(masks)))
     grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
         column = pick(table._column(xmask))
@@ -321,19 +326,38 @@ def _equations(table: TransferTable, minimize: bool) -> Iterator[tuple[PlaceSet,
         sets = _Memo(_set_of).__getitem__
         covers: dict[int, tuple[int, ...]] = {}  # shared by this call's minimizations
         # built past the grouping, where a minimized call peaks
-        make = _cube_entries(m) if minimize else None
+        make = (_cube_slots if cubes else _cube_entries)(m) if minimize else None
         for ymask in sorted(grouped, key=_order_key(n)):
             groups = grouped.pop(ymask).items()
             if minimize:
                 # a cube recurs across the sources of one target, seldom across
                 # targets, so the memo holds one target's entries, not the call's;
+                # cubes are decoded without one, and sorted by their key alone
+                item, key = (make, _CODE_KEYS[m]) if cubes else (_Memo(make).__getitem__,) * 2
                 # a group's bits are distinct, so their sum is the on-set
-                entry = _Memo(make).__getitem__
-                groups = [(xmask, list(map(entry, _minimize_on(sum(group), m, covers, entry))))
+                groups = [(xmask, list(map(item, _minimize_on(sum(group), m, covers, key))))
                           for xmask, group in groups]
             yield sets(ymask), [(sets(xmask), group) for xmask, group in groups]
 
     return equations()
+
+
+def _cube_slots(width: int) -> Callable[[int], Cube]:
+    """``slots(code)``, the cube of a code of ``width`` variables, as
+    :func:`~evinet.minimize._to_cube` makes it, joined from one table of slot
+    tuples per 4 variables, indexed by the chunk's ``dashes << c | value``."""
+    sizes = [min(4, width - low) for low in range(0, width, 4)]
+    tables = {c: [_to_cube(index, c) for index in range(1 << 2 * c)] for c in set(sizes)}
+    chunks = [(width + 4 * k - c, (1 << c) - 1 << c, 4 * k, (1 << c) - 1, tables[c])
+              for k, c in enumerate(sizes)]
+
+    def slots(code: int) -> Cube:
+        cube = ()
+        for dash_shift, dash_mask, low, ones, table in chunks:
+            cube += table[code >> dash_shift & dash_mask | code >> low & ones]
+        return cube
+
+    return slots
 
 
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:

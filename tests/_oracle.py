@@ -30,7 +30,10 @@ reads the table's ``rows`` by admissible index, not through
 per-token loop, and the bit coercion with its generator and per-bit ``any``,
 are kept verbatim as well, to diff the one-split parser and the C-level
 coercion against, and so are the renderer's per-slot cube sort key and
-product label, to diff the per-chunk tables of cube codes against.
+product label, to diff the per-chunk tables of cube codes against. The mass
+record parser that read each focal set to a frozenset, and handed the sets to
+the ``MassVector`` constructor, is kept verbatim too, to diff the parser that
+reads each set straight to its mask against.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from evinet import MassEquation, MassVector
-from evinet.engine import NORMALIZATION_TOL, _members
+from evinet.engine import NORMALIZATION_TOL, _mass_in_range, _members
 from evinet.errors import DimensionError, MassError, ParseError
 from evinet.net import coerce_receptivity
 
@@ -595,3 +598,47 @@ def coerce_bits_generator(r, width, spans):
     ):
         raise ValueError(f"receptivity bits must be 0 or 1, got {raw}")
     return bits
+
+
+# --- mass records -------------------------------------------------------------
+# Each focal set read to a frozenset of indices, then to a mask by the
+# ``MassVector`` constructor.
+
+_MASS_TOKEN = re.compile(r"\{([^{}]*)\}:(\S+)\Z")
+
+
+def parse_mass_frozensets(text, places, line_no=1):
+    names = _place_names(places)
+    index = {p: i for i, p in enumerate(names)}
+    masses = {}
+    tokens = text.split()
+    if not tokens:
+        raise ParseError("empty mass record", line_no)
+    for token in tokens:
+        match = _MASS_TOKEN.match(token)
+        if not match:
+            raise ParseError(f"expected '{{P,..}}:mass', got {token!r}", line_no)
+        members = [p.strip() for p in match.group(1).split(",") if p.strip()]
+        unknown = [p for p in members if p not in index]
+        if unknown:
+            raise ParseError(f"unknown place {unknown[0]!r}", line_no)
+        if not members:
+            raise ParseError("a focal set cannot be empty", line_no)
+        try:
+            value = float(match.group(2))
+        except ValueError:
+            raise ParseError(f"bad mass value {match.group(2)!r}", line_no) from None
+        focal = frozenset(index[p] for p in members)
+        if focal in masses:
+            raise ParseError(f"focal set {format_place_set(focal, names)} is named twice", line_no)
+        masses[focal] = value
+    # each token added one set, so the masses run in token order
+    for token, value in zip(tokens, masses.values()):
+        if not _mass_in_range(value):
+            written = token[: token.index("}") + 1]
+            message = f"bad mass record: mass {value!r} for {written} outside [0, 1]"
+            raise ParseError(message, line_no)
+    try:
+        return MassVector(masses)
+    except MassError as exc:
+        raise ParseError(f"bad mass record: {exc}", line_no) from exc

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import evinet
 from evinet.cli import ENV_MAX_PLACES, main
-from evinet import serialize_net
+from evinet import PetriNet, serialize_net
 from _nets import alternating_net, benchmark_generator, cycle_net, net_from_transitions
 
 
@@ -40,12 +39,14 @@ def combined_output(result) -> str:
 
 
 # Run in a fresh interpreter, where numpy cannot be imported: this one has
-# imported numpy already, and the tests use it.
+# imported numpy already, and the tests use it. The record types are not
+# dataclasses, so neither the import nor the table calls load that module.
 IMPORT_CHECK = """
 import io, sys
 sys.modules["numpy"] = None
 import evinet, evinet.cli
 assert "evinet.table" not in sys.modules, "importing the CLI loaded evinet.table"
+assert "dataclasses" not in sys.modules, "importing the CLI loaded dataclasses"
 assert "evinet.minimize" not in sys.modules, "importing the CLI loaded evinet.minimize"
 assert all(hasattr(evinet, name) for name in evinet.__all__)
 from evinet import build_transfer_table, emit_equations, invert_table, parse_net, write_table_csv
@@ -54,6 +55,7 @@ with open(sys.argv[1], encoding="utf-8") as handle:
 assert write_table_csv(table, io.StringIO()) == 56
 assert len(emit_equations(table, minimize=True)) == 7
 assert len(invert_table(table, {0})) == 10
+assert "dataclasses" not in sys.modules, "building and emitting a table loaded dataclasses"
 """
 
 
@@ -528,7 +530,8 @@ def _long_named_net():
     # 16 places of 2100-character names: the rows take 512 KiB, the CSV
     # labels over 1 GiB
     net = net_from_transitions(16, [(0, 1)])
-    return replace(net, places=tuple(f"{i:03d}".rjust(2100, "p") for i in range(16)))
+    places = tuple(f"{i:03d}".rjust(2100, "p") for i in range(16))
+    return PetriNet(places, net.transitions, net.pre, net.post, net.name)
 
 
 def _wide_onset_net():

@@ -5,7 +5,6 @@ import inspect
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from evinet import (
     MassVector,
     ParseError,
+    PetriNet,
     format_place_set,
     parse_document,
     parse_mass,
@@ -52,6 +52,7 @@ from _nets import (
 )
 from _oracle import (
     format_place_set_per_mask,
+    parse_mass_frozensets,
     parse_receptivity_line_regex,
     serialize_mass_frozensets,
     serialize_mass_per_mask,
@@ -245,18 +246,21 @@ class TestSerializeNet:
     @pytest.mark.parametrize("where", ["place", "transition", "net"])
     def test_a_name_the_grammar_cannot_hold_is_refused(self, bad, where):
         cycle = cycle_net(3)
+        places, transitions, name = cycle.places, cycle.transitions, cycle.name
         if where == "place":
-            net = replace(cycle, places=("x", bad, "y"))
+            places = ("x", bad, "y")
         elif where == "transition":
-            net = replace(cycle, transitions=("u", "v", bad))
+            transitions = ("u", "v", bad)
         else:
-            net = replace(cycle, name=bad)
+            name = bad
+        net = PetriNet(places, transitions, cycle.pre, cycle.post, name)
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             serialize_net(net)
 
     def test_the_first_bad_name_in_document_order_is_named(self):
         # written out, these places would read "places: , y, x", which parse_net rejects
-        net = replace(cycle_net(3), places=("", "y", "x"), transitions=("t1", "a b", "t3"))
+        cycle = cycle_net(3)
+        net = PetriNet(("", "y", "x"), ("t1", "a b", "t3"), cycle.pre, cycle.post, cycle.name)
         with pytest.raises(ValueError) as err:
             serialize_net(net)
         assert str(err.value) == "cannot serialize name '': not an identifier"
@@ -275,10 +279,11 @@ class TestSerializeNet:
                 rng.choice(first + "0123456789") for _ in range(rng.randrange(6))
             ))
         names = rng.sample(sorted(pool), base.place_count + base.transition_count + 1)
-        net = replace(
-            base,
+        net = PetriNet(
             places=tuple(names[: base.place_count]),
             transitions=tuple(names[base.place_count : -1]),
+            pre=base.pre,
+            post=base.post,
             name=names[-1],
         )
         assert parse_net(serialize_net(net)) == net
@@ -516,6 +521,115 @@ class TestMassRecords:
     def test_library_pairs_naming_one_set_are_merged(self):
         merged = MassVector([({0}, 0.25), ({1}, 0.5), ({0}, 0.25)])
         assert merged == MassVector({frozenset({0}): 0.5, frozenset({1}): 0.5})
+
+
+def _random_record(rng: random.Random, n: int) -> tuple[list[list[str]], list[str]]:
+    """A valid sparse record over P1..Pn: each focal set's member names, in a
+    random order, and each mass's text. Some masses are 0."""
+    masks = rng.sample(range(1, 1 << n), rng.randint(1, min(12, (1 << n) - 1)))
+    weights = [0 if rng.random() < 0.2 else rng.randint(1, 999) for _ in masks]
+    weights[0] = weights[0] or 1
+    total = sum(weights)
+    sets = []
+    for mask in masks:
+        members = [f"P{i + 1}" for i in _members(mask)]
+        rng.shuffle(members)
+        sets.append(members)
+    return sets, [repr(w / total) if w else rng.choice(("0", "0.0", "-0.0")) for w in weights]
+
+
+def _record_text(rng: random.Random, sets, texts) -> str:
+    tokens = [f"{{{','.join(members)}}}:{text}" for members, text in zip(sets, texts)]
+    return "".join(rng.choice((" ", "  ", "\t")) + token for token in tokens)
+
+
+# each class of bad record, made from a valid one: (sets, texts, rng) -> text
+_BAD_RECORDS = {
+    "unknown-name": lambda sets, texts, rng: _record_text(
+        rng, [*sets[:-1], [*sets[-1], "Q1"]], texts
+    ),
+    "empty-set": lambda sets, texts, rng: _record_text(
+        rng, [*sets, rng.choice(([], [""], ["", ""]))], [*texts, "0.5"]
+    ),
+    "bad-float": lambda sets, texts, rng: _record_text(
+        rng, sets, [*texts[:-1], rng.choice(("0.5x", "one", "1..0", "--1"))]
+    ),
+    "named-twice": lambda sets, texts, rng: _record_text(
+        rng, [*sets, sets[0][::-1]], [*texts, "0"]
+    ),
+    "repeated-member": lambda sets, texts, rng: _record_text(
+        rng, [*sets, [*sets[-1], sets[-1][0]]], [*texts, "0"]
+    ),
+    "out-of-range": lambda sets, texts, rng: _record_text(
+        rng, sets, [*texts[:-1], rng.choice(("1.5", "-0.25", "nan", "inf", "1e999", "-1e-300"))]
+    ),
+    "sum-off": lambda sets, texts, rng: _record_text(
+        rng, sets, [*texts[:-1], repr(abs(float(texts[-1])) / 2 + 1e-6)]
+    ),
+    "empty-record": lambda sets, texts, rng: rng.choice(("", " ", "\t \n")),
+    # two faults in one token, or in two: the one read first is reported
+    "several-faults": lambda sets, texts, rng: _record_text(
+        rng,
+        [*sets, *(rng.choice(([], [""], ["Q1"], [*sets[0], "Q2"], sets[0][::-1])) for _ in "ab")],
+        [*texts, *(rng.choice(("0.5x", "1.5", "nan", "0", "1e-300")) for _ in "ab")],
+    ),
+}
+
+
+def _parsed(parse, text, places, line_no):
+    try:
+        return parse(text, places, line_no)
+    except ParseError as exc:
+        return exc
+
+
+class TestParseMassAgainstTheFrozensetParser:
+    """``parse_mass`` reads each focal set straight to its mask; the parser
+    that read each set to a frozenset first, kept verbatim in ``_oracle``,
+    must give the same masses, in the same order, or the same error."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_valid_records_give_equal_masses_in_equal_order(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 34)
+            sets, texts = _random_record(rng, n)
+            if rng.random() < 0.3:  # a member repeated inside its set
+                sets[0] = [*sets[0], sets[0][0]]
+            text = _record_text(rng, sets, texts)
+            places = n if rng.random() < 0.5 else tuple(f"P{i + 1}" for i in range(n))
+            expected = parse_mass_frozensets(text, places)
+            got = parse_mass(text, places)
+            assert got == expected
+            assert list(got._masses.items()) == list(expected._masses.items())
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_RECORDS))
+    def test_each_bad_record_gives_the_same_error(self, kind):
+        rng = random.Random(kind)
+        for _ in range(60):
+            n = rng.randint(1, 34)
+            text = _BAD_RECORDS[kind](*_random_record(rng, n), rng)
+            line_no = rng.randint(1, 9)
+            expected = _parsed(parse_mass_frozensets, text, n, line_no)
+            got = _parsed(parse_mass, text, n, line_no)
+            assert isinstance(expected, ParseError), (kind, text)
+            assert isinstance(got, ParseError), (kind, text)
+            assert (str(got), got.line) == (str(expected), expected.line)
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_RECORDS))
+    def test_the_cli_ends_each_bad_record_in_one_error_line(self, kind, tmp_path):
+        rng = random.Random(f"cli-{kind}")
+        n = rng.choice((3, 12, 34))
+        path = tmp_path / "cycle.evinet"
+        path.write_text(serialize_net(cycle_net(n)))
+        text = _BAD_RECORDS[kind](*_random_record(rng, n), rng)
+        expected = _parsed(parse_mass_frozensets, text, n, 1)
+        result = CliRunner().invoke(
+            cli.main, ["run", "--net", str(path), "--initial", text, "--input", "-"], input=""
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: --initial: {expected}\n"
 
 
 def _dense_reference(mass: MassVector, n: int) -> str:

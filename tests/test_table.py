@@ -5,7 +5,6 @@ import io
 import os
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from evinet import (
     DimensionError,
     MassEquation,
     MassVector,
+    PetriNet,
     TableCapError,
     build_transfer_table,
     check_receptivity,
@@ -989,7 +989,8 @@ class _CountingSink:
 def _named_net(n: int, length: int):
     """``n`` places named by ``length`` characters each, one transition P1 -> P2."""
     net = net_from_transitions(n, [(0, 1)])
-    return replace(net, places=tuple(f"{i:03d}".rjust(length, "p") for i in range(n)))
+    places = tuple(f"{i:03d}".rjust(length, "p") for i in range(n))
+    return PetriNet(places, net.transitions, net.pre, net.post, net.name)
 
 
 def _traced_peak(stage) -> int:
