@@ -19,8 +19,9 @@ renders each as it comes, sorting each group's entries and joining their
 labels. A cube is one int code from the grouping to the text, and an entry
 its ``(sort key, label, code)``. The ``equations`` command writes each line
 as it is rendered, so it holds one equation's groups and text at a time.
-``emit_equations`` decodes the groups into :class:`MassEquation` terms, and
-``render_equations`` regroups such terms by source for the same renderer.
+``emit_equations`` builds :class:`MassEquation` terms from the same groups,
+holding each cube's slots in place of its entry, and ``render_equations``
+regroups such terms by source for the same renderer.
 """
 
 from __future__ import annotations
