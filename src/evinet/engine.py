@@ -201,6 +201,8 @@ class MassVector(Mapping):
 
     The constructor alone checks the mass rule (see ``NORMALIZATION_TOL``): a
     step only adds stored masses, so every mass it makes is part of that sum.
+    Given a ``_MaskMasses``, it checks the sum alone: ``parse_mass`` has
+    checked each mask and the range of each mass.
     """
 
     __slots__ = ("_masses",)

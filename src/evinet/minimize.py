@@ -75,9 +75,25 @@ Cube = tuple[int | None, ...]
 WIDTH_LIMIT = 24
 
 
-def _to_cube(code: int, width: int) -> Cube:
-    """The slots of the cube code ``dashes << width | value``."""
-    return tuple([None if code >> width + j & 1 else code >> j & 1 for j in range(width)])
+# The slots of each cube code of c <= 4 variables, indexed by the code.
+_SLOTS = [[tuple([None if code >> c + j & 1 else code >> j & 1 for j in range(c)])
+           for code in range(1 << 2 * c)] for c in range(5)]
+
+
+def _cube_decoder(width: int) -> Callable[[int], Cube]:
+    """``decode(code)``, the slots of the cube code ``dashes << width | value``,
+    joined from ``_SLOTS`` 4 variables at a time, each chunk indexed by its
+    ``dashes << c | value``."""
+    chunks = [(width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, _SLOTS[c])
+              for low in range(0, width, 4) for c in [min(4, width - low)]]
+
+    def decode(code: int) -> Cube:
+        cube = ()
+        for dash_shift, dash_mask, low, ones, slots in chunks:
+            cube += slots[code >> dash_shift & dash_mask | code >> low & ones]
+        return cube
+
+    return decode
 
 
 # Each byte with its 8 bits reversed and spread to base-4 digits, bit 0 the top digit.
@@ -245,7 +261,7 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
     # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
     codes = _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)),
                          width, {}, _CODE_KEYS[width])
-    return tuple([_to_cube(code, width) for code in codes])
+    return tuple(map(_cube_decoder(width), codes))
 
 
 def _minimize_on(on: int, width: int, covers: dict[int, tuple[int, ...]], key) -> tuple[int, ...]:

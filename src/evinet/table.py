@@ -52,7 +52,7 @@ from .engine import (
     _set_of,
     place_set_key,
 )
-from .minimize import _CODE_KEYS, WIDTH_LIMIT, Cube, _cover, _cube_entries, _minimize_on, _to_cube
+from .minimize import _CODE_KEYS, WIDTH_LIMIT, Cube, _cover, _cube_decoder, _cube_entries, _minimize_on
 from .net import (
     PetriNet,
     Receptivity,
@@ -286,15 +286,16 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     return tuple(
         MassEquation(target, m, tuple(chain.from_iterable(
             zip(cubes, repeat(source)) for source, cubes in groups)))
-        for target, groups in _equations(table, minimize, cubes=True)
+        for target, groups in _equations(table, minimize, _cube_decoder(m))
     )
 
 
 def _equations(table: TransferTable, minimize: bool,
-               cubes: bool = False) -> Iterator[tuple[PlaceSet, list]]:
+               decode: Callable[[int], Cube] | None = None) -> Iterator[tuple[PlaceSet, list]]:
     """Each target set of :func:`emit_equations` with its (source set,
-    entries) groups, sources in canonical order, one target at a time; with
-    ``cubes``, each group holds its cubes' slots in place of their entries.
+    entries) groups, sources in canonical order, one target at a time; given
+    ``decode``, each group holds its cubes, ``decode(code)``, in place of
+    their entries, and minimized covers are sorted by ``_CODE_KEYS``.
 
     Raw groups share one entry per admissible combination, in minterm order;
     minimized ones hold their cover's entries, made in a ``_Memo`` by code.
@@ -313,7 +314,7 @@ def _equations(table: TransferTable, minimize: bool,
     if minimize:
         items = [1 << mask for mask in sorted(masks)]
     else:
-        items = list(map(_cube_slots(m) if cubes else _cube_entries(m), sorted(masks)))
+        items = list(map(decode or _cube_entries(m), sorted(masks)))
     grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
         column = pick(table._column(xmask))
@@ -327,38 +328,20 @@ def _equations(table: TransferTable, minimize: bool,
         sets = _Memo(_set_of).__getitem__
         covers: dict[int, tuple[int, ...]] = {}  # shared by this call's minimizations
         # built past the grouping, where a minimized call peaks
-        make = (_cube_slots if cubes else _cube_entries)(m) if minimize else None
+        make = _cube_entries(m) if minimize and not decode else None
         for ymask in sorted(grouped, key=_order_key(n)):
             groups = grouped.pop(ymask).items()
             if minimize:
                 # a cube recurs across the sources of one target, seldom across
                 # targets, so the memo holds one target's entries, not the call's;
                 # cubes are decoded without one, and sorted by their key alone
-                item, key = (make, _CODE_KEYS[m]) if cubes else (_Memo(make).__getitem__,) * 2
+                item, key = (decode, _CODE_KEYS[m]) if decode else (_Memo(make).__getitem__,) * 2
                 # a group's bits are distinct, so their sum is the on-set
                 groups = [(xmask, list(map(item, _minimize_on(sum(group), m, covers, key))))
                           for xmask, group in groups]
             yield sets(ymask), [(sets(xmask), group) for xmask, group in groups]
 
     return equations()
-
-
-def _cube_slots(width: int) -> Callable[[int], Cube]:
-    """``slots(code)``, the cube of a code of ``width`` variables, as
-    :func:`~evinet.minimize._to_cube` makes it, joined from one table of slot
-    tuples per 4 variables, indexed by the chunk's ``dashes << c | value``."""
-    sizes = [min(4, width - low) for low in range(0, width, 4)]
-    tables = {c: [_to_cube(index, c) for index in range(1 << 2 * c)] for c in set(sizes)}
-    chunks = [(width + 4 * k - c, (1 << c) - 1 << c, 4 * k, (1 << c) - 1, tables[c])
-              for k, c in enumerate(sizes)]
-
-    def slots(code: int) -> Cube:
-        cube = ()
-        for dash_shift, dash_mask, low, ones, table in chunks:
-            cube += table[code >> dash_shift & dash_mask | code >> low & ones]
-        return cube
-
-    return slots
 
 
 def equations_semantically_equal(a: MassEquation, b: MassEquation) -> bool:

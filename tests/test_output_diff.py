@@ -30,7 +30,7 @@ from evinet import (
 from evinet import cli
 from evinet import table as table_module
 from evinet.engine import _Memo
-from evinet.minimize import _code_key, _cube_entries, _to_cube
+from evinet.minimize import _code_key, _cube_decoder, _cube_entries
 from evinet.table import EQUATION_FORMAT_VERSION
 from _nets import (
     benchmark_generator,
@@ -335,7 +335,7 @@ def _assert_entries_match_the_per_slot_oracle(cubes, width):
     entry, key, literals = _cube_entries(width), _code_key(width), []
     for cube in cubes:
         code = _code(cube)
-        assert _to_cube(code, width) == cube
+        assert _cube_decoder(width)(code) == cube
         assert entry(code) == (*_cube_key_label(cube, literals), code)
         assert key(code) == entry(code)[0]
 

@@ -38,8 +38,8 @@ from evinet.minimize import (
     WIDTH_LIMIT,
     _cube_entries,
     _minimize_on,
+    _cube_decoder,
     _prime_implicants,
-    _to_cube,
     minimize_minterms,
 )
 from evinet.table import _check_equation_bytes, _on_sets
@@ -849,7 +849,7 @@ class TestMinimize:
 
 def _decoded(codes, width):
     """Cube codes as the tuples ``minimize_minterms`` returns."""
-    return tuple(_to_cube(code, width) for code in codes)
+    return tuple(map(_cube_decoder(width), codes))
 
 
 def _cover_cubes(on, width, covers):
