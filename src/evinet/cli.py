@@ -310,11 +310,15 @@ def table(net_path: str, output_path: str, max_places: int | None):
 @_max_places_option
 def equations(net_path: str, minimize: bool, max_places: int | None):
     """Print the boolean mass-update equations of a net."""
+    from .engine import _Memo
+    from .minimize import _cube_entries
     from .table import _equation_lines, _equations, build_transfer_table
 
     net = _read_net(net_path)
     built = build_transfer_table(net, max_places=_size_cap(max_places))
-    emitted = _equations(built, minimize)  # every refusal comes before the first write
+    # a cube recurs across the sources of one target, seldom across targets, so
+    # each memo of entries holds one target's; every refusal comes before the first write
+    emitted = _equations(built, minimize, lambda m: _Memo(_cube_entries(m)).__getitem__)
     write = sys.stdout.write
     for line in _equation_lines(emitted):
         write(line)

@@ -48,11 +48,11 @@ code, ``code | free << width``, which keeps the order; with no free variable
 the cover is the stored tuple.
 
 A cover is sorted in render order, by fixed-slot count, then slot by slot with
-0 < 1 < eliminated: ``_code_key``, which ``minimize_minterms`` sorts by, and
-which ``_cube_entries`` sums from its label tables. ``minimize_minterms``
-checks its arguments, ORs the minterms into an on-set int and decodes the
-cover; ``_minimize_on`` is the rest, for callers holding a nonempty on-set
-int of ``width`` variables, and checks nothing.
+0 < 1 < eliminated: ``_cube_key``, summed from ``_cube_chunks``, the one cached
+table per width that ``_cube_decoder`` and ``_cube_entries`` read too.
+``minimize_minterms`` checks its arguments, ORs the minterms into an on-set
+int and decodes the cover; ``_minimize_on`` is the rest, for callers holding a
+nonempty on-set int of ``width`` variables, and checks nothing.
 
 One int spans 2**width bits, so ``width`` is limited to ``WIDTH_LIMIT``
 variables (2 MiB per int). Merge masks over more than ``_CACHED_WIDTH``
@@ -75,76 +75,66 @@ Cube = tuple[int | None, ...]
 WIDTH_LIMIT = 24
 
 
-# The slots of each cube code of c <= 4 variables, indexed by the code.
-_SLOTS = [[tuple([None if code >> c + j & 1 else code >> j & 1 for j in range(c)])
-           for code in range(1 << 2 * c)] for c in range(5)]
-
-
-def _cube_decoder(width: int) -> Callable[[int], Cube]:
-    """``decode(code)``, the slots of the cube code ``dashes << width | value``,
-    joined from ``_SLOTS`` 4 variables at a time, each chunk indexed by its
-    ``dashes << c | value``."""
-    chunks = [(width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, _SLOTS[c])
-              for low in range(0, width, 4) for c in [min(4, width - low)]]
-
-    def decode(code: int) -> Cube:
-        cube = ()
-        for dash_shift, dash_mask, low, ones, slots in chunks:
-            cube += slots[code >> dash_shift & dash_mask | code >> low & ones]
-        return cube
-
-    return decode
-
-
-# Each byte with its 8 bits reversed and spread to base-4 digits, bit 0 the top digit.
-_SPREAD = [int(f"{b:08b}"[::-1], 4) for b in range(256)]
-
-
-def _code_key(width: int) -> Callable[[int], int]:
-    """The sort key of a cube code of ``width`` variables, as an int: its fixed
-    count, then one base-4 digit per slot (0, 1, or 2 when eliminated),
-    variable 0 first. The digits are ``value + 2 * dashes`` a byte at a time,
-    spread and reversed by ``_SPREAD``, so no table is built per width: a
-    small minimization sorts a few cubes, which the tables cost more than."""
-    ones, fixed, pad, spread = (1 << width) - 1, 2 * width, -2 * width % 16, _SPREAD
-    shifts = tuple(range(0, width, 8))
-
-    def key(code: int) -> int:
-        value, dashes, digits = code & ones, code >> width, 0
-        for shift in shifts:
-            digits = digits << 16 | spread[value >> shift & 255] + 2 * spread[dashes >> shift & 255]
-        return (width - dashes.bit_count()) << fixed | digits >> pad
-
-    return key
-
-
-# minimize_minterms' key at each width it takes, made once
-_CODE_KEYS = tuple(map(_code_key, range(WIDTH_LIMIT + 1)))
-
-
-def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
-    """``entry(code)``, a cube code's sort key, product label and code. The key
-    is the int :func:`_code_key` makes; the label joins ``r<j+1>`` or
-    ``!r<j+1>`` per fixed slot j with ``*``, or is ``1``. Both are sums of
-    parts from one table per 4 variables, built once for the returned function
-    and indexed by the chunk's ``dashes << c | value``, so the equations
-    renderer makes both of a cube in one pass."""
+@functools.lru_cache(maxsize=WIDTH_LIMIT + 1)
+def _cube_chunks(width: int) -> tuple[tuple[tuple[int, int, int, int, tuple], ...], ...]:
+    """The one table of the cube codes of ``width`` variables, which every
+    reader of a code reads. Per 4 variables from variable ``low``, a chunk
+    ``(dash_shift, dash_mask, low, ones, parts)`` has its ``parts`` indexed by
+    its ``dashes << c | value``, ``code >> dash_shift & dash_mask | code >>
+    low & ones``. The chunks come in three runs, one per reader: the parts are
+    key parts, then (key part, label part) pairs, then slots."""
     chunks, fixed = [], 1 << 2 * width  # a fixed slot counts above every digit
     for low in range(0, width, 4):
         c = min(4, width - low)
-        parts = [(0, 0, "")]  # (index, key part, label part) per assignment of a prefix
+        parts = [(0, 0, "", ())]  # (index, key, label, slots) per assignment of a prefix
         for j in range(c):
             digit, name = 1 << 2 * (width - low - j - 1), f"r{low + j + 1}*"
-            slots = ((0, fixed, "!" + name), (1 << j, fixed + digit, name),
-                     (1 << c + j, 2 * digit, ""))
-            parts = [(i | si, k + sk, t + st) for i, k, t in parts for si, sk, st in slots]
-        parts = {index: (key, label) for index, key, label in parts}
-        chunks.append((width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1, parts))
+            # a slot is 0, 1 or eliminated; a code never holds the fourth
+            # index, both bits set, which fills the tuples for plain indexing
+            choices = ((0, fixed, "!" + name, 0), (1 << j, fixed + digit, name, 1),
+                       (1 << c + j, 2 * digit, "", None), (1 << j | 1 << c + j, 0, "", None))
+            parts = [(i | ci, k + ck, t + ct, s + (cs,))
+                     for i, k, t, s in parts for ci, ck, ct, cs in choices]
+        _, keys, pairs, slots = zip(*sorted((i, k, (k, t), s) for i, k, t, s in parts))
+        at = (width + low - c, (1 << c) - 1 << c, low, (1 << c) - 1)
+        chunks.append(((*at, keys), (*at, pairs), (*at, slots)))
+    return tuple(zip(*chunks)) or ((), (), ())  # width 0 has no chunk
+
+
+def _cube_sum(chunks, start) -> Callable[[int], object]:
+    """``read(code)``, ``start`` plus the part of each of ``chunks`` that ``code`` indexes."""
+
+    def read(code: int):
+        total = start
+        for dash_shift, dash_mask, low, ones, parts in chunks:
+            total += parts[code >> dash_shift & dash_mask | code >> low & ones]
+        return total
+
+    return read
+
+
+def _cube_decoder(width: int) -> Callable[[int], Cube]:
+    """``decode(code)``, the slots of the cube code ``dashes << width | value``."""
+    return _cube_sum(_cube_chunks(width)[2], ())
+
+
+def _cube_key(width: int) -> Callable[[int], int]:
+    """``key(code)``, a cube code's sort key in render order, an int: its fixed
+    count, then one base-4 digit per slot (0, 1, or 2 when eliminated),
+    variable 0 first."""
+    return _cube_sum(_cube_chunks(width)[0], 0)
+
+
+def _cube_entries(width: int) -> Callable[[int], tuple[int, str, int]]:
+    """``entry(code)``, a cube code's sort key, product label and code, read in
+    one pass. The label joins ``r<j+1>`` or ``!r<j+1>`` per fixed slot j with
+    ``*``, or is ``1``."""
+    chunks = _cube_chunks(width)[1]
 
     def entry(code: int) -> tuple[int, str, int]:
         key, label = 0, ""  # each part of a label ends in "*", dropped at the end
-        for dash_shift, dash_mask, low, ones, parts in chunks:
-            part_key, part = parts[code >> dash_shift & dash_mask | code >> low & ones]
+        for dash_shift, dash_mask, low, ones, pairs in chunks:
+            part_key, part = pairs[code >> dash_shift & dash_mask | code >> low & ones]
             key += part_key
             label += part
         return key, label[:-1] or "1", code
@@ -259,15 +249,13 @@ def minimize_minterms(minterms: Iterable[int], width: int) -> tuple[Cube, ...]:
     if min(minterms) < 0 or max(minterms) >> width:
         raise ValueError(f"minterm out of range for {width} variables")
     # passed straight in: a local would hold a second 2 MiB int at WIDTH_LIMIT
-    codes = _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)),
-                         width, {}, _CODE_KEYS[width])
+    codes = _minimize_on(functools.reduce(operator.or_, map((1).__lshift__, minterms)), width, {})
     return tuple(map(_cube_decoder(width), codes))
 
 
-def _minimize_on(on: int, width: int, covers: dict[int, tuple[int, ...]], key) -> tuple[int, ...]:
+def _minimize_on(on: int, width: int, covers: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """``minimize_minterms`` of the nonempty on-set int ``on``, unchecked, as
-    cube codes sorted by ``key``, which must order them as ``_cube_entries``
-    (``_code_key`` does).
+    cube codes sorted by ``_cube_key``.
 
     ``covers`` maps each cofactor searched so far to its sorted cover, with
     the free variables still 0. A caller passes one dict to all its calls of
@@ -288,6 +276,7 @@ def _minimize_on(on: int, width: int, covers: dict[int, tuple[int, ...]], key) -
     codes = covers.get(cofactor)
     if codes is None:
         chosen = _select_cover(cofactor, _prime_implicants(cofactor, width))
-        codes = covers[cofactor] = tuple(sorted([d << width | v for v, d in chosen], key=key))
+        codes = [d << width | v for v, d in chosen]
+        codes = covers[cofactor] = tuple(sorted(codes, key=_cube_key(width)))
     # every free slot is 0 in every cube, so dashing them keeps the order
     return tuple([code | free << width for code in codes]) if free else codes

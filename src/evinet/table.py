@@ -14,13 +14,13 @@ out its bytes from its inputs and refuses before allocating any. Text costs
 more than masks, so the output stages build each set's label and frozenset
 once and read the table one subset column at a time. The equation stage is
 one pipeline: ``_equations`` checks and groups every cell, then yields one
-target at a time with its (source, entries) groups, and ``_equation_lines``
+target at a time with its (source, items) groups, and ``_equation_lines``
 renders each as it comes, sorting each group's entries and joining their
-labels. A cube is one int code from the grouping to the text, and an entry
-its ``(sort key, label, code)``. The ``equations`` command writes each line
-as it is rendered, so it holds one equation's groups and text at a time.
-``emit_equations`` builds :class:`MassEquation` terms from the same groups,
-holding each cube's slots in place of its entry, and ``render_equations``
+labels. A cube is one int code from the grouping to the text, read as an
+entry, its ``(sort key, label, code)``, by the ``equations`` command, which
+writes each line as it is rendered and so holds one equation's groups and
+text at a time, and as its slots by ``emit_equations``, which builds
+:class:`MassEquation` terms from the same groups; ``render_equations``
 regroups such terms by source for the same renderer.
 """
 
@@ -52,7 +52,7 @@ from .engine import (
     _set_of,
     place_set_key,
 )
-from .minimize import _CODE_KEYS, WIDTH_LIMIT, Cube, _cover, _cube_decoder, _cube_entries, _minimize_on
+from .minimize import WIDTH_LIMIT, Cube, _cover, _cube_decoder, _cube_entries, _minimize_on
 from .net import (
     PetriNet,
     Receptivity,
@@ -92,6 +92,11 @@ class TransferTable(_Record):
 
     def __repr__(self) -> str:
         return f"TransferTable(net={self.net!r}, admissible={self.admissible!r})"
+
+    def __reduce__(self):
+        # a memoryview does not pickle; the rows travel as their bytes, not
+        # recomputed, so a table built past the default cap unpickles too
+        return _unpickled_table, (self.net, self.admissible, self.rows.tobytes(), self._masks)
 
     @property
     def rejected(self) -> tuple[Receptivity, ...]:
@@ -136,6 +141,12 @@ class TransferTable(_Record):
             x = _set_of(xmask)
             for bits, ymask in zip(self.admissible, self._column(xmask).tolist()):
                 yield x, bits, _set_of(ymask)
+
+
+def _unpickled_table(net: PetriNet, admissible, rows: bytes, masks) -> TransferTable:
+    """A pickled :class:`TransferTable`, with a read-only ``(2**n, count)`` view over ``rows``."""
+    rows = memoryview(rows).cast("I", (1 << net.place_count, len(admissible)))
+    return TransferTable(net, admissible, rows, masks)
 
 
 def _require_bytes(nbytes: int, cells: int, what: str) -> None:
@@ -286,20 +297,20 @@ def emit_equations(table: TransferTable, minimize: bool = False) -> tuple[MassEq
     return tuple(
         MassEquation(target, m, tuple(chain.from_iterable(
             zip(cubes, repeat(source)) for source, cubes in groups)))
-        for target, groups in _equations(table, minimize, _cube_decoder(m))
+        for target, groups in _equations(table, minimize, _cube_decoder)
     )
 
 
 def _equations(table: TransferTable, minimize: bool,
-               decode: Callable[[int], Cube] | None = None) -> Iterator[tuple[PlaceSet, list]]:
-    """Each target set of :func:`emit_equations` with its (source set,
-    entries) groups, sources in canonical order, one target at a time; given
-    ``decode``, each group holds its cubes, ``decode(code)``, in place of
-    their entries, and minimized covers are sorted by ``_CODE_KEYS``.
+               items: Callable[[int], Callable[[int], object]]) -> Iterator[tuple[PlaceSet, list]]:
+    """Each target set of :func:`emit_equations` with its (source set, items)
+    groups, sources in canonical order, one target at a time; ``items(m)``
+    returns the function that makes each cube code's item.
 
-    Raw groups share one entry per admissible combination, in minterm order;
-    minimized ones hold their cover's entries, made in a ``_Memo`` by code.
-    Every check runs and every cell is grouped before this returns.
+    Raw groups share one item per admissible combination, in minterm order,
+    from one ``items(m)``; minimized ones hold their cover's items, from one
+    ``items(m)`` per target. Every check runs and every cell is grouped before
+    this returns.
     """
     n, m = table.net.place_count, table.net.transition_count
     if minimize and m > WIDTH_LIMIT:
@@ -307,37 +318,32 @@ def _equations(table: TransferTable, minimize: bool,
     _check_equation_bytes(table, minimize)
     masks = table._masks
     # each source column is read in minterm order, so every (target, source) list
-    # holds one coefficient's raw entries in ascending order, or, minimized, its
+    # holds one coefficient's raw items in ascending order, or, minimized, its
     # on-set bits 1 << minterm, and sources reach each target in canonical order
     # a valid net has a transition, so two rows or more: the pick is a tuple
     pick = operator.itemgetter(*sorted(range(len(masks)), key=masks.__getitem__))
     if minimize:
-        items = [1 << mask for mask in sorted(masks)]
+        cells = [1 << mask for mask in sorted(masks)]
     else:
-        items = list(map(decode or _cube_entries(m), sorted(masks)))
+        cells = list(map(items(m), sorted(masks)))
     grouped: dict[int, dict[int, list]] = {}
     for xmask in _canonical_masks(n):
         column = pick(table._column(xmask))
         targets = defaultdict(list)
-        for item, ymask in zip(items, column):
-            targets[ymask].append(item)
+        for cell, ymask in zip(cells, column):
+            targets[ymask].append(cell)
         for ymask, group in targets.items():
             grouped.setdefault(ymask, {})[xmask] = group
 
     def equations() -> Iterator[tuple[PlaceSet, list]]:
         sets = _Memo(_set_of).__getitem__
         covers: dict[int, tuple[int, ...]] = {}  # shared by this call's minimizations
-        # built past the grouping, where a minimized call peaks
-        make = _cube_entries(m) if minimize and not decode else None
         for ymask in sorted(grouped, key=_order_key(n)):
             groups = grouped.pop(ymask).items()
             if minimize:
-                # a cube recurs across the sources of one target, seldom across
-                # targets, so the memo holds one target's entries, not the call's;
-                # cubes are decoded without one, and sorted by their key alone
-                item, key = (decode, _CODE_KEYS[m]) if decode else (_Memo(make).__getitem__,) * 2
+                item = items(m)
                 # a group's bits are distinct, so their sum is the on-set
-                groups = [(xmask, list(map(item, _minimize_on(sum(group), m, covers, key))))
+                groups = [(xmask, list(map(item, _minimize_on(sum(group), m, covers))))
                           for xmask, group in groups]
             yield sets(ymask), [(sets(xmask), group) for xmask, group in groups]
 
@@ -428,8 +434,7 @@ def _regrouped(equations: Iterable[MassEquation]) -> Iterator[tuple[PlaceSet, li
     """Each equation's (target, groups), as :func:`_equations` yields them;
     each cube's entry is made at its own width, and each entry and set key
     once, in a :class:`~evinet.engine._Memo` of the call."""
-    entries = _Memo(_cube_entries).__getitem__  # one entry function per width
-    entry = _Memo(lambda cube: entries(len(cube))(_cube_code(cube))).__getitem__
+    entry = _Memo(lambda cube: _cube_entries(len(cube))(_cube_code(cube))).__getitem__
     set_key = _Memo(place_set_key).__getitem__
     for eq in equations:
         # emitted terms come in runs of one source; a source may recur

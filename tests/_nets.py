@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 from evinet import MassVector, PetriNet, check_receptivity
@@ -144,11 +145,22 @@ def random_mass(rng: random.Random, n: int, max_focals: int = 4) -> MassVector:
     )
 
 
-def benchmark_generator():
-    """``evibench/gen.py``, the benchmark's seeded input generator, loaded
-    unchanged from its file."""
-    path = Path(__file__).resolve().parent.parent / "evibench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("evibench_gen", path)
+def _benchmark_module(name: str):
+    """``evibench/<name>.py``, loaded unchanged from its file."""
+    path = Path(__file__).resolve().parent.parent / "evibench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"evibench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def benchmark_generator():
+    """``evibench/gen.py``, the benchmark's seeded input generator."""
+    return _benchmark_module("gen")
+
+
+def benchmark_reference():
+    """``evibench/reference.py``, the benchmark's output checker, which imports
+    nothing from evinet."""
+    return _benchmark_module("reference")

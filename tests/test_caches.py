@@ -26,6 +26,7 @@ CACHES = {
     ("evinet.engine", "_image"): 64,
     ("evinet.engine", "_order_key"): 4,
     ("evinet.engine", "_with_bit"): None,
+    ("evinet.minimize", "_cube_chunks"): 25,
     ("evinet.net", "_structure"): 1024,
     ("evinet.net", "_successors"): 1024,
 }

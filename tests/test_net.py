@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import pickle
 import random
 from types import SimpleNamespace
@@ -26,11 +27,15 @@ from evinet import (
     check_receptivity,
     classic_step,
     detect_conflicts,
+    emit_equations,
     enabled_transitions,
     ignorance_mass,
+    render_equations,
     step,
     validate_net,
+    write_table_csv,
 )
+from evinet import table as evinet_table
 from evinet.net import _Structure
 from _nets import (
     FIG1_POST,
@@ -617,17 +622,41 @@ class TestRecordTypes:
     def test_pickle_round_trip(self, kind):
         cls, names, values, _ = _RECORDS[kind]
         record = cls(*values())
-        if kind == "TransferTable":  # its rows are a memoryview
-            with pytest.raises(TypeError):
-                pickle.dumps(record)
-            return
         copy = pickle.loads(pickle.dumps(record))
+        if kind == "TransferTable":  # a table is equal only to itself
+            _assert_same_table(copy, record)
+            return
         assert type(copy) is cls and copy == record and repr(copy) == repr(record)
 
     def test_positional_class_patterns_read_every_field(self, kind):
         cls, _, values, _ = _RECORDS[kind]
         values = values()
         assert _matched(cls(*values)) == values
+
+
+def _assert_same_table(copy, table):
+    """``copy`` holds ``table``'s fields, read-only rows, and prints as it does."""
+    assert type(copy) is TransferTable and repr(copy) == repr(table)
+    assert (copy.net, copy.admissible, copy._masks) == (table.net, table.admissible, table._masks)
+    assert copy.rows.readonly and copy.rows.shape == table.rows.shape
+    assert copy.rows.tolist() == table.rows.tolist()
+    texts = []
+    for built in (copy, table):
+        csv = io.StringIO()
+        write_table_csv(built, csv)
+        texts.append([csv.getvalue()] + [render_equations(emit_equations(built, minimize=minimize))
+                                          for minimize in (False, True)])
+    assert texts[0] == texts[1]
+
+
+def test_a_table_past_the_default_cap_unpickles_without_a_rebuild(monkeypatch):
+    table = build_transfer_table(net_from_transitions(17, [(0, 1)]), max_places=17)
+    data = pickle.dumps(table)
+    monkeypatch.setattr(evinet_table, "build_transfer_table", None)
+    monkeypatch.setattr(evinet_table._backend, "fill_rows", None)
+    copy = pickle.loads(data)
+    assert copy.rows.shape == (1 << 17, 2) and copy.rows.readonly
+    assert copy.rows.tolist() == table.rows.tolist() and copy.lookup({0}, (1,)) == {1}
 
 
 def test_defaults_fill_omitted_fields():

@@ -30,7 +30,7 @@ from evinet import (
 from evinet import cli
 from evinet import table as table_module
 from evinet.engine import _Memo
-from evinet.minimize import _code_key, _cube_decoder, _cube_entries
+from evinet.minimize import _cube_decoder, _cube_entries, _cube_key
 from evinet.table import EQUATION_FORMAT_VERSION
 from _nets import (
     benchmark_generator,
@@ -331,13 +331,15 @@ def _code(cube) -> int:
 
 
 def _assert_entries_match_the_per_slot_oracle(cubes, width):
-    """Each cube's entry, and ``minimize_minterms``' key as its first item."""
-    entry, key, literals = _cube_entries(width), _code_key(width), []
+    """All three readers of a width's cube table, against the per-slot oracle:
+    each cube's slots, its entry, and the covers' sort key as its first item."""
+    decode, entry, key, literals = _cube_decoder(width), _cube_entries(width), _cube_key(width), []
     for cube in cubes:
         code = _code(cube)
-        assert _cube_decoder(width)(code) == cube
-        assert entry(code) == (*_cube_key_label(cube, literals), code)
-        assert key(code) == entry(code)[0]
+        sort_key, label = _cube_key_label(cube, literals)
+        assert decode(code) == cube
+        assert entry(code) == (sort_key, label, code)
+        assert key(code) == sort_key
 
 
 @pytest.mark.parametrize("width", range(7))
@@ -345,7 +347,7 @@ def test_every_cube_entry_matches_the_per_slot_key_and_label(width):
     _assert_entries_match_the_per_slot_oracle(product((0, 1, None), repeat=width), width)
 
 
-@pytest.mark.parametrize("width", [8, 14, 24])
+@pytest.mark.parametrize("width", [8, 9, 13, 14, 24])
 def test_wide_cube_entries_match_the_per_slot_key_and_label(width):
     rng = random.Random(f"entries:{width}")
     cubes = [tuple(rng.choice((0, 1, None)) for _ in range(width)) for _ in range(2000)]

@@ -36,7 +36,6 @@ from evinet import table as table_module
 from evinet.dsl import _mask_labels
 from evinet.minimize import (
     WIDTH_LIMIT,
-    _cube_entries,
     _minimize_on,
     _cube_decoder,
     _prime_implicants,
@@ -770,9 +769,9 @@ class TestMinimize:
         width = equations_net.transition_count
         seen = []
 
-        def record(on, width, covers, key):
+        def record(on, width, covers):
             seen.append(on)
-            return _minimize_on(on, width, covers, key)
+            return _minimize_on(on, width, covers)
 
         monkeypatch.setattr(table_module, "_minimize_on", record)
         emit_equations(table, minimize=True)
@@ -812,31 +811,37 @@ class TestMinimize:
     def test_a_cofactor_without_free_variables_returns_its_stored_cover(self):
         covers = {}
         on = sum(1 << v for v in (0, 3, 5, 6))  # r4 = 0 and even parity of r1..r3
-        key = _cube_entries(4)
-        codes = _minimize_on(on, 4, covers, key)
+        codes = _minimize_on(on, 4, covers)
         cubes = _decoded(codes, 4)
         assert covers == {on: codes} and all(cube[3] == 0 for cube in cubes)
-        assert _minimize_on(on, 4, covers, key) is codes
+        assert _minimize_on(on, 4, covers) is codes
         # with r4 free the cofactor is the same on-set: no search, r4 dashed
-        lifted = _decoded(_minimize_on(on | on << 8, 4, covers, key), 4)
+        lifted = _decoded(_minimize_on(on | on << 8, 4, covers), 4)
         assert covers == {on: codes}
         assert lifted == tuple((*cube[:3], None) for cube in cubes)
         assert lifted == minimize_minterms_tabular([0, 3, 5, 6, 8, 11, 13, 14], 4)
 
     def test_module_caches_stay_within_their_bounds(self):
         # the equation stage keeps no state between calls but the merge masks
+        # and one cube table per width
         equations_net = ring_with_chords(random.Random("equations:1"), 7, 2)
         table = build_transfer_table(equations_net)
+        minimize._cube_chunks.cache_clear()
         before = _module_state()
         rng = random.Random(2024)
+        widths = {equations_net.transition_count}
         for _ in range(300):
             width = rng.randint(0, 10)
             on, _ = _with_free_variables(rng, width, max_support=width)
             minimize_minterms(on, width)
+            if on:  # an empty on-set reads no table
+                widths.add(width)
         for minimized in (False, True):
             render_equations(emit_equations(table, minimize=minimized))
         assert _module_state() == before
         assert all(width <= minimize._CACHED_WIDTH for width in minimize._merge_cache)
+        tables = minimize._cube_chunks.cache_info()
+        assert tables.maxsize == WIDTH_LIMIT + 1 and tables.currsize == len(widths)
 
     def test_wide_merge_masks_are_not_kept(self):
         minterms = [3, 2**22 - 5]
@@ -854,12 +859,12 @@ def _decoded(codes, width):
 
 def _cover_cubes(on, width, covers):
     """``_minimize_on``'s cover of the on-set int ``on``, in render order, decoded."""
-    return _decoded(_minimize_on(on, width, covers, _cube_entries(width)), width)
+    return _decoded(_minimize_on(on, width, covers), width)
 
 
 def _module_state():
     """A copy of each module-level container and cache size in the equation
-    stage's modules, the merge masks aside."""
+    stage's modules, the merge masks and the cube tables aside."""
     state = {}
     for module in (minimize, table_module):
         for name, value in vars(module).items():
@@ -867,7 +872,8 @@ def _module_state():
                 continue
             if isinstance(value, (dict, list, set, bytearray)):
                 state[module.__name__, name] = copy.copy(value)
-            elif hasattr(value, "cache_info") and value.__module__ == module.__name__:
+            elif (hasattr(value, "cache_info") and value.__module__ == module.__name__
+                  and value is not minimize._cube_chunks):
                 state[module.__name__, name] = value.cache_info().currsize
         state[module.__name__] = sorted(vars(module))
     return state
