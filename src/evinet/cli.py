@@ -207,9 +207,10 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
     one write and one flush; the parser's bits are exactly what coercion returns.
 
     Each distinct line text is parsed once per run: a dict maps it to its
-    ``r=`` text, or to "" for a blank or comment line, and a repeated line's
-    bits are read back from that text; the walk keys its image memo by them. A
-    line that fails to parse is never kept, so it reports its own number; one
+    ``r=`` text, or to "" for a blank or comment line. That text is the
+    line's key in the walk, which reads bits back from it only to fetch an
+    image it has not kept, and the text each record writes. A line that fails
+    to parse is never kept, so it reports its own number; one
     longer than ``4 * m`` characters, for ``m`` transitions, is parsed and not
     kept. The dict starts afresh past ``_MEMO_LIMIT`` entries, or fewer when
     their bytes could pass ``_LINE_MEMO_BYTES``, so a run keeps at most 8 MiB
@@ -226,7 +227,8 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
             handle = _open_text(input_path)
         except OSError as exc:
             _fail(f"cannot read {input_path}: {exc.strerror or exc}")
-    # the line read last, and its r= text: a step reads no line past its own
+    # the line read last, and its r= text, for a conflict's diagnostic: a step
+    # reads no line past its own
     line_no, r_text = 0, None
     m, parse = net.transition_count, dsl.parse_receptivity_line
     # Only str objects are kept: kept tuples would count towards the garbage
@@ -254,18 +256,16 @@ def _run_stream(net: PetriNet, mass: MassVector, input_path: str, record) -> Non
                     if len(parsed) >= limit:
                         parsed.clear()
                     parsed[line] = r_text
-            elif r_text:
-                bits = tuple(r_text.encode().translate(_TEXT_BITS))
             if r_text:
-                yield bits
+                yield r_text
 
     write, flush = sys.stdout.write, sys.stdout.flush
+    bits_of = lambda text: tuple(text.encode().translate(_TEXT_BITS))
     try:
         write(record(0, "-", mass))
         flush()
-        # the walk steps on each line as it is read, so r_text is the step's
-        for index, (_, after) in enumerate(_walk(net, mass, receptivities()), 1):
-            write(record(index, r_text, after))
+        for index, (text, after) in enumerate(_walk(net, mass, receptivities(), bits_of), 1):
+            write(record(index, text, after))
             flush()
     except ConflictError as exc:
         details = "; ".join(

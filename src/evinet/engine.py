@@ -110,17 +110,18 @@ _MEMO_LIMIT = 1 << 13
 
 class _Memo(dict):
     """``make(key)`` for each key met, made on first use; a hit is one C-level
-    lookup. At most ``_MEMO_LIMIT`` are kept: a miss beyond them starts the
-    dict afresh."""
+    lookup. At most ``limit`` are kept, ``_MEMO_LIMIT`` unless given: a miss
+    beyond them starts the dict afresh."""
 
-    __slots__ = ("make",)
+    __slots__ = ("make", "limit")
 
-    def __init__(self, make: Callable[[Any], object]):
+    def __init__(self, make: Callable[[Any], object], limit: int = _MEMO_LIMIT):
         super().__init__()
         self.make = make
+        self.limit = limit
 
     def __missing__(self, key):
-        if len(self) >= _MEMO_LIMIT:
+        if len(self) >= self.limit:
             self.clear()
         value = self[key] = self.make(key)
         return value
@@ -407,7 +408,7 @@ def _flat_images(successors: tuple[int, ...]) -> array:
     return array("H", lanes)
 
 
-_IMAGE_LIMIT = 64  # the image functions _image keeps, and a walk's memo of them
+_IMAGE_LIMIT = 64  # the image functions _image keeps, and a walk's _Memo of them by key
 
 
 @functools.lru_cache(maxsize=_IMAGE_LIMIT)
@@ -457,31 +458,26 @@ def step(net: PetriNet, mass, r: Sequence[int]) -> MassVector:
 
 
 def _walk(
-    net: PetriNet, mass: MassVector, inputs: Iterable[Receptivity]
-) -> Iterator[tuple[Receptivity, MassVector]]:
-    """Each coerced receptivity of ``inputs`` with the mass after its step; the
-    one run loop. Only the first step range-checks its mass, as :func:`step`
-    does: every later mass is an image under the same net.
+    net: PetriNet, mass: MassVector, keys: Iterable[Any], bits_of: Callable[[Any], Receptivity]
+) -> Iterator[tuple[Any, MassVector]]:
+    """Each of ``keys`` with the mass after the step on its receptivity,
+    ``bits_of(key)``; the one run loop. Only the first step range-checks its
+    mass, as :func:`step` does: every later mass is an image under the same net.
 
-    Each distinct receptivity's image is looked up through :func:`_image` once
-    per walk and kept in a dict keyed by the receptivity alone, so a repeated
-    one costs one C-level lookup and never hashes or compares the net. The
-    dict starts afresh past ``_IMAGE_LIMIT`` entries. All it holds was fetched
+    Each distinct key's image is looked up through :func:`_image` once per walk
+    and kept in a :class:`_Memo` of the key alone, so a repeated key costs one
+    C-level lookup, reads no bits and never hashes or compares the net. The
+    memo starts afresh past ``_IMAGE_LIMIT`` entries. All it holds was fetched
     since then, so unless other steps run between the walk's, ``_image``'s
     cache holds each of them too.
     """
     n = net.place_count
     advance = _advance
-    images: dict[Receptivity, Callable[[int], int]] = {}
-    for bits in inputs:
-        image = images.get(bits)
-        if image is None:
-            if len(images) >= _IMAGE_LIMIT:
-                images.clear()
-            image = images[bits] = _image(net, bits)
-        mass = advance(mass, image, n)
+    images = _Memo(lambda key: _image(net, bits_of(key)), _IMAGE_LIMIT)
+    for key in keys:
+        mass = advance(mass, images[key], n)
         advance = _transfer
-        yield bits, mass
+        yield key, mass
 
 
 def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
@@ -494,7 +490,8 @@ def run(net: PetriNet, initial, inputs: Iterable[Sequence[int]]) -> Trajectory:
     current = _as_mass_vector(initial)
     steps: list[tuple[Receptivity, MassVector]] = []
     try:
-        for pair in _walk(net, current, map(coerce_receptivity, repeat(net), inputs)):
+        # a coerced receptivity is its own key: tuple() of a tuple is the tuple
+        for pair in _walk(net, current, map(coerce_receptivity, repeat(net), inputs), tuple):
             steps.append(pair)
     except Exception as exc:
         raise TrajectoryError(len(steps), exc) from exc

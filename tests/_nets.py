@@ -115,6 +115,13 @@ def random_cycle(rng: random.Random, max_places: int = 8) -> PetriNet:
     return net_from_transitions(n, pairs, name="rcycle")
 
 
+def spelled_line(rng: random.Random, bits) -> str:
+    """A stream line of ``bits`` separated by commas, spaces or tabs, ending in
+    LF, CRLF or a trailing comment."""
+    separator = rng.choice((" ", ",", "\t", ", ", " \t"))
+    return separator.join(map(str, bits)) + rng.choice(("\n", "\r\n", " # seen\n", "\t#\r\n"))
+
+
 def random_admissible_receptivity(rng: random.Random, net: PetriNet):
     while True:
         bits = tuple(rng.randint(0, 1) for _ in range(net.transition_count))

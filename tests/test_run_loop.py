@@ -57,6 +57,7 @@ from _nets import (
     random_admissible_receptivity,
     random_mass,
     random_net,
+    spelled_line,
 )
 from _oracle import advance_every_step, byte_table_image
 
@@ -79,7 +80,7 @@ def _exact(mass: MassVector) -> list[tuple[int, str]]:
 def test_the_walk_is_the_step_loop_it_replaced():
     merges = 0
     for net, mass, stream in _random_walks():
-        walked = list(_walk(net, mass, stream))
+        walked = list(_walk(net, mass, stream, tuple))
         assert [bits for bits, _ in walked] == stream
         expected = mass
         for bits, got in walked:
@@ -472,7 +473,8 @@ def test_the_image_memo_holds_at_most_64_images(monkeypatch, tmp_path, n):
     initial = random_mass(rng, n, max_focals=12)
     distinct = sorted({tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(120)})
     assert len(distinct) > 64
-    lines = [" ".join(map(str, rng.choice(distinct))) + "\n" for _ in range(600)]
+    chosen = [rng.choice(distinct) for _ in range(600)]
+    lines = [" ".join(map(str, bits)) + "\n" for bits in chosen]
     expected = "".join(_oracle_records(net, initial, lines, "sparse"))
 
     class Tracked:
@@ -494,13 +496,20 @@ def test_the_image_memo_holds_at_most_64_images(monkeypatch, tmp_path, n):
         return image
 
     monkeypatch.setattr(engine_module, "_image", tracked)
-    out = io.StringIO()
     args = ["--net", str(path), "--initial", serialize_mass(initial, net.places)]
-    status = _run_in_process(args, _Lines(lines, lambda: most.append(len(live))), out)
-    assert status == 0
-    assert out.getvalue() == expected
-    assert max(most) == 64  # full, and never fuller
-    assert len(set(lines)) < len(made) < len(lines)  # evicted and refetched, and hit
+    fetches = []
+    # the same receptivities spelled in many ways key the walk's memo alike
+    for stream in (lines, [spelled_line(rng, bits) for bits in chosen]):
+        made.clear()
+        most.clear()
+        out = io.StringIO()
+        status = _run_in_process(args, _Lines(stream, lambda: most.append(len(live))), out)
+        assert status == 0
+        assert out.getvalue() == expected
+        assert max(most) == 64  # full, and never fuller
+        assert len(set(lines)) < len(made) < len(lines)  # evicted and refetched, and hit
+        fetches.append(len(made))
+    assert fetches[0] == fetches[1]
 
 
 _INITIAL = "{P1}:0.5 {P2}:0.25 {P2,P3}:0.25"

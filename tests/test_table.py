@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import io
 import os
 import random
@@ -62,6 +61,7 @@ from _oracle import (
     prime_implicants_tabular,
     transform_brute,
 )
+from test_caches import _module_state
 
 S = frozenset
 
@@ -860,23 +860,6 @@ def _decoded(codes, width):
 def _cover_cubes(on, width, covers):
     """``_minimize_on``'s cover of the on-set int ``on``, in render order, decoded."""
     return _decoded(_minimize_on(on, width, covers), width)
-
-
-def _module_state():
-    """A copy of each module-level container and cache size in the equation
-    stage's modules, the merge masks and the cube tables aside."""
-    state = {}
-    for module in (minimize, table_module):
-        for name, value in vars(module).items():
-            if name.startswith("__") or value is minimize._merge_cache:
-                continue
-            if isinstance(value, (dict, list, set, bytearray)):
-                state[module.__name__, name] = copy.copy(value)
-            elif (hasattr(value, "cache_info") and value.__module__ == module.__name__
-                  and value is not minimize._cube_chunks):
-                state[module.__name__, name] = value.cache_info().currsize
-        state[module.__name__] = sorted(vars(module))
-    return state
 
 
 def _spread(value, positions):
